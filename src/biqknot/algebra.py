@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -66,6 +67,26 @@ class FiniteBiquandle:
 
     def over(self, x: int, y: int) -> int:
         return self.over_table[x - 1][y - 1]
+
+    @cached_property
+    def linear_form(self) -> tuple[int, int, int, int, int] | None:
+        """(n, a, b, c, d) when x ." y = ax + by and x .v y = cx + dy mod n, else None.
+
+        linear_params when set; otherwise read off the tables, with label L
+        standing for the residue L mod n and every one of the n^2 entries
+        checked. Computed on first use and cached, so building an algebra
+        never pays for it.
+        """
+        if self.linear_params is not None:
+            return self.linear_params
+        n = self.size
+        a, b = self.over(1, n) % n, self.over(n, 1) % n
+        c, d = self.under(1, n) % n, self.under(n, 1) % n
+        for x in self.elements():
+            for y in self.elements():
+                if (self.over(x, y) - a * x - b * y) % n or (self.under(x, y) - c * x - d * y) % n:
+                    return None
+        return (n, a, b, c, d)
 
     def under(self, x: int, y: int) -> int:
         return self.under_table[x - 1][y - 1]

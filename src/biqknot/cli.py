@@ -164,8 +164,8 @@ def cmd_color(args) -> int:
             raise UsageError(f"color {args.action} <pd> <biquandle>")
         Y = load_biquandle(args.params[1])
         if args.action == "count":
-            emit(args, [str(coloring.count_colorings(d, Y))],
-                 {"count": coloring.count_colorings(d, Y)})
+            count = coloring.count_colorings(d, Y)
+            emit(args, [str(count)], {"count": count})
             return 0
         cols = coloring.enumerate_colorings(d, Y)
         if args.table:
@@ -184,10 +184,11 @@ def cmd_color(args) -> int:
         n, a, b, c, dd = (int(v) for v in args.params[1:])
         Y = algebra.make_linear_biquandle(n, a, b, c, dd)
         m = coloring.coloring_matrix(d, Y)
+        solutions = coloring.count_solutions_snf(m)
         lines = [" ".join(map(str, row)) for row in m.rows]
-        lines.append(f"# solutions mod {m.modulus}: {coloring.count_solutions_snf(m)}")
+        lines.append(f"# solutions mod {m.modulus}: {solutions}")
         emit(args, lines, {"rows": [list(r) for r in m.rows], "modulus": m.modulus,
-                           "cols": m.cols, "solutions": coloring.count_solutions_snf(m)})
+                           "cols": m.cols, "solutions": solutions})
         return 0
     raise UsageError(f"unknown color action {args.action!r}")
 

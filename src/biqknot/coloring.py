@@ -8,10 +8,14 @@ determine a new semiarc through the forward relations, the inverse
 column maps, or the inverse of the sideways map. Bridge-style diagrams
 therefore enumerate near-branchlessly.
 
-For linear biquandles an independent route is available: the crossing
-relations form an integer matrix mod n whose null space size comes out
-of a Smith normal form over Z. Arithmetic is plain Python integers, so
-intermediate entries can never overflow.
+Counting never lists. Over a linear biquandle (built by
+make_linear_biquandle, or any table that is linear on residues mod n,
+such as the dihedral R_n) the crossing relations form a sparse system
+mod n, and the count is the size of its null space, found by
+elimination over each prime power of n. Every other algebra is counted
+by the same search that enumerates, tallying leaves without storing
+them. Enumeration and brute force stay as the oracles for both routes.
+Arithmetic is plain Python integers, so entries can never overflow.
 """
 
 from __future__ import annotations
@@ -28,24 +32,20 @@ Coloring = tuple[int, ...]
 BRUTE_FORCE_GUARD = 10**7
 
 
-def enumerate_colorings(d: SemiarcDiagram, Y: FiniteBiquandle) -> list[Coloring]:
-    """All colorings of d's semiarcs by Y, lexicographically sorted.
+def _oriented(d: SemiarcDiagram) -> list[tuple[int, int, int, int]]:
+    """Each crossing as (p, q, r, s) with relations r = p .v q, s = q ." p."""
+    return [(c.u_in, c.o_in, c.u_out, c.o_out) if c.sign > 0
+            else (c.u_out, c.o_out, c.u_in, c.o_in) for c in d.crossings]
 
-    Free loops are not materialized; count_colorings folds them in as a
-    factor of |Y| each.
+
+def _search(d: SemiarcDiagram, Y: FiniteBiquandle):
+    """Yield every coloring of d's semiarcs, as lists, in search order.
+
+    Depth-first over an explicit stack, so no diagram size reaches the
+    recursion limit; memory is one assignment per open branch level.
     """
     m = d.semiarc_count
-    if m == 0:
-        return [()]
-
-    # orient each crossing as (p, q, r, s) with relations r = p .v q, s = q ." p
-    oriented = []
-    for c in d.crossings:
-        if c.sign > 0:
-            oriented.append((c.u_in, c.o_in, c.u_out, c.o_out))
-        else:
-            oriented.append((c.u_out, c.o_out, c.u_in, c.o_in))
-
+    oriented = _oriented(d)
     incident: list[list[int]] = [[] for _ in range(m)]
     for ci, quad in enumerate(oriented):
         for s in set(quad):
@@ -96,28 +96,52 @@ def enumerate_colorings(d: SemiarcDiagram, Y: FiniteBiquandle) -> list[Coloring]
             return best
         return assign.index(0)
 
-    out: list[Coloring] = []
+    root = [0] * m
+    if not propagate(root, list(range(len(oriented)))):
+        return
+    if 0 not in root:
+        yield root
+        return
+    # each frame: a partial assignment, its branch semiarc, the values left to try
+    stack = [(root, pick_branch(root), iter(Y.elements()))]
+    while stack:
+        assign, free, values = stack[-1]
+        v = next(values, None)
+        if v is None:
+            stack.pop()
+            continue
+        branch = assign.copy()
+        branch[free] = v
+        if not propagate(branch, list(incident[free])):
+            continue
+        if 0 in branch:
+            stack.append((branch, pick_branch(branch), iter(Y.elements())))
+        else:
+            yield branch
 
-    def search(assign: list[int], queue: list[int]) -> None:
-        if not propagate(assign, queue):
-            return
-        if 0 not in assign:
-            out.append(tuple(assign))
-            return
-        free = pick_branch(assign)
-        for v in Y.elements():
-            branch = assign.copy()
-            branch[free] = v
-            search(branch, list(incident[free]))
 
-    search([0] * m, list(range(len(oriented))))
-    out.sort()
-    return out
+def enumerate_colorings(d: SemiarcDiagram, Y: FiniteBiquandle) -> list[Coloring]:
+    """All colorings of d's semiarcs by Y, lexicographically sorted.
+
+    Free loops are not materialized; count_colorings folds them in as a
+    factor of |Y| each. This listing is the oracle for count_colorings.
+    """
+    return sorted(map(tuple, _search(d, Y)))
 
 
 def count_colorings(d: SemiarcDiagram, Y: FiniteBiquandle) -> int:
-    """Col_Y(d): coloring count including a factor |Y| per free loop."""
-    return len(enumerate_colorings(d, Y)) * Y.size**d.free_loops
+    """Col_Y(d): coloring count including a factor |Y| per free loop.
+
+    A linear Y (see FiniteBiquandle.linear_form) is counted by sparse
+    elimination of its relation system mod n; any other Y by the
+    coloring search, tallying leaves without listing them.
+    """
+    form = Y.linear_form
+    if form is None:
+        base = sum(1 for _ in _search(d, Y))
+    else:
+        base = _count_kernel(_relation_rows(d, form), d.semiarc_count, form[0])
+    return base * Y.size**d.free_loops
 
 
 def brute_force_colorings(d: SemiarcDiagram, Y: FiniteBiquandle) -> list[Coloring]:
@@ -174,6 +198,22 @@ class RelationMatrix:
     cols: int
 
 
+def _relation_rows(d: SemiarcDiagram, form) -> list[dict[int, int]]:
+    """Two sparse rows {semiarc: coefficient} per crossing for x ." y = ax+by, x .v y = cx+dy.
+
+    An oriented crossing (p, q, r, s) gives r - c*p - d*q and s - a*q - b*p.
+    """
+    _, a, b, c, dd = form
+    rows = []
+    for p, q, r, s in _oriented(d):
+        for terms in (((r, 1), (p, -c), (q, -dd)), ((s, 1), (q, -a), (p, -b))):
+            row: dict[int, int] = {}
+            for j, v in terms:
+                row[j] = row.get(j, 0) + v
+            rows.append(row)
+    return rows
+
+
 def coloring_matrix(d: SemiarcDiagram, Y: FiniteBiquandle) -> RelationMatrix:
     """The 2-rows-per-crossing relation matrix for a linear biquandle.
 
@@ -184,24 +224,95 @@ def coloring_matrix(d: SemiarcDiagram, Y: FiniteBiquandle) -> RelationMatrix:
     """
     if Y.linear_params is None:
         raise ValueError("coloring_matrix requires a biquandle built by make_linear_biquandle")
-    n, a, b, c, dd = Y.linear_params
+    n = Y.linear_params[0]
     rows = []
-    for cr in d.crossings:
-        if cr.sign > 0:
-            p, q, r, s = cr.u_in, cr.o_in, cr.u_out, cr.o_out
-        else:
-            p, q, r, s = cr.u_out, cr.o_out, cr.u_in, cr.o_in
-        row1 = [0] * d.semiarc_count
-        row1[r] += 1
-        row1[p] -= c
-        row1[q] -= dd
-        row2 = [0] * d.semiarc_count
-        row2[s] += 1
-        row2[q] -= a
-        row2[p] -= b
-        rows.append(tuple(v % n for v in row1))
-        rows.append(tuple(v % n for v in row2))
+    for sparse in _relation_rows(d, Y.linear_params):
+        row = [0] * d.semiarc_count
+        for j, v in sparse.items():
+            row[j] = v % n
+        rows.append(tuple(row))
     return RelationMatrix(tuple(rows), n, d.semiarc_count)
+
+
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, k) for every prime power p^k exactly dividing n, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            out.append((p, k))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _count_kernel(rows, cols: int, n: int) -> int:
+    """Number of x in (Z/n)^cols with row . x = 0 mod n for every sparse row.
+
+    The count is the product of the counts mod each p^k exactly dividing n
+    (Chinese remainder theorem).
+    """
+    count = 1
+    for p, k in _prime_powers(n):
+        count *= _count_kernel_local(rows, cols, p, k)
+    return count
+
+
+def _count_kernel_local(rows, cols: int, p: int, k: int) -> int:
+    """Null vectors mod q = p^k, by elimination in the local Smith form.
+
+    Phase v pivots on entries of valuation exactly v; no entry of lower
+    valuation is left or can arise, because every remaining entry is
+    divisible by p^v. Clearing the pivot's column with row operations
+    and its row with a unimodular change of variables isolates
+    p^v * x_j = 0, which has p^v solutions, so the pivot's row and column
+    drop out. Columns never pivoted are free: q choices each. Within a
+    phase the pivot is the row's entry whose column has the fewest rows,
+    which keeps fill-in low. One pass over the rows suffices per phase:
+    a row already passed has every entry divisible by p^(v+1), and
+    eliminating into it keeps that so.
+    """
+    q = p**k
+    live: dict[int, dict[int, int]] = {}  # row id -> nonzero entries mod q
+    col_rows: dict[int, set[int]] = {}    # column -> ids of live rows using it
+    for i, row in enumerate(rows):
+        entries = {j: v % q for j, v in row.items() if v % q}
+        live[i] = entries
+        for j in entries:
+            col_rows.setdefault(j, set()).add(i)
+    exponent, free = 0, cols  # count = p^exponent * q^free
+    for v in range(k):
+        pv, above = p**v, p ** (v + 1)
+        for i in list(live):
+            row = live[i]
+            cands = [j for j, a in row.items() if a % above]
+            if not cands:
+                continue
+            j = min(cands, key=lambda c: len(col_rows[c]))
+            del live[i]
+            for c in row:
+                col_rows[c].discard(i)
+            inv = pow(row.pop(j) // pv, -1, q)
+            for r in col_rows.pop(j):
+                other = live[r]
+                f = other.pop(j) // pv * inv % q
+                for c, a in row.items():
+                    b = (other.get(c, 0) - f * a) % q
+                    if b:
+                        if c not in other:
+                            col_rows[c].add(r)
+                        other[c] = b
+                    elif c in other:
+                        del other[c]
+                        col_rows[c].discard(r)
+            exponent += v
+            free -= 1
+    return p**exponent * q**free
 
 
 def snf_diagonal(rows) -> list[int]:
@@ -273,18 +384,17 @@ def snf_diagonal(rows) -> list[int]:
 
 
 def count_solutions_snf(M: RelationMatrix) -> int:
-    """Number of x in (Z/n)^cols with Mx = 0 mod n, via Smith normal form.
+    """Number of x in (Z/n)^cols with Mx = 0 mod n.
 
-    With nonzero diagonal d_1..d_r over Z the count is
+    Counted by sparse elimination over each prime power of n, which
+    yields the local Smith normal form: with nonzero diagonal d_1..d_r
+    over Z (see snf_diagonal, kept as the oracle) the count is
     n^(cols - r) * prod_i gcd(d_i, n).
     """
     if M.modulus < 1:
         raise ValueError("modulus must be >= 1")
-    diag = snf_diagonal(M.rows)
-    count = M.modulus ** (M.cols - len(diag))
-    for dv in diag:
-        count *= math.gcd(dv, M.modulus)
-    return count
+    rows = [{j: v for j, v in enumerate(row) if v} for row in M.rows]
+    return _count_kernel(rows, M.cols, M.modulus)
 
 
 def count_solutions_bruteforce(M: RelationMatrix, guard: int = BRUTE_FORCE_GUARD) -> int:

@@ -136,13 +136,17 @@ def item_03_snf_path():
     t24 = count_solutions_snf(coloring_matrix(torus_2n(4), z))
     family_ok = True
     from .algebra import make_linear_biquandle
+
+    def listed(d, y):  # the enumeration route, independent of the elimination count
+        return len(enumerate_colorings(d, y)) * y.size**d.free_loops
+
     for n in (3, 4, 9):
         rn = make_linear_biquandle(n, 1, 0, n - 1, 2)
         for d in (torus_2n(3), torus_2n(4), chain(3), pretzel([3, 1, 1])):
-            if count_solutions_snf(coloring_matrix(d, rn)) != count_colorings(d, rn):
+            if count_solutions_snf(coloring_matrix(d, rn)) != listed(d, rn):
                 family_ok = False
     for d in (torus_2n(4), torus_2n(8), apply_r2(torus_2n(4), 0, 5)):
-        if count_solutions_snf(coloring_matrix(d, z)) != count_colorings(d, z):
+        if count_solutions_snf(coloring_matrix(d, z)) != listed(d, z):
             family_ok = False
     rng = random.Random(1729)
     random_ok = 0

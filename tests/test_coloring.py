@@ -2,10 +2,19 @@
 
 import math
 import random
+import sys
 
 import pytest
 
-from biqknot.algebra import biquandle_z, enumerate_endos, make_dihedral, make_linear_biquandle
+from biqknot.algebra import (
+    biquandle_z,
+    enumerate_endos,
+    from_tables,
+    make_dihedral,
+    make_linear_biquandle,
+    parse_biquandle,
+    serialize_biquandle,
+)
 from biqknot.coloring import (
     RelationMatrix,
     brute_force_colorings,
@@ -182,15 +191,20 @@ def test_coloring_matrix_requires_linear():
         coloring_matrix(torus_2n(3), make_dihedral(3))
 
 
+def listed_count(d, y):
+    """The enumeration route to Col_Y(d), independent of the elimination count."""
+    return len(enumerate_colorings(d, y)) * y.size**d.free_loops
+
+
 def test_matrix_counts_match_enumeration_on_families():
     # R_n is linear: x |> y = -x + 2y
     for n in (3, 4, 9):
         rn = make_linear_biquandle(n, 1, 0, n - 1, 2)
         for d in (torus_2n(3), torus_2n(4), chain(3)):
-            assert count_solutions_snf(coloring_matrix(d, rn)) == count_colorings(d, rn)
+            assert count_solutions_snf(coloring_matrix(d, rn)) == listed_count(d, rn)
     z = biquandle_z()
     for d in (torus_2n(4), torus_2n(8), apply_r2(torus_2n(4), 0, 5)):
-        assert count_solutions_snf(coloring_matrix(d, z)) == count_colorings(d, z)
+        assert count_solutions_snf(coloring_matrix(d, z)) == listed_count(d, z)
 
 
 def test_trefoil_r3_null_space():
@@ -228,3 +242,131 @@ def test_snf_counts_match_brute_force_random():
         mat = tuple(tuple(rng.randrange(n) for _ in range(cols)) for _ in range(rows))
         m = RelationMatrix(mat, n, cols)
         assert count_solutions_snf(m) == count_solutions_bruteforce(m)
+
+
+def snf_formula_count(diag, n, cols):
+    """n^(cols - r) * prod gcd(d_i, n) for a Smith diagonal d_1..d_r over Z."""
+    count = n ** (cols - len(diag))
+    for dv in diag:
+        count *= math.gcd(dv, n)
+    return count
+
+
+def random_matrix(rng, n, rows, cols, nonzeros=None):
+    """Dense rows mod n; with nonzeros set, at most that many per row, like crossing rows."""
+    out = []
+    for _ in range(rows):
+        row = [0] * cols
+        for j in (range(cols) if nonzeros is None else rng.sample(range(cols), min(nonzeros, cols))):
+            row[j] = rng.randrange(n)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+COMPOSITE_MODULI = (4, 8, 9, 12, 27, 36, 72)
+
+
+def test_snf_counts_on_composite_moduli():
+    rng = random.Random(7)
+    for n in COMPOSITE_MODULI:
+        max_cols = int(math.log(5000, n))  # keeps the brute force quick
+        for _ in range(25):
+            cols = rng.randrange(1, max_cols + 1)
+            m = RelationMatrix(random_matrix(rng, n, rng.randrange(0, 6), cols), n, cols)
+            want = count_solutions_bruteforce(m)
+            assert count_solutions_snf(m) == want
+            assert snf_formula_count(snf_diagonal(m.rows), n, cols) == want
+
+
+def test_snf_counts_on_sparse_systems_match_diagonal_formula():
+    # crossing-shaped rows (at most 3 nonzeros), too large for brute force
+    rng = random.Random(11)
+    for n in COMPOSITE_MODULI:
+        for _ in range(6):
+            cols = rng.randrange(5, 25)
+            rows = random_matrix(rng, n, rng.randrange(cols // 2, 2 * cols), cols, nonzeros=3)
+            m = RelationMatrix(rows, n, cols)
+            assert count_solutions_snf(m) == snf_formula_count(snf_diagonal(rows), n, cols)
+
+
+def test_snf_counts_match_sympy_smith_form():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    rng = random.Random(5)
+    for n in COMPOSITE_MODULI:
+        for _ in range(4):
+            cols = rng.randrange(2, 9)
+            rows = random_matrix(rng, n, rng.randrange(1, 9), cols, nonzeros=3)
+            snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+            diag = [abs(int(snf[i, i])) for i in range(min(snf.shape)) if snf[i, i]]
+            m = RelationMatrix(rows, n, cols)
+            assert count_solutions_snf(m) == snf_formula_count(diag, n, cols)
+
+
+def test_snf_modulus_one_and_invalid():
+    assert count_solutions_snf(RelationMatrix(((1, 2),), 1, 2)) == 1
+    with pytest.raises(ValueError):
+        count_solutions_snf(RelationMatrix(((1,),), 0, 1))
+
+
+# -- which algebras count by elimination ---------------------------------------
+
+
+def gf4_alexander_quandle():
+    """x |> y = w x + (1 + w) y over GF(4) = {0, 1, w, w + 1} (bits), labels element + 1."""
+
+    def times_w(x):  # w (a + b w) = b + (a + b) w, since w^2 = w + 1
+        a, b = x & 1, x >> 1
+        return b | ((a ^ b) << 1)
+
+    under = [[(times_w(x) ^ y ^ times_w(y)) + 1 for y in range(4)] for x in range(4)]
+    over = [[x + 1] * 4 for x in range(4)]
+    return from_tables(over, under)
+
+
+def test_linear_form_detected_lazily_from_tables():
+    for n in range(1, 13):
+        rn = make_dihedral(n)
+        assert "linear_form" not in vars(rn)  # building never pays for detection
+        assert rn.linear_params is None
+        assert rn.linear_form == (n, 1 % n, 0, (n - 1) % n, 2 % n)
+        untagged = parse_biquandle(serialize_biquandle(make_linear_biquandle(n, 1, 0, n - 1, 2)))
+        assert untagged.linear_form == rn.linear_form
+    assert biquandle_z().linear_form == (4, 3, 0, 1, 2)
+
+
+def test_gf4_alexander_quandle_is_not_linear_and_counts_by_search():
+    q = gf4_alexander_quandle()
+    assert q.linear_form is None
+    for d in (torus_2n(2), torus_2n(3), torus_2n(5), apply_r1(torus_2n(3), 2, -1)):
+        want = len(brute_force_colorings(d, q))
+        assert count_colorings(d, q) == want == listed_count(d, q)
+    assert count_colorings(chain(3), q) == listed_count(chain(3), q)
+    # T(2,3) has 4^2 GF(4) colorings: its Alexander polynomial t^2 - t + 1 vanishes at w
+    assert count_colorings(torus_2n(3), q) == 16
+
+
+def test_chain21_over_r4_counts_without_listing():
+    assert count_colorings(chain(21), make_dihedral(4)) == 4**11
+
+
+def test_long_kinked_unknot_counts():
+    assert count_colorings(unknot(2000), make_dihedral(3)) == 3
+
+
+def test_search_depth_does_not_use_the_call_stack():
+    # each kink costs one branch level, so a recursive search would need a
+    # frame per kink; allow far fewer frames than kinks
+    d = unknot(300)
+    q = gf4_alexander_quandle()
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        assert count_colorings(d, q) == 4
+        assert len(enumerate_colorings(d, q)) == 4
+    finally:
+        sys.setrecursionlimit(limit)
