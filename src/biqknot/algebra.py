@@ -102,36 +102,28 @@ class FiniteBiquandle:
 
     def over_col_inv(self, y: int, z: int) -> int:
         """The x with x ." y = z."""
-        return self._over_inv()[y - 1][z - 1]
+        return self._over_inv[y - 1][z - 1]
 
     def under_col_inv(self, y: int, z: int) -> int:
         """The x with x .v y = z."""
-        return self._under_inv()[y - 1][z - 1]
+        return self._under_inv[y - 1][z - 1]
 
     def sideways_inv(self, u: int, v: int) -> tuple[int, int]:
         """The (x, y) with S(x, y) = (y ." x, x .v y) = (u, v)."""
-        return self._s_inv()[(u, v)]
+        return self._s_inv[(u, v)]
 
+    @cached_property
     def _over_inv(self):
-        if not hasattr(self, "_over_inv_cache"):
-            inv = _invert_columns(self.over_table, self.size)
-            object.__setattr__(self, "_over_inv_cache", inv)
-        return self._over_inv_cache
+        return _invert_columns(self.over_table, self.size)
 
+    @cached_property
     def _under_inv(self):
-        if not hasattr(self, "_under_inv_cache"):
-            inv = _invert_columns(self.under_table, self.size)
-            object.__setattr__(self, "_under_inv_cache", inv)
-        return self._under_inv_cache
+        return _invert_columns(self.under_table, self.size)
 
+    @cached_property
     def _s_inv(self):
-        if not hasattr(self, "_s_inv_cache"):
-            inv = {}
-            for x in self.elements():
-                for y in self.elements():
-                    inv[(self.over(y, x), self.under(x, y))] = (x, y)
-            object.__setattr__(self, "_s_inv_cache", inv)
-        return self._s_inv_cache
+        return {(self.over(y, x), self.under(x, y)): (x, y)
+                for x in self.elements() for y in self.elements()}
 
     def __str__(self) -> str:
         kind = "Quandle" if self.is_quandle() else "FiniteBiquandle"
@@ -255,38 +247,19 @@ def biquandle_z() -> FiniteBiquandle:
 
 
 def enumerate_homs(X: FiniteBiquandle, Y: FiniteBiquandle) -> list[tuple[int, ...]]:
-    """All maps X -> Y preserving both operations, as image tuples.
+    """All maps X -> Y preserving both operations, as image tuples, sorted.
 
-    Backtracks over partial images, checking a constraint as soon as its
-    three participants are assigned, so End(R_9) and friends come out
-    instantly. Output is sorted lexicographically by image array.
+    The images of X's elements are unknowns subject to one quad
+    (x, y, x .v y, y ." x) per pair of elements, the same relations a
+    crossing imposes on its semiarcs. A linear Y is listed from the
+    kernel lattice of that system, any other Y by the coloring search;
+    is_hom over all maps is the reference.
     """
-    n, m = X.size, Y.size
-    # constraint (p, q, t, table): image[t] must equal table[image[p]][image[q]],
-    # scheduled at the step where the last of p, q, t gets assigned (0-based)
-    schedule: list[list[tuple[int, int, int, Table]]] = [[] for _ in range(n)]
-    for p in range(n):
-        for q in range(n):
-            for xt, yt in ((X.over_table, Y.over_table), (X.under_table, Y.under_table)):
-                t = xt[p][q] - 1
-                schedule[max(p, q, t)].append((p, q, t, yt))
+    from .coloring import list_solutions  # coloring imports this module
 
-    image = [0] * n
-    out: list[tuple[int, ...]] = []
-
-    def extend(k: int) -> None:
-        if k == n:
-            out.append(tuple(image))
-            return
-        for v in range(1, m + 1):
-            image[k] = v
-            if all(image[t] == yt[image[p] - 1][image[q] - 1]
-                   for p, q, t, yt in schedule[k]):
-                extend(k + 1)
-        image[k] = 0
-
-    extend(0)
-    return out
+    quads = [(x - 1, y - 1, X.under(x, y) - 1, X.over(y, x) - 1)
+             for x in X.elements() for y in X.elements()]
+    return list_solutions(X.size, quads, Y)
 
 
 def enumerate_endos(Y: FiniteBiquandle) -> list[tuple[int, ...]]:

@@ -106,14 +106,30 @@ def min_seed_size(d: SemiarcDiagram, k_max: int = 6) -> tuple[int, tuple[int, ..
     lexicographic, so the witness is the lexicographically least seed
     set of minimal size. Returns None when no subset within the cap
     saturates. The size is an upper bound certificate for the overpass
-    bridge index of the underlying link on this diagram.
+    bridge index of the underlying link on this diagram. Each subset is
+    tested by a worklist closure over one strand decomposition, which
+    reaches the same strands as wirtinger_saturate.
     """
-    n_strands = len(strands(d).strands)
+    dec = strands(d)
+    n_strands = len(dec.strands)
     if n_strands == 0:
         return None
+    touching: list[list[tuple[int, int, int]]] = [[] for _ in range(n_strands)]
+    for incidence in dec.crossing_incidence:
+        for s in set(incidence):
+            touching[s].append(incidence)
     for k in range(1, min(k_max, n_strands) + 1):
         for combo in itertools.combinations(range(n_strands), k):
-            if wirtinger_saturate(d, combo).saturated:
+            # a move can first fire when one of its crossing's strands gets
+            # colored, so only the crossings of newly colored strands are rechecked
+            colored, todo = set(combo), list(combo)
+            while todo:
+                for u_in_s, u_out_s, over_s in touching[todo.pop()]:
+                    if over_s in colored and (u_in_s in colored) != (u_out_s in colored):
+                        new = u_in_s if u_out_s in colored else u_out_s
+                        colored.add(new)
+                        todo.append(new)
+            if len(colored) == n_strands:
                 return k, combo
     return None
 

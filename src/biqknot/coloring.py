@@ -2,20 +2,23 @@
 
 A coloring assigns a biquandle element to every semiarc so that each
 crossing satisfies the convention relations (positive: u_out = u_in .v
-o_in and o_out = o_in ." u_in; negative: the inverse pair). Enumeration
-runs by worklist propagation, branching only when no crossing can
-determine a new semiarc through the forward relations, the inverse
-column maps, or the inverse of the sideways map. Bridge-style diagrams
-therefore enumerate near-branchlessly.
+o_in and o_out = o_in ." u_in; negative: the inverse pair). The same
+relations, read over the quads (x, y, x .v y, y ." x) of a biquandle X,
+say that a map X -> Y is a homomorphism, so one solver serves both.
 
-Counting never lists. Over a linear biquandle (built by
-make_linear_biquandle, or any table that is linear on residues mod n,
-such as the dihedral R_n) the crossing relations form a sparse system
-mod n, and the count is the size of its null space, found by
-elimination over each prime power of n. Every other algebra is counted
-by the same search that enumerates, tallying leaves without storing
-them. Enumeration and brute force stay as the oracles for both routes.
-Arithmetic is plain Python integers, so entries can never overflow.
+Over a linear biquandle (built by make_linear_biquandle, or any table
+that is linear on residues mod n, such as the dihedral R_n) the
+relations form a sparse system mod n whose solutions are a Z/n-module.
+One elimination over each prime power of n serves two consumers: the
+counter multiplies the sizes its pivots leave free and keeps nothing;
+the lister keeps the pivots, reads a generator per free parameter off
+them by back-substitution, and lists the box of their multiples. Every
+other algebra is listed, or counted leaf by leaf, by a worklist
+propagation search that branches only when no relation can determine a
+new value through the forward relations, the inverse column maps, or
+the inverse of the sideways map. The search and brute force stay as the
+references for both linear routes. Arithmetic is plain Python integers,
+so entries can never overflow.
 """
 
 from __future__ import annotations
@@ -38,14 +41,13 @@ def _oriented(d: SemiarcDiagram) -> list[tuple[int, int, int, int]]:
             else (c.u_out, c.o_out, c.u_in, c.o_in) for c in d.crossings]
 
 
-def _search(d: SemiarcDiagram, Y: FiniteBiquandle):
-    """Yield every coloring of d's semiarcs, as lists, in search order.
+def _search(m: int, oriented, Y: FiniteBiquandle):
+    """Yield every x in Y^m satisfying each quad's relations, as lists, in search order.
 
+    A quad (p, q, r, s) asks x[r] = x[p] .v x[q] and x[s] = x[q] ." x[p].
     Depth-first over an explicit stack, so no diagram size reaches the
     recursion limit; memory is one assignment per open branch level.
     """
-    m = d.semiarc_count
-    oriented = _oriented(d)
     incident: list[list[int]] = [[] for _ in range(m)]
     for ci, quad in enumerate(oriented):
         for s in set(quad):
@@ -120,13 +122,25 @@ def _search(d: SemiarcDiagram, Y: FiniteBiquandle):
             yield branch
 
 
+def list_solutions(m: int, oriented, Y: FiniteBiquandle) -> list[Coloring]:
+    """Every x in Y^m satisfying each quad's relations, sorted: from the kernel lattice
+    if Y is linear (see FiniteBiquandle.linear_form), else by the search."""
+    form = Y.linear_form
+    if form is None:
+        return sorted(map(tuple, _search(m, oriented, Y)))
+    return _list_kernel(_relation_rows(oriented, form), m, form[0])
+
+
 def enumerate_colorings(d: SemiarcDiagram, Y: FiniteBiquandle) -> list[Coloring]:
     """All colorings of d's semiarcs by Y, lexicographically sorted.
 
-    Free loops are not materialized; count_colorings folds them in as a
-    factor of |Y| each. This listing is the oracle for count_colorings.
+    A linear Y is listed from the kernel lattice of the elimination that
+    count_colorings also runs, any other Y by the coloring search; the
+    search and brute_force_colorings are the references. Free loops are
+    not materialized; count_colorings folds them in as a factor of |Y|
+    each.
     """
-    return sorted(map(tuple, _search(d, Y)))
+    return list_solutions(d.semiarc_count, _oriented(d), Y)
 
 
 def count_colorings(d: SemiarcDiagram, Y: FiniteBiquandle) -> int:
@@ -138,9 +152,9 @@ def count_colorings(d: SemiarcDiagram, Y: FiniteBiquandle) -> int:
     """
     form = Y.linear_form
     if form is None:
-        base = sum(1 for _ in _search(d, Y))
+        base = sum(1 for _ in _search(d.semiarc_count, _oriented(d), Y))
     else:
-        base = _count_kernel(_relation_rows(d, form), d.semiarc_count, form[0])
+        base = _count_kernel(_relation_rows(_oriented(d), form), d.semiarc_count, form[0])
     return base * Y.size**d.free_loops
 
 
@@ -198,14 +212,14 @@ class RelationMatrix:
     cols: int
 
 
-def _relation_rows(d: SemiarcDiagram, form) -> list[dict[int, int]]:
-    """Two sparse rows {semiarc: coefficient} per crossing for x ." y = ax+by, x .v y = cx+dy.
+def _relation_rows(oriented, form) -> list[dict[int, int]]:
+    """Two sparse rows {index: coefficient} per quad for x ." y = ax+by, x .v y = cx+dy.
 
-    An oriented crossing (p, q, r, s) gives r - c*p - d*q and s - a*q - b*p.
+    A quad (p, q, r, s) gives r - c*p - d*q and s - a*q - b*p.
     """
     _, a, b, c, dd = form
     rows = []
-    for p, q, r, s in _oriented(d):
+    for p, q, r, s in oriented:
         for terms in (((r, 1), (p, -c), (q, -dd)), ((s, 1), (q, -a), (p, -b))):
             row: dict[int, int] = {}
             for j, v in terms:
@@ -226,7 +240,7 @@ def coloring_matrix(d: SemiarcDiagram, Y: FiniteBiquandle) -> RelationMatrix:
         raise ValueError("coloring_matrix requires a biquandle built by make_linear_biquandle")
     n = Y.linear_params[0]
     rows = []
-    for sparse in _relation_rows(d, Y.linear_params):
+    for sparse in _relation_rows(_oriented(d), Y.linear_params):
         row = [0] * d.semiarc_count
         for j, v in sparse.items():
             row[j] = v % n
@@ -255,27 +269,35 @@ def _count_kernel(rows, cols: int, n: int) -> int:
     """Number of x in (Z/n)^cols with row . x = 0 mod n for every sparse row.
 
     The count is the product of the counts mod each p^k exactly dividing n
-    (Chinese remainder theorem).
+    (Chinese remainder theorem): p^k per column, of which a pivot of
+    valuation v leaves p^v. The pivots are counted as they come, not kept.
     """
     count = 1
     for p, k in _prime_powers(n):
-        count *= _count_kernel_local(rows, cols, p, k)
+        exponent = k * cols
+        for _, v, _, _ in _pivots(rows, p, k):
+            exponent -= k - v
+        count *= p**exponent
     return count
 
 
-def _count_kernel_local(rows, cols: int, p: int, k: int) -> int:
-    """Null vectors mod q = p^k, by elimination in the local Smith form.
+def _pivots(rows, p: int, k: int):
+    """Eliminate the sparse rows mod q = p^k in the local Smith form, yielding each pivot.
+
+    A pivot is (j, v, inv, rest): its row reads p^v*u*x_j + sum(rest[c]*x_c) = 0
+    with inv = u^-1 mod q, and every entry of rest divisible by p^v.
 
     Phase v pivots on entries of valuation exactly v; no entry of lower
     valuation is left or can arise, because every remaining entry is
     divisible by p^v. Clearing the pivot's column with row operations
     and its row with a unimodular change of variables isolates
     p^v * x_j = 0, which has p^v solutions, so the pivot's row and column
-    drop out. Columns never pivoted are free: q choices each. Within a
-    phase the pivot is the row's entry whose column has the fewest rows,
-    which keeps fill-in low. One pass over the rows suffices per phase:
-    a row already passed has every entry divisible by p^(v+1), and
-    eliminating into it keeps that so.
+    drop out; later pivots' rows never use an earlier pivot's column.
+    Columns never pivoted are free: q choices each. Within a phase the
+    pivot is the row's entry whose column has the fewest rows, which
+    keeps fill-in low. One pass over the rows suffices per phase: a row
+    already passed has every entry divisible by p^(v+1), and eliminating
+    into it keeps that so.
     """
     q = p**k
     live: dict[int, dict[int, int]] = {}  # row id -> nonzero entries mod q
@@ -285,7 +307,6 @@ def _count_kernel_local(rows, cols: int, p: int, k: int) -> int:
         live[i] = entries
         for j in entries:
             col_rows.setdefault(j, set()).add(i)
-    exponent, free = 0, cols  # count = p^exponent * q^free
     for v in range(k):
         pv, above = p**v, p ** (v + 1)
         for i in list(live):
@@ -310,9 +331,35 @@ def _count_kernel_local(rows, cols: int, p: int, k: int) -> int:
                     elif c in other:
                         del other[c]
                         col_rows[c].discard(r)
-            exponent += v
-            free -= 1
-    return p**exponent * q**free
+            yield j, v, inv, row
+
+
+def _list_kernel(rows, cols: int, n: int) -> list[Coloring]:
+    """Every x in (Z/n)^cols with row . x = 0 mod n, as sorted tuples of labels 1..n.
+
+    Per p^k, each parameter of the elimination gives a generator g: a free
+    column of order q = p^k, or a pivot of valuation v > 0 of order p^v
+    stepping x_j by p^(k-v); back-substitution in reverse pivot order fills
+    in the pivot columns. Every null vector is sum(t * g) for exactly one
+    0 <= t < order per generator, so lifting each g to Z/n with the CRT
+    idempotent of p^k makes the null space the box of their multiples.
+    Residue 0 is label n.
+    """
+    box = [(0,) * cols]
+    for p, k in _prime_powers(n):
+        q = p**k
+        e = n // q * pow(n // q, -1, q)  # 1 mod q, 0 mod n/q
+        pivots = list(_pivots(rows, p, k))
+        pivoted = {j for j, _, _, _ in pivots}
+        params = [(c, q) for c in range(cols) if c not in pivoted]
+        for col, order in params + [(j, p**v) for j, v, _, _ in pivots if v]:
+            g = [0] * cols
+            g[col] = q // order
+            for j, v, inv, rest in reversed(pivots):
+                g[j] = (g[j] - inv * (sum(a * g[c] for c, a in rest.items()) // p**v)) % q
+            steps = [tuple(t * x * e % n for x in g) for t in range(order)]
+            box = [tuple((a + b) % n for a, b in zip(x, s)) for x in box for s in steps]
+    return sorted(tuple(a or n for a in x) for x in box)
 
 
 def snf_diagonal(rows) -> list[int]:

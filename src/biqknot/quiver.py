@@ -129,42 +129,43 @@ def _backtrack(a1, a2, col1, col2, n: int) -> bool:
         inverse[w] = v if value else -1
         used[w] = value
 
-    def rec(k: int) -> bool:
-        if k == n:
-            return True
-        v = order[k]
-        for w in candidates[col1[v]]:
-            if used[w]:
-                continue
-            ok = True
-            for x, mult in out1[v].items():
-                y = mapping[x]
-                if y != -1 and out2[w].get(y, 0) != mult:
-                    ok = False
-                    break
-            if ok:
-                for x, mult in in1[v].items():
-                    y = mapping[x]
-                    if y != -1 and in2[w].get(y, 0) != mult:
-                        ok = False
-                        break
-            if ok:
-                for y, mult in out2[w].items():
-                    x = inverse[y]
-                    if x != -1 and out1[v].get(x, 0) != mult:
-                        ok = False
-                        break
-            if ok:
-                for y, mult in in2[w].items():
-                    x = inverse[y]
-                    if x != -1 and in1[v].get(x, 0) != mult:
-                        ok = False
-                        break
-            if ok:
-                assign(v, w, True)
-                if rec(k + 1):
-                    return True
-                assign(v, w, False)
-        return False
+    def fits(v: int, w: int) -> bool:
+        for x, mult in out1[v].items():
+            y = mapping[x]
+            if y != -1 and out2[w].get(y, 0) != mult:
+                return False
+        for x, mult in in1[v].items():
+            y = mapping[x]
+            if y != -1 and in2[w].get(y, 0) != mult:
+                return False
+        for y, mult in out2[w].items():
+            x = inverse[y]
+            if x != -1 and out1[v].get(x, 0) != mult:
+                return False
+        for y, mult in in2[w].items():
+            x = inverse[y]
+            if x != -1 and in1[v].get(x, 0) != mult:
+                return False
+        return True
 
-    return rec(0)
+    if n == 0:
+        return True
+    # stack[k] iterates the candidates left for order[k]; depth lives on the heap,
+    # so no quiver size reaches the recursion limit
+    stack = [iter(candidates[col1[order[0]]])]
+    while stack:
+        k = len(stack) - 1
+        v = order[k]
+        if mapping[v] != -1:
+            assign(v, mapping[v], False)
+        for w in stack[-1]:
+            if not used[w] and fits(v, w):
+                assign(v, w, True)
+                break
+        else:
+            stack.pop()
+            continue
+        if k + 1 == n:
+            return True
+        stack.append(iter(candidates[col1[order[k + 1]]]))
+    return False

@@ -13,10 +13,8 @@ than weakened; everything else passes.
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .algebra import (
@@ -29,6 +27,8 @@ from .algebra import (
 from .bridge import b1_lower, min_seed_size
 from .coloring import (
     RelationMatrix,
+    _oriented,
+    _search,
     coloring_matrix,
     count_colorings,
     count_solutions_bruteforce,
@@ -137,8 +137,8 @@ def item_03_snf_path():
     family_ok = True
     from .algebra import make_linear_biquandle
 
-    def listed(d, y):  # the enumeration route, independent of the elimination count
-        return len(enumerate_colorings(d, y)) * y.size**d.free_loops
+    def listed(d, y):  # the search route, independent of the elimination
+        return sum(1 for _ in _search(d.semiarc_count, _oriented(d), y)) * y.size**d.free_loops
 
     for n in (3, 4, 9):
         rn = make_linear_biquandle(n, 1, 0, n - 1, 2)
@@ -330,26 +330,17 @@ KNOWN_DEFECTS = {
 }
 
 
-def run_items(names=None, threads: int | None = None) -> list[ReproItem]:
+def run_items(names=None) -> list[ReproItem]:
     selected = [(claim, prov, fn) for claim, prov, fn in ITEMS
                 if names is None or claim in names]
     if names is not None:
         missing = set(names) - {c for c, _, _ in selected}
         if missing:
             raise KeyError(f"unknown repro items: {sorted(missing)}")
-    if threads is None:
-        threads = int(os.environ.get("BIQKNOT_THREADS", "1"))
-
-    def run_one(entry):
-        claim, prov, fn = entry
+    results = []
+    for claim, prov, fn in selected:
         start = time.perf_counter()
         expected, computed, passed = fn()
-        return ReproItem(claim, prov, expected, computed, passed,
-                         time.perf_counter() - start)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, selected))
-    else:
-        results = [run_one(e) for e in selected]
+        results.append(ReproItem(claim, prov, expected, computed, passed,
+                                 time.perf_counter() - start))
     return sorted(results, key=lambda r: r.claim)

@@ -158,6 +158,39 @@ def test_homs_from_one_element_biquandle():
     assert enumerate_homs(one, biquandle_z()) == [(2,), (4,)]
 
 
+def gf4_alexander_tables():
+    """x |> y = w x + (1 + w) y over GF(4) (bits), labels element + 1; not linear mod 4."""
+
+    def times_w(x):  # w (a + b w) = b + (a + b) w, since w^2 = w + 1
+        return (x >> 1) | (((x & 1) ^ (x >> 1)) << 1)
+
+    under = [[(times_w(x) ^ y ^ times_w(y)) + 1 for y in range(4)] for x in range(4)]
+    return [[x + 1] * 4 for x in range(4)], under
+
+
+def test_homs_match_is_hom_filter():
+    gf4 = from_tables(*gf4_alexander_tables())
+    assert gf4.linear_form is None  # listed by the search
+    algebras = [make_dihedral(1), make_dihedral(2), make_dihedral(3), make_dihedral(4),
+                make_dihedral(6), biquandle_z(), gf4, make_linear_biquandle(8, 5, 0, 1, 4)]
+    for X in algebras:
+        for Y in algebras:
+            if Y.size**X.size > 5000:
+                continue
+            want = [img for img in itertools.product(Y.elements(), repeat=X.size)
+                    if is_hom(X, Y, img)]
+            assert enumerate_homs(X, Y) == want, (X, Y)
+
+
+def test_dihedral_endomorphism_count():
+    # End(R_n) is the n^2 affine maps x -> ax + b
+    for n in range(1, 28):
+        affine = {tuple((a * x + b - 1) % n + 1 for x in range(1, n + 1))
+                  for a in range(n) for b in range(n)}
+        assert enumerate_endos(make_dihedral(n)) == sorted(affine)
+        assert len(affine) == n * n
+
+
 def test_endos_closed_under_composition():
     rng = random.Random(11)
     for target in (make_dihedral(4), biquandle_z(), make_dihedral(6)):

@@ -15,6 +15,7 @@ from biqknot.bridge import (
 )
 from biqknot.coloring import count_colorings
 from biqknot.diagram import chain, pretzel, strands, torus_2n, unknot
+from biqknot.knots import builtin_table
 
 
 def test_all_seeds_saturate_trivially():
@@ -106,6 +107,24 @@ def test_single_seed_iff_reachable():
         n = len(strands(d).strands)
         single = any(len(saturating_closure(d, {s})) == n for s in range(n))
         assert (min_seed_size(d)[0] == 1) == single
+
+
+def exhaustive_min_seed(d, k_max=6):
+    """The first saturating subset by size, then lexicographically, by wirtinger_saturate."""
+    n = len(strands(d).strands)
+    for k in range(1, min(k_max, n) + 1):
+        for combo in itertools.combinations(range(n), k):
+            if wirtinger_saturate(d, combo).saturated:
+                return k, combo
+    return None
+
+
+def test_min_seed_size_matches_exhaustive_saturation():
+    diagrams = [torus_2n(p) for p in (1, 2, 3, 4, 5, 8)] + [chain(3), chain(5), chain(7)]
+    diagrams += [rec.diagram for rec in builtin_table().values()]
+    for d in diagrams:
+        assert min_seed_size(d) == exhaustive_min_seed(d)
+    assert min_seed_size(chain(7)) is None  # seven components need seven seeds
 
 
 def test_b1_lower_examples():

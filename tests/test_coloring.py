@@ -1,5 +1,6 @@
 """Tests for coloring enumeration, the linear-algebra path, and their oracles."""
 
+import itertools
 import math
 import random
 import sys
@@ -17,6 +18,9 @@ from biqknot.algebra import (
 )
 from biqknot.coloring import (
     RelationMatrix,
+    _list_kernel,
+    _oriented,
+    _search,
     brute_force_colorings,
     coloring_matrix,
     colorings_with_loops,
@@ -36,6 +40,7 @@ from biqknot.diagram import (
     torus_2n,
     unknot,
 )
+from biqknot.knots import builtin_table
 
 # the published null space of the T(2,4) relation matrix over the linear
 # biquandle Z (residues mod 4); my semiarc k corresponds to coordinate
@@ -191,9 +196,14 @@ def test_coloring_matrix_requires_linear():
         coloring_matrix(torus_2n(3), make_dihedral(3))
 
 
+def searched(d, y):
+    """The search's listing, independent of the elimination."""
+    return sorted(map(tuple, _search(d.semiarc_count, _oriented(d), y)))
+
+
 def listed_count(d, y):
-    """The enumeration route to Col_Y(d), independent of the elimination count."""
-    return len(enumerate_colorings(d, y)) * y.size**d.free_loops
+    """The search route to Col_Y(d), independent of the elimination count."""
+    return len(searched(d, y)) * y.size**d.free_loops
 
 
 def test_matrix_counts_match_enumeration_on_families():
@@ -276,6 +286,19 @@ def test_snf_counts_on_composite_moduli():
             want = count_solutions_bruteforce(m)
             assert count_solutions_snf(m) == want
             assert snf_formula_count(snf_diagonal(m.rows), n, cols) == want
+
+
+def test_kernel_listing_matches_brute_force_on_composite_moduli():
+    rng = random.Random(13)
+    for n in (1,) + COMPOSITE_MODULI:
+        max_cols = max(1, int(math.log(5000, n))) if n > 1 else 3
+        for _ in range(15):
+            cols = rng.randrange(0, max_cols + 1)
+            mat = random_matrix(rng, n, rng.randrange(0, 6), cols, nonzeros=rng.choice((None, 2, 3)))
+            want = sorted(tuple(v or n for v in vec) for vec in itertools.product(range(n), repeat=cols)
+                          if all(sum(a * v for a, v in zip(row, vec)) % n == 0 for row in mat))
+            rows = [{j: a for j, a in enumerate(row) if a} for row in mat]
+            assert _list_kernel(rows, cols, n) == want
 
 
 def test_snf_counts_on_sparse_systems_match_diagonal_formula():
@@ -370,3 +393,38 @@ def test_search_depth_does_not_use_the_call_stack():
         assert len(enumerate_colorings(d, q)) == 4
     finally:
         sys.setrecursionlimit(limit)
+
+
+# -- lattice listing against the search and brute force -----------------------
+
+# composite moduli and non-quandle linear biquandles; Z is (4, 3, 0, 1, 2)
+LATTICE_ALGEBRAS = ([make_dihedral(n) for n in (1, 4, 6, 8, 12, 27)]
+                    + [biquandle_z()]
+                    + [make_linear_biquandle(n, a, 0, 1, a - 1) for n, a in ((8, 5), (9, 7), (12, 7))])
+
+
+def test_lattice_listing_matches_search_and_brute_force():
+    families = [torus_2n(2), torus_2n(3), torus_2n(4), chain(3), pretzel([3, 1, 1]),
+                apply_r1(torus_2n(3), 1, -1), apply_r2(torus_2n(2), 0, 2, "antiparallel"),
+                builtin_table()["4_1"].diagram, builtin_table()["5_2"].diagram]
+    for y in LATTICE_ALGEBRAS:
+        assert y.linear_form is not None
+        for d in families:
+            got = enumerate_colorings(d, y)
+            assert got == searched(d, y)
+            assert len(got) * y.size**d.free_loops == count_colorings(d, y)
+            if y.size**d.semiarc_count <= 20000:
+                assert got == brute_force_colorings(d, y)
+
+
+def test_lattice_listing_with_free_loops_and_no_semiarcs():
+    for y in (make_dihedral(1), make_dihedral(6), biquandle_z(), make_linear_biquandle(8, 5, 0, 1, 4)):
+        for d in (SemiarcDiagram(0, (), 0), SemiarcDiagram(0, (), 2),
+                  SemiarcDiagram(torus_2n(2).semiarc_count, torus_2n(2).crossings, 1)):
+            got = enumerate_colorings(d, y)
+            assert got == searched(d, y) == brute_force_colorings(d, y)
+            extras = list(itertools.product(y.elements(), repeat=d.free_loops))
+            assert colorings_with_loops(d, y) == sorted(c + e for c in got for e in extras)
+            assert len(colorings_with_loops(d, y)) == count_colorings(d, y)
+    assert enumerate_colorings(SemiarcDiagram(0, (), 1), make_dihedral(5)) == [()]
+    assert enumerate_colorings(chain(3), make_dihedral(1)) == [(1,) * chain(3).semiarc_count]

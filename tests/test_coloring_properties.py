@@ -1,8 +1,9 @@
-"""Property tests: every count route agrees on random moved diagrams.
+"""Property tests: every count and listing route agrees on random moved diagrams.
 
-count_colorings (elimination for linear algebras, the search otherwise)
-is compared with the length of the listing and, where it is quick, with
-brute force, over tori, chains and pretzels after random R1/R2 moves.
+count_colorings and enumerate_colorings (both from the elimination for
+linear algebras, the search otherwise) are compared with the coloring
+search and, where it is quick, with brute force, over tori, chains and
+pretzels after random R1/R2 moves.
 """
 
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from biqknot.algebra import biquandle_z, make_dihedral, parse_biquandle, serialize_biquandle
 from biqknot.coloring import (
     BRUTE_FORCE_GUARD,
+    _oriented,
+    _search,
     brute_force_colorings,
     count_colorings,
     enumerate_colorings,
@@ -51,7 +54,9 @@ def moved_diagrams(draw):
 @hypothesis.given(moved_diagrams(), st.sampled_from(ALGEBRAS))
 def test_elimination_count_matches_enumeration_and_brute_force(d, y):
     count = count_colorings(d, y)
-    assert count == len(enumerate_colorings(d, y)) * y.size**d.free_loops
+    listed = enumerate_colorings(d, y)
+    assert listed == sorted(map(tuple, _search(d.semiarc_count, _oriented(d), y)))
+    assert count == len(listed) * y.size**d.free_loops
     # brute force only where it is quick (well inside BRUTE_FORCE_GUARD)
     if y.size**d.semiarc_count <= min(BRUTE_FORCE_GUARD, 20000):
-        assert count == len(brute_force_colorings(d, y)) * y.size**d.free_loops
+        assert listed == brute_force_colorings(d, y)

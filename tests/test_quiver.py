@@ -1,6 +1,7 @@
 """Tests for coloring quivers, in-degree polynomials, and quiver isomorphism."""
 
 import random
+import sys
 
 import pytest
 
@@ -103,6 +104,24 @@ def test_quiver_isomorphic_to_itself_and_relabelings():
     moved = apply_r2(apply_r1(torus_2n(4), 0, -1), 1, 6, "parallel")
     q2 = build_quiver(moved, r4, [phi])
     assert quivers_isomorphic(q, q2)
+
+
+def test_iso_backtracking_does_not_use_the_call_stack():
+    # 256 vertices, one backtracking level each; allow far fewer frames
+    r4 = make_dihedral(4)
+    d = chain(7)
+    moved = apply_r2(apply_r1(d, 0, -1), 1, 6, "parallel")
+    q1, q2 = build_quiver(d, r4, [doubling(4)]), build_quiver(moved, r4, [doubling(4)])
+    assert len(q1.vertices) == 256
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        assert quivers_isomorphic(q1, q2)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_quiver_iso_rejects_different_edge_structure():
