@@ -95,6 +95,10 @@ class FiniteBiquandle:
         return range(1, self.size + 1)
 
     def is_quandle(self) -> bool:
+        return self._is_quandle
+
+    @cached_property
+    def _is_quandle(self) -> bool:  # one scan per algebra, not one per column or closure
         return all(self.over_table[x] == tuple([x + 1] * self.size) for x in range(self.size))
 
     # Inverse column maps and the inverse of the sideways map S(x, y) = (y ." x, x .v y).
@@ -209,9 +213,8 @@ def from_tables(over_table, under_table) -> FiniteBiquandle:
                          (f" (+{len(violations) - 1} more)" if len(violations) > 1 else ""))
     over = _as_table(over_table, n, "over")
     under = _as_table(under_table, n, "under")
-    if all(over[x] == tuple([x + 1] * n) for x in range(n)):
-        return Quandle(n, over, under)
-    return FiniteBiquandle(n, over, under)
+    biq = FiniteBiquandle(n, over, under)
+    return Quandle(n, over, under) if biq.is_quandle() else biq
 
 
 def make_dihedral(n: int) -> Quandle:
@@ -357,23 +360,23 @@ def subquandle_closure(Q: Quandle, S) -> frozenset[int]:
 
 # -- text format --------------------------------------------------------------
 
-def parse_biquandle(text: str) -> FiniteBiquandle:
-    """Parse the biquandle text format.
+def parse_tables(text: str) -> tuple[list[list[int]], list[list[int]]]:
+    """Read the biquandle text format into its (over, under) rows, unvalidated.
 
     First line n, then n rows of the over table, a blank line, then n
     rows of the under table; whitespace-separated 1-based entries.
+    Raises ValueError unless the text has that layout; the axioms, and
+    the length of each row, are left to validate_axioms.
     """
     lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if not ln.startswith("#")]
-    while lines and not lines[0]:
-        lines.pop(0)
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty biquandle file")
     try:
         n = int(lines[0])
     except ValueError:
         raise ValueError(f"first line must be the size, got {lines[0]!r}")
-    rows = [ln for ln in lines[1:] if ln]
+    rows = lines[1:]
     if len(rows) != 2 * n:
         raise ValueError(f"expected {2 * n} table rows, found {len(rows)}")
     try:
@@ -381,7 +384,12 @@ def parse_biquandle(text: str) -> FiniteBiquandle:
         under = [[int(v) for v in ln.split()] for ln in rows[n:]]
     except ValueError as e:
         raise ValueError(f"bad table entry: {e}")
-    return from_tables(over, under)
+    return over, under
+
+
+def parse_biquandle(text: str) -> FiniteBiquandle:
+    """Parse the biquandle text format (see parse_tables) into a validated biquandle."""
+    return from_tables(*parse_tables(text))
 
 
 def serialize_biquandle(B: FiniteBiquandle) -> str:

@@ -3,11 +3,13 @@
 Diagram arguments accept a file path (wire format), a bundled knot as
 ``knot:NAME``, or a generator spec: ``torus2:N``, ``pretzel:T1,T2,...``,
 ``chain:K``. Algebra arguments accept a file path (biquandle text
-format) or ``dihedral:N`` / ``linear:N,A,B,C,D``.
+format) or ``dihedral:N`` / ``linear:N,A,B,C,D``. Each input format has
+one reader below, the one place that rejects its malformed input.
 
 Exit status: 0 on success (and on an all-pass repro run), 1 on a
-computational failure (invalid table, failed repro item), 2 on usage
-errors. Output is byte-stable across runs; timings are opt-in.
+computational failure (a value or file the library rejects, a failed
+repro item), 2 on usage errors (an unreadable file, a malformed spec or
+argument). Output is byte-stable across runs; timings are opt-in.
 """
 
 from __future__ import annotations
@@ -23,46 +25,73 @@ class UsageError(ValueError):
     pass
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"expected an integer, got {text!r}")
+
+
+def _ints(text: str, count: int | None = None) -> list[int]:
+    """Comma-separated integers, exactly `count` of them when it is given."""
+    values = [_int(v) for v in text.split(",")]
+    if count is not None and len(values) != count:
+        raise UsageError(f"expected {count} comma-separated integers, got {text!r}")
+    return values
+
+
+def _read(path: str, what: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as e:
+        raise UsageError(f"cannot read {what} {path!r}: {e}")
+
+
+def _params(args, *names: str) -> list[str]:
+    """The positional parameters, which must be one per name in the usage line."""
+    if len(args.params) != len(names):
+        raise UsageError(" ".join([args.command, args.action, *(f"<{n}>" for n in names)]))
+    return args.params
+
+
+# spec kind -> constructor from the text after the colon; `diagram gen KIND ARG`
+# reads the same table
+GENERATORS = {
+    "torus2": lambda arg: diagram.torus_2n(_int(arg)),
+    "pretzel": lambda arg: diagram.pretzel(_ints(arg)),
+    "chain": lambda arg: diagram.chain(_int(arg)),
+}
+
+# algebra spec kind -> (constructor, names of its integer parameters)
+ALGEBRAS = {
+    "dihedral": (algebra.make_dihedral, ("n",)),
+    "linear": (algebra.make_linear_biquandle, ("n", "a", "b", "c", "d")),
+}
+
+
 def load_diagram(spec: str) -> diagram.SemiarcDiagram:
     kind, _, rest = spec.partition(":")
     if kind == "knot":
         return knots.builtin_knot(rest).diagram
-    if kind == "torus2":
-        return diagram.torus_2n(int(rest))
-    if kind == "pretzel":
-        return diagram.pretzel([int(t) for t in rest.split(",")])
-    if kind == "chain":
-        return diagram.chain(int(rest))
-    try:
-        with open(spec) as fh:
-            return diagram.parse_pd(fh.read())
-    except OSError as e:
-        raise UsageError(f"cannot read diagram {spec!r}: {e}")
+    if kind in GENERATORS:
+        return GENERATORS[kind](rest)
+    return diagram.parse_pd(_read(spec, "diagram"))
 
 
 def load_biquandle(spec: str) -> algebra.FiniteBiquandle:
     kind, _, rest = spec.partition(":")
-    if kind == "dihedral":
-        return algebra.make_dihedral(int(rest))
-    if kind == "linear":
-        n, a, b, c, d = (int(v) for v in rest.split(","))
-        return algebra.make_linear_biquandle(n, a, b, c, d)
-    try:
-        with open(spec) as fh:
-            return algebra.parse_biquandle(fh.read())
-    except OSError as e:
-        raise UsageError(f"cannot read biquandle {spec!r}: {e}")
-
-
-def parse_endo_arg(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
+    if kind in ALGEBRAS:
+        make, names = ALGEBRAS[kind]
+        return make(*_ints(rest, len(names)))
+    return algebra.parse_biquandle(_read(spec, "biquandle"))
 
 
 def endo_set(Y, args) -> list[tuple[int, ...]]:
     if getattr(args, "all_endos", False):
         return algebra.enumerate_endos(Y)
     if getattr(args, "endo", None):
-        return [parse_endo_arg(e) for e in args.endo]
+        return [tuple(_ints(e)) for e in args.endo]
     return [tuple(Y.elements())]  # identity by default
 
 
@@ -75,28 +104,17 @@ def emit(args, human_lines, payload) -> None:
 
 
 # -- subcommand handlers --------------------------------------------------------
+# argparse's choices fix the actions, so each handler's last block serves its last action
 
 
 def cmd_algebra(args) -> int:
-    if args.action == "dihedral":
-        print(algebra.serialize_biquandle(algebra.make_dihedral(args.n)), end="")
+    if args.action in ALGEBRAS:
+        values = ",".join(_params(args, *ALGEBRAS[args.action][1]))
+        print(algebra.serialize_biquandle(load_biquandle(f"{args.action}:{values}")), end="")
         return 0
-    if args.action == "linear":
-        biq = algebra.make_linear_biquandle(args.n, args.a, args.b, args.c, args.d)
-        print(algebra.serialize_biquandle(biq), end="")
-        return 0
+    (path,) = _params(args, "file")
     if args.action == "validate":
-        try:
-            with open(args.file) as fh:
-                text = fh.read()
-        except OSError as e:
-            raise UsageError(str(e))
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-        n = int(lines[0])
-        rows = [ln for ln in lines[1:] if ln]
-        over = [[int(v) for v in ln.split()] for ln in rows[:n]]
-        under = [[int(v) for v in ln.split()] for ln in rows[n:]]
-        report = algebra.validate_axioms(over, under)
+        report = algebra.validate_axioms(*algebra.parse_tables(_read(path, "biquandle")))
         if not report:
             emit(args, ["valid biquandle"], {"valid": True, "violations": []})
             return 0
@@ -104,30 +122,28 @@ def cmd_algebra(args) -> int:
              {"valid": False, "violations": [{"axiom": v.axiom, "witness": list(v.witness)}
                                              for v in report]})
         return 1
-    if args.action == "endos":
-        Y = load_biquandle(args.file)
-        for f in algebra.enumerate_endos(Y):
-            print(" ".join(map(str, f)))
-        return 0
-    raise UsageError(f"unknown algebra action {args.action!r}")
+    Y = load_biquandle(path)
+    for f in algebra.enumerate_endos(Y):
+        print(" ".join(map(str, f)))
+    return 0
 
 
 def cmd_diagram(args) -> int:
     if args.action == "gen":
-        kind = args.params[0]
-        if kind == "torus2":
-            d = diagram.torus_2n(int(args.params[1]))
-        elif kind == "pretzel":
-            d = diagram.pretzel([int(t) for t in args.params[1].split(",")])
-        elif kind == "chain":
-            d = diagram.chain(int(args.params[1]))
-        else:
-            raise UsageError(f"unknown generator {kind!r} (torus2|pretzel|chain)")
-        print(diagram.serialize_pd(d), end="")
+        kind, arg = _params(args, "kind", "arg")
+        if kind not in GENERATORS:
+            raise UsageError(f"unknown generator {kind!r} ({'|'.join(GENERATORS)})")
+        print(diagram.serialize_pd(GENERATORS[kind](arg)), end="")
         return 0
+    if args.action == "sum":
+        pd1, s1, pd2, s2 = _params(args, "pd", "semiarc", "pd", "semiarc")
+        s, _ = diagram.connected_sum(load_diagram(pd1), _int(s1), load_diagram(pd2), _int(s2))
+        print(diagram.serialize_pd(s), end="")
+        return 0
+    (spec,) = _params(args, "pd")
     if args.action == "validate":
         try:
-            d = load_diagram(args.params[0])
+            d = load_diagram(spec)
         except diagram.DiagramError as e:
             emit(args, [f"invalid: {e}"], {"valid": False, "error": str(e)})
             return 1
@@ -136,61 +152,46 @@ def cmd_diagram(args) -> int:
              {"valid": True, "crossings": len(d.crossings),
               "semiarcs": d.semiarc_count, "components": d.component_count()})
         return 0
-    if args.action == "sum":
-        d1 = load_diagram(args.params[0])
-        d2 = load_diagram(args.params[2])
-        s, _ = diagram.connected_sum(d1, int(args.params[1]), d2, int(args.params[3]))
-        print(diagram.serialize_pd(s), end="")
-        return 0
-    if args.action == "strands":
-        d = load_diagram(args.params[0])
-        dec = diagram.strands(d)
-        lines = [f"strand {i}: {' '.join(map(str, path))}"
-                 for i, path in enumerate(dec.strands)]
-        lines += [f"crossing {ci}: under {u} -> {v}, over {o}"
-                  for ci, (u, v, o) in enumerate(dec.crossing_incidence)]
-        emit(args, lines, {"strands": [list(p) for p in dec.strands],
-                           "crossing_incidence": [list(t) for t in dec.crossing_incidence]})
-        return 0
-    raise UsageError(f"unknown diagram action {args.action!r}")
+    d = load_diagram(spec)
+    dec = diagram.strands(d)
+    lines = [f"strand {i}: {' '.join(map(str, path))}"
+             for i, path in enumerate(dec.strands)]
+    lines += [f"crossing {ci}: under {u} -> {v}, over {o}"
+              for ci, (u, v, o) in enumerate(dec.crossing_incidence)]
+    emit(args, lines, {"strands": [list(p) for p in dec.strands],
+                       "crossing_incidence": [list(t) for t in dec.crossing_incidence]})
+    return 0
 
 
 def cmd_color(args) -> int:
-    if not args.params:
-        raise UsageError(f"color {args.action} needs a diagram argument")
-    d = load_diagram(args.params[0])
-    if args.action in ("count", "list"):
-        if len(args.params) != 2:
-            raise UsageError(f"color {args.action} <pd> <biquandle>")
-        Y = load_biquandle(args.params[1])
-        if args.action == "count":
-            count = coloring.count_colorings(d, Y)
-            emit(args, [str(count)], {"count": count})
-            return 0
-        cols = coloring.enumerate_colorings(d, Y)
-        if args.table:
-            header = "\t".join(str(s) for s in range(d.semiarc_count))
-            lines = [header] + ["\t".join(map(str, c)) for c in cols]
-        else:
-            lines = [" ".join(map(str, c)) for c in cols]
-        if d.free_loops:
-            lines.append(f"# free loops contribute a factor {Y.size}^{d.free_loops}")
-        emit(args, lines, {"colorings": [list(c) for c in cols],
-                           "free_loops": d.free_loops})
-        return 0
     if args.action == "matrix":
-        if len(args.params) != 6:
-            raise UsageError("color matrix <pd> <n> <a> <b> <c> <d>")
-        n, a, b, c, dd = (int(v) for v in args.params[1:])
-        Y = algebra.make_linear_biquandle(n, a, b, c, dd)
-        m = coloring.coloring_matrix(d, Y)
+        pd, *coeffs = _params(args, "pd", *ALGEBRAS["linear"][1])
+        d = load_diagram(pd)
+        m = coloring.coloring_matrix(d, load_biquandle(f"linear:{','.join(coeffs)}"))
         solutions = coloring.count_solutions_snf(m)
         lines = [" ".join(map(str, row)) for row in m.rows]
         lines.append(f"# solutions mod {m.modulus}: {solutions}")
         emit(args, lines, {"rows": [list(r) for r in m.rows], "modulus": m.modulus,
                            "cols": m.cols, "solutions": solutions})
         return 0
-    raise UsageError(f"unknown color action {args.action!r}")
+    pd, spec = _params(args, "pd", "biquandle")
+    d = load_diagram(pd)
+    Y = load_biquandle(spec)
+    if args.action == "count":
+        count = coloring.count_colorings(d, Y)
+        emit(args, [str(count)], {"count": count})
+        return 0
+    cols = coloring.enumerate_colorings(d, Y)
+    if args.table:
+        header = "\t".join(str(s) for s in range(d.semiarc_count))
+        lines = [header] + ["\t".join(map(str, c)) for c in cols]
+    else:
+        lines = [" ".join(map(str, c)) for c in cols]
+    if d.free_loops:
+        lines.append(f"# free loops contribute a factor {Y.size}^{d.free_loops}")
+    emit(args, lines, {"colorings": [list(c) for c in cols],
+                       "free_loops": d.free_loops})
+    return 0
 
 
 def quiver_payload(q) -> dict:
@@ -215,23 +216,30 @@ def cmd_quiver(args) -> int:
              + [f"{s} -> {t} [{k}]" for s, t, k in q.edges],
              quiver_payload(q))
         return 0
-    if args.action == "indeg":
-        poly = quiver.in_degree_polynomial(q)
-        emit(args, [str(poly)], {"in_degree_polynomial": str(poly),
-                                 "coefficients": {str(e): c for e, c in poly.coeffs.items()}})
-        return 0
-    raise UsageError(f"unknown quiver action {args.action!r}")
+    poly = quiver.in_degree_polynomial(q)
+    emit(args, [str(poly)], {"in_degree_polynomial": str(poly),
+                             "coefficients": {str(e): c for e, c in poly.coeffs.items()}})
+    return 0
 
 
 def _load_quiver_dump(path: str) -> quiver.ColoringQuiver:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise UsageError(f"cannot read quiver dump {path!r}: {e}")
-    return quiver.ColoringQuiver(tuple(tuple(v) for v in data["vertices"]),
-                                 tuple(tuple(e) for e in data["edges"]),
-                                 tuple(tuple(f) for f in data["endos"]))
+    """The quiver in a `quiver build --format json` dump, checked before it is used."""
+    data = json.loads(_read(path, "quiver dump"))
+
+    def int_lists(key: str) -> tuple[tuple[int, ...], ...]:
+        rows = data.get(key) if isinstance(data, dict) else None
+        if not (isinstance(rows, list) and all(
+                isinstance(r, list) and all(type(v) is int for v in r) for r in rows)):
+            raise ValueError(f"quiver dump {path!r} needs {key!r}: a list of integer lists")
+        return tuple(tuple(r) for r in rows)
+
+    vertices, edges, endos = int_lists("vertices"), int_lists("edges"), int_lists("endos")
+    bounds = (len(vertices), len(vertices), len(endos))
+    for e in edges:
+        if len(e) != 3 or not all(0 <= v < b for v, b in zip(e, bounds)):
+            raise ValueError(f"quiver dump {path!r}: edge {list(e)} is not a (source, target, "
+                             f"endo) triple within {bounds[0]} vertices and {bounds[2]} endos")
+    return quiver.ColoringQuiver(vertices, edges, endos)
 
 
 def cmd_bridge(args) -> int:
@@ -249,19 +257,17 @@ def cmd_bridge(args) -> int:
         emit(args, lines, {"found": True, "min_seeds": k, "witness": list(witness),
                            "sequence": [list(step) for step in report.sequence]})
         return 0
-    if args.action == "lower":
-        pairs = []
-        for spec in args.alg:
-            Y = load_biquandle(spec)
-            pairs.append((Y, coloring.count_colorings(d, Y)))
-        fn = bridge.b1_lower if args.mode == "b1" else bridge.b2_lower
-        bound = fn(pairs)
-        lines = [f"{args.mode} >= {bound}"]
-        lines += [f"  |X| = {Y.size}: Col = {col}" for Y, col in pairs]
-        emit(args, lines, {"mode": args.mode, "bound": bound,
-                           "counts": [[Y.size, col] for Y, col in pairs]})
-        return 0
-    raise UsageError(f"unknown bridge action {args.action!r}")
+    pairs = []
+    for spec in args.alg:
+        Y = load_biquandle(spec)
+        pairs.append((Y, coloring.count_colorings(d, Y)))
+    fn = bridge.b1_lower if args.mode == "b1" else bridge.b2_lower
+    bound = fn(pairs)
+    lines = [f"{args.mode} >= {bound}"]
+    lines += [f"  |X| = {Y.size}: Col = {col}" for Y, col in pairs]
+    emit(args, lines, {"mode": args.mode, "bound": bound,
+                       "counts": [[Y.size, col] for Y, col in pairs]})
+    return 0
 
 
 def cmd_enhance(args) -> int:
@@ -282,13 +288,11 @@ def cmd_knots(args) -> int:
                                   "determinant": rec.determinant}
                            for name, rec in table.items()})
         return 0
-    if args.action == "show":
-        if not args.name:
-            raise UsageError("knots show <name>")
-        rec = knots.builtin_knot(args.name)
-        print(diagram.serialize_pd(rec.diagram), end="")
-        return 0
-    raise UsageError(f"unknown knots action {args.action!r}")
+    if not args.name:
+        raise UsageError("knots show <name>")
+    rec = knots.builtin_knot(args.name)
+    print(diagram.serialize_pd(rec.diagram), end="")
+    return 0
 
 
 def cmd_repro(args) -> int:
@@ -332,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("algebra", help="biquandle construction and validation")
     p.add_argument("action", choices=("validate", "dihedral", "linear", "endos"))
     p.add_argument("params", nargs="*")
-    p.set_defaults(fn=_dispatch_algebra)
+    p.set_defaults(fn=cmd_algebra)
 
     p = sub.add_parser("diagram", help="generators, surgery, strands")
     p.add_argument("action", choices=("gen", "validate", "sum", "strands"))
@@ -383,23 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch_algebra(args) -> int:
-    # unpack positional params for the algebra actions
-    if args.action == "dihedral":
-        if len(args.params) != 1:
-            raise UsageError("algebra dihedral <n>")
-        args.n = int(args.params[0])
-    elif args.action == "linear":
-        if len(args.params) != 5:
-            raise UsageError("algebra linear <n> <a> <b> <c> <d>")
-        args.n, args.a, args.b, args.c, args.d = (int(v) for v in args.params)
-    elif args.action in ("validate", "endos"):
-        if len(args.params) != 1:
-            raise UsageError(f"algebra {args.action} <file>")
-        args.file = args.params[0]
-    return cmd_algebra(args)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -411,7 +398,8 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (algebra.AxiomError, diagram.DiagramError, ValueError, KeyError) as e:
+    except (algebra.AxiomError, algebra.GroupOrderCapExceeded, diagram.DiagramError,
+            ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -187,17 +187,10 @@ def colorings_with_loops(d: SemiarcDiagram, Y: FiniteBiquandle) -> list[Coloring
 
     Quivers and enhancements act on the full Hom set, so crossingless
     components contribute |Y| independent choices each, appended after
-    the semiarc coordinates in sorted order.
+    the semiarc coordinates in sorted order. No quad touches those
+    coordinates, so one listing of the longer vector covers them.
     """
-    base = enumerate_colorings(d, Y)
-    if d.free_loops == 0:
-        return base
-    out = []
-    for col in base:
-        for extra in itertools.product(Y.elements(), repeat=d.free_loops):
-            out.append(col + extra)
-    out.sort()
-    return out
+    return list_solutions(d.semiarc_count + d.free_loops, _oriented(d), Y)
 
 
 # -- linear path: relation matrices and Smith normal form ----------------------

@@ -224,13 +224,21 @@ def torus_2n(n: int) -> SemiarcDiagram:
 
 
 def unknot(kinks: int = 0) -> SemiarcDiagram:
-    """An unknot diagram: crossingless loop, or a chain of positive kinks."""
+    """An unknot diagram: crossingless loop, or a chain of positive kinks.
+
+    The chain is torus_2n(1) after kinks - 1 calls of apply_r1(d, 0, +1),
+    built in one pass.
+    """
+    if kinks < 0:
+        raise ValueError(f"unknot needs kinks >= 0, got {kinks}")
     if kinks == 0:
         return SemiarcDiagram(0, (), free_loops=1)
-    d = torus_2n(1)
-    for _ in range(kinks - 1):
-        d = apply_r1(d, 0, +1)
-    return d
+    # kink i >= 1 reads semiarc 2i over itself into 2i + 1; every kink is entered
+    # by the tail 2i + 3 of the next one, the last kink by semiarc 0
+    entry = [2 * i + 3 for i in range(kinks - 1)] + [0]
+    crossings = [Crossing(1, entry[0], 1, 1, 0)]
+    crossings += [Crossing(1, entry[i], 2 * i, 2 * i, 2 * i + 1) for i in range(1, kinks)]
+    return SemiarcDiagram(2 * kinks, tuple(crossings))
 
 
 # generic builder: unoriented crossings with a declared over-diagonal get

@@ -13,7 +13,7 @@ which table's columns should act, so anything else is rejected.
 
 from __future__ import annotations
 
-from .algebra import FiniteBiquandle, Quandle, column_permutation, group_order, subquandle_closure
+from .algebra import FiniteBiquandle, column_permutation, group_order, subquandle_closure
 from .coloring import colorings_with_loops
 from .diagram import SemiarcDiagram
 from .polynomial import ExponentPolynomial
@@ -23,8 +23,6 @@ def column_group_multiset(d: SemiarcDiagram, Q: FiniteBiquandle, cap: int | None
     """One subgroup order per coloring of d by the quandle Q."""
     if not Q.is_quandle():
         raise ValueError("column group enhancement is defined for quandles only")
-    if not isinstance(Q, Quandle):
-        Q = Quandle(Q.size, Q.over_table, Q.under_table)
     kwargs = {} if cap is None else {"cap": cap}
     order_of_subquandle: dict[frozenset[int], int] = {}
     out = []

@@ -8,7 +8,9 @@ import pytest
 
 from biqknot.algebra import (
     AxiomError,
+    FiniteBiquandle,
     GroupOrderCapExceeded,
+    Quandle,
     biquandle_z,
     column_permutation,
     compose,
@@ -20,6 +22,7 @@ from biqknot.algebra import (
     make_dihedral,
     make_linear_biquandle,
     parse_biquandle,
+    parse_tables,
     serialize_biquandle,
     subquandle_closure,
     validate_axioms,
@@ -38,6 +41,31 @@ def test_dihedral_r3_rows():
     r3 = make_dihedral(3)
     assert r3.under_table == ((1, 3, 2), (3, 2, 1), (2, 1, 3))
     assert r3.is_quandle()
+
+
+def test_is_quandle_scans_once_and_types_from_tables():
+    r3 = make_dihedral(3)
+    plain = FiniteBiquandle(3, r3.over_table, r3.under_table)
+    assert column_permutation(plain, 2) == (3, 2, 1)
+    assert subquandle_closure(plain, {1, 2}) == frozenset({1, 2, 3})
+    assert vars(plain)["_is_quandle"] is True  # cached by the first call
+    assert isinstance(from_tables(r3.over_table, r3.under_table), Quandle)
+    z = biquandle_z()
+    assert not z.is_quandle() and not isinstance(z, Quandle)
+
+
+def test_parse_tables_is_the_reader_of_parse_biquandle():
+    text = "# R_3\n\n3\n1 1 1\n2 2 2\n3 3 3\n\n1 3 2\n3 2 1\n2 1 3\n"
+    over, under = parse_tables(text)
+    assert over == [[1, 1, 1], [2, 2, 2], [3, 3, 3]]
+    assert under == [[1, 3, 2], [3, 2, 1], [2, 1, 3]]
+    assert parse_biquandle(text) == from_tables(over, under) == make_dihedral(3)
+    # rows of the wrong length are left to validate_axioms, which reports their shape
+    over, under = parse_tables("2\n1 1 1\n2 2\n\n1 2\n2 1\n")
+    assert validate_axioms(over, under)[0].axiom.startswith("shape:")
+    for bad in ("", "# only a comment\n", "x\n", "2\n1 1\n2 2\n", "1\n1\nx\n"):
+        with pytest.raises(ValueError):
+            parse_tables(bad)
 
 
 def test_dihedral_r1_trivial():

@@ -2,6 +2,10 @@
 
 import json
 
+import pytest
+
+from biqknot import enhance
+from biqknot.algebra import GroupOrderCapExceeded
 from biqknot.cli import main
 
 
@@ -185,3 +189,52 @@ def test_repro_known_failure_exits_1(capsys):
     assert code == 1
     assert "FAIL 01-algebra-validation" in out
     assert "note:" in out
+
+
+BAD_INPUT_FILES = {
+    "empty.biq": "",
+    "nokey.json": json.dumps({"vertices": [[1], [2]], "endos": [[1, 2]]}),
+    "range.json": json.dumps({"vertices": [[1], [2]], "edges": [[0, 5, 0]], "endos": [[1, 2]]}),
+}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["color", "count", "torus2:x", "dihedral:3"], 2),
+    (["color", "count", "pretzel:", "dihedral:3"], 2),
+    (["color", "count", "torus2:3", "linear:4,1"], 2),
+    (["color", "count", "torus2:3"], 2),
+    (["color", "matrix", "torus2:4", "4", "3", "x", "1", "2"], 2),
+    (["diagram", "gen"], 2),
+    (["diagram", "gen", "torus2"], 2),
+    (["diagram", "gen", "torus2", "x"], 2),
+    (["diagram", "gen", "figure8", "3"], 2),
+    (["diagram", "sum", "torus2:3", "0", "torus2:3"], 2),
+    (["diagram", "strands"], 2),
+    (["algebra", "dihedral", "x"], 2),
+    (["algebra", "linear", "4,3,0,1,2"], 2),
+    (["quiver", "indeg", "torus2:3", "dihedral:3", "--endo", "2,x"], 2),
+    (["color", "count", "torus2:3", "dihedral:0"], 1),
+    (["color", "count", "torus2:3", "linear:4,2,0,0,1"], 1),
+    (["algebra", "validate", "empty.biq"], 1),
+    (["quiver", "iso", "nokey.json", "nokey.json"], 1),
+    (["quiver", "iso", "range.json", "range.json"], 1),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else f"exit{v}")
+def test_bad_input_exit_codes(tmp_path, capsys, argv, code):
+    for name, text in BAD_INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in BAD_INPUT_FILES else a for a in argv]
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert out == ""
+    prefix = "usage error: " if code == 2 else "error: "
+    assert err.startswith(prefix) and len(err.splitlines()) == 1
+
+
+def test_group_order_cap_exits_1(monkeypatch, capsys):
+    def capped(gens, cap=None):
+        raise GroupOrderCapExceeded("group closure exceeded cap 1")
+
+    monkeypatch.setattr(enhance, "group_order", capped)
+    code, out, err = run(capsys, "enhance", "colgroup", "knot:6_1", "dihedral:9")
+    assert code == 1
+    assert err == "error: group closure exceeded cap 1\n"

@@ -348,6 +348,18 @@ def gf4_alexander_quandle():
     return from_tables(over, under)
 
 
+def test_colorings_with_loops_appends_every_free_loop_value():
+    # free loops are trailing coordinates no relation touches: the listing is the
+    # semiarc colorings times every tuple of loop values, sorted
+    for y in (make_dihedral(3), biquandle_z(), gf4_alexander_quandle(), make_dihedral(1)):
+        for base in (SemiarcDiagram(0, ()), torus_2n(3), chain(3), unknot(2)):
+            for loops in (1, 2):
+                d = SemiarcDiagram(base.semiarc_count, base.crossings, loops)
+                extras = list(itertools.product(y.elements(), repeat=loops))
+                expected = sorted(c + e for c in enumerate_colorings(d, y) for e in extras)
+                assert colorings_with_loops(d, y) == expected
+
+
 def test_linear_form_detected_lazily_from_tables():
     for n in range(1, 13):
         rn = make_dihedral(n)

@@ -116,6 +116,19 @@ def test_unknot_kinks():
     assert k2.component_count() == 1
 
 
+def test_unknot_matches_r1_fold():
+    # the chain of kinks is torus_2n(1) with a positive kink added on semiarc 0
+    # k - 1 times, built in one pass
+    folded = torus_2n(1)
+    for k in range(1, 61):
+        assert unknot(k) == folded
+        folded = apply_r1(folded, 0, +1)
+    assert unknot(3).crossings == (Crossing(1, 3, 1, 1, 0), Crossing(1, 5, 2, 2, 3),
+                                   Crossing(1, 0, 4, 4, 5))
+    with pytest.raises(ValueError):
+        unknot(-1)
+
+
 def test_pretzel_one_band_single_twist():
     d = pretzel([1])
     assert len(d.crossings) == 1

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from biqknot.algebra import biquandle_z, make_dihedral
+from biqknot.algebra import FiniteBiquandle, biquandle_z, make_dihedral
 from biqknot.coloring import count_colorings
 from biqknot.diagram import apply_r1, apply_r2, chain, pretzel, torus_2n, unknot
 from biqknot.enhance import column_group_multiset, column_group_polynomial
@@ -28,6 +28,13 @@ def test_constant_colorings_give_single_column_order():
     r9 = make_dihedral(9)
     poly = column_group_polynomial(unknot(1), r9)
     assert poly == ExponentPolynomial({2: 9})
+
+
+def test_quandle_tables_in_a_plain_biquandle_give_the_same_polynomial():
+    r9 = make_dihedral(9)
+    plain = FiniteBiquandle(9, r9.over_table, r9.under_table)
+    for d in (pretzel([3, 3, 3]), builtin_knot("6_1").diagram):
+        assert column_group_polynomial(d, plain) == column_group_polynomial(d, r9)
 
 
 def test_mass_equals_coloring_count():
