@@ -363,7 +363,7 @@ def subquandle_closure(Q: Quandle, S) -> frozenset[int]:
 def parse_tables(text: str) -> tuple[list[list[int]], list[list[int]]]:
     """Read the biquandle text format into its (over, under) rows, unvalidated.
 
-    First line n, then n rows of the over table, a blank line, then n
+    First line n >= 1, then n rows of the over table, a blank line, then n
     rows of the under table; whitespace-separated 1-based entries.
     Raises ValueError unless the text has that layout; the axioms, and
     the length of each row, are left to validate_axioms.
@@ -376,6 +376,8 @@ def parse_tables(text: str) -> tuple[list[list[int]], list[list[int]]]:
         n = int(lines[0])
     except ValueError:
         raise ValueError(f"first line must be the size, got {lines[0]!r}")
+    if n < 1:
+        raise ValueError(f"size must be at least 1, got {n}")
     rows = lines[1:]
     if len(rows) != 2 * n:
         raise ValueError(f"expected {2 * n} table rows, found {len(rows)}")

@@ -194,10 +194,9 @@ def cmd_color(args) -> int:
     return 0
 
 
-def quiver_payload(q) -> dict:
-    return {"vertices": [list(v) for v in q.vertices],
-            "edges": [list(e) for e in q.edges],
-            "endos": [list(f) for f in q.endos]}
+def quiver_edges(q) -> list[tuple[int, int, int]]:
+    """The (source, target, endo index) triples of a quiver, by source and then by endo."""
+    return [(s, t, k) for s, dsts in enumerate(zip(*q.targets)) for k, t in enumerate(dsts)]
 
 
 def cmd_quiver(args) -> int:
@@ -211,10 +210,11 @@ def cmd_quiver(args) -> int:
     Y = load_biquandle(args.alg)
     q = quiver.build_quiver(d, Y, endo_set(Y, args))
     if args.action == "build":
-        emit(args, [f"vertices {len(q.vertices)}",
-                    f"edges {len(q.edges)}"]
-             + [f"{s} -> {t} [{k}]" for s, t, k in q.edges],
-             quiver_payload(q))
+        edges = quiver_edges(q)
+        emit(args, [f"vertices {len(q.vertices)}", f"edges {len(edges)}"]
+             + [f"{s} -> {t} [{k}]" for s, t, k in edges],
+             {"vertices": [list(v) for v in q.vertices], "edges": [list(e) for e in edges],
+              "endos": [list(f) for f in q.endos]})
         return 0
     poly = quiver.in_degree_polynomial(q)
     emit(args, [str(poly)], {"in_degree_polynomial": str(poly),
@@ -234,12 +234,18 @@ def _load_quiver_dump(path: str) -> quiver.ColoringQuiver:
         return tuple(tuple(r) for r in rows)
 
     vertices, edges, endos = int_lists("vertices"), int_lists("edges"), int_lists("endos")
-    bounds = (len(vertices), len(vertices), len(endos))
+    n, m = len(vertices), len(endos)
+    targets = [[-1] * n for _ in endos]
     for e in edges:
-        if len(e) != 3 or not all(0 <= v < b for v, b in zip(e, bounds)):
+        if len(e) != 3 or not all(0 <= v < b for v, b in zip(e, (n, n, m))):
             raise ValueError(f"quiver dump {path!r}: edge {list(e)} is not a (source, target, "
-                             f"endo) triple within {bounds[0]} vertices and {bounds[2]} endos")
-    return quiver.ColoringQuiver(vertices, edges, endos)
+                             f"endo) triple within {n} vertices and {m} endos")
+        s, t, k = e
+        targets[k][s] = t
+    if len(edges) != n * m or any(-1 in row for row in targets):
+        raise ValueError(f"quiver dump {path!r}: a coloring quiver has exactly one edge "
+                         f"per (vertex, endo) pair ({n} vertices, {m} endos)")
+    return quiver.ColoringQuiver(vertices, endos, tuple(map(tuple, targets)))
 
 
 def cmd_bridge(args) -> int:
@@ -280,18 +286,17 @@ def cmd_enhance(args) -> int:
 
 
 def cmd_knots(args) -> int:
-    table = knots.builtin_table()
-    if args.action == "list":
-        lines = [f"{name}: {len(rec.diagram.crossings)} crossings, det {rec.determinant}"
-                 for name, rec in table.items()]
-        emit(args, lines, {name: {"crossings": len(rec.diagram.crossings),
-                                  "determinant": rec.determinant}
-                           for name, rec in table.items()})
+    if args.action == "show":
+        if not args.name:
+            raise UsageError("knots show <name>")
+        print(diagram.serialize_pd(knots.builtin_knot(args.name).diagram), end="")
         return 0
-    if not args.name:
-        raise UsageError("knots show <name>")
-    rec = knots.builtin_knot(args.name)
-    print(diagram.serialize_pd(rec.diagram), end="")
+    table = knots.builtin_table()
+    lines = [f"{name}: {len(rec.diagram.crossings)} crossings, det {rec.determinant}"
+             for name, rec in table.items()]
+    emit(args, lines, {name: {"crossings": len(rec.diagram.crossings),
+                              "determinant": rec.determinant}
+                       for name, rec in table.items()})
     return 0
 
 

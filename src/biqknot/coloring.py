@@ -24,7 +24,6 @@ so entries can never overflow.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .algebra import FiniteBiquandle
@@ -355,81 +354,15 @@ def _list_kernel(rows, cols: int, n: int) -> list[Coloring]:
     return sorted(tuple(a or n for a in x) for x in box)
 
 
-def snf_diagonal(rows) -> list[int]:
-    """Nonzero diagonal of the Smith normal form of an integer matrix.
-
-    Pivots are chosen by smallest nonzero absolute value to control
-    entry growth; unbounded Python integers make the reduction exact
-    regardless. The returned entries are positive and form a
-    divisibility chain.
-    """
-    A = [list(r) for r in rows]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    diag: list[int] = []
-    t = 0
-    while t < m and t < n:
-        # locate smallest nonzero entry in the working submatrix
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(A[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        A[t], A[bi] = A[bi], A[t]
-        for row in A:
-            row[t], row[bj] = row[bj], row[t]
-        while True:
-            pivot = A[t][t]
-            done = True
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // pivot
-                    for j in range(t, n):
-                        A[i][j] -= q * A[t][j]
-                    if A[i][t]:
-                        A[t], A[i] = A[i], A[t]
-                        done = False
-                        break
-            if not done:
-                continue
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // pivot
-                    for i in range(t, m):
-                        A[i][j] -= q * A[i][t]
-                    if A[t][j]:
-                        for row in A:
-                            row[t], row[j] = row[j], row[t]
-                        done = False
-                        break
-            if done:
-                break
-        diag.append(abs(A[t][t]))
-        t += 1
-    # enforce the divisibility chain d1 | d2 | ...
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            a, b = diag[i], diag[i + 1]
-            if b % a:
-                g = math.gcd(a, b)
-                diag[i], diag[i + 1] = g, a * b // g
-                changed = True
-    return diag
-
-
 def count_solutions_snf(M: RelationMatrix) -> int:
     """Number of x in (Z/n)^cols with Mx = 0 mod n.
 
-    Counted by sparse elimination over each prime power of n, which
-    yields the local Smith normal form: with nonzero diagonal d_1..d_r
-    over Z (see snf_diagonal, kept as the oracle) the count is
-    n^(cols - r) * prod_i gcd(d_i, n).
+    Counted by the same sparse elimination over each prime power of n
+    that count_colorings runs, which yields the local Smith normal form:
+    with nonzero diagonal d_1..d_r over Z the count is
+    n^(cols - r) * prod_i gcd(d_i, n). It is no independent route; the
+    coloring search and brute force are, and the tests also check it
+    against integer Smith diagonals.
     """
     if M.modulus < 1:
         raise ValueError("modulus must be >= 1")
@@ -437,10 +370,10 @@ def count_solutions_snf(M: RelationMatrix) -> int:
     return _count_kernel(rows, M.cols, M.modulus)
 
 
-def count_solutions_bruteforce(M: RelationMatrix, guard: int = BRUTE_FORCE_GUARD) -> int:
+def count_solutions_bruteforce(M: RelationMatrix) -> int:
     """Count null vectors by direct enumeration (oracle for the SNF path)."""
     n = M.modulus
-    if n**M.cols > guard:
+    if n**M.cols > BRUTE_FORCE_GUARD:
         raise ValueError(f"brute force over {n}^{M.cols} vectors refused")
     count = 0
     for vec in itertools.product(range(n), repeat=M.cols):

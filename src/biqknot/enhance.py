@@ -19,11 +19,10 @@ from .diagram import SemiarcDiagram
 from .polynomial import ExponentPolynomial
 
 
-def column_group_multiset(d: SemiarcDiagram, Q: FiniteBiquandle, cap: int | None = None) -> list[int]:
+def column_group_multiset(d: SemiarcDiagram, Q: FiniteBiquandle) -> list[int]:
     """One subgroup order per coloring of d by the quandle Q."""
     if not Q.is_quandle():
         raise ValueError("column group enhancement is defined for quandles only")
-    kwargs = {} if cap is None else {"cap": cap}
     order_of_subquandle: dict[frozenset[int], int] = {}
     out = []
     for coloring in colorings_with_loops(d, Q):
@@ -34,12 +33,11 @@ def column_group_multiset(d: SemiarcDiagram, Q: FiniteBiquandle, cap: int | None
         sub = subquandle_closure(Q, labels)
         if sub not in order_of_subquandle:
             cols = [column_permutation(Q, y) for y in sorted(sub)]
-            order_of_subquandle[sub] = group_order(cols, **kwargs)
+            order_of_subquandle[sub] = group_order(cols)
         out.append(order_of_subquandle[sub])
     return out
 
 
-def column_group_polynomial(d: SemiarcDiagram, Q: FiniteBiquandle,
-                            cap: int | None = None) -> ExponentPolynomial:
+def column_group_polynomial(d: SemiarcDiagram, Q: FiniteBiquandle) -> ExponentPolynomial:
     """The column group enhancement as a polynomial in u."""
-    return ExponentPolynomial.from_multiset(column_group_multiset(d, Q, cap))
+    return ExponentPolynomial.from_multiset(column_group_multiset(d, Q))

@@ -12,6 +12,7 @@ against coloring counts via Col_{R_n} = n * gcd(det, n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .diagram import SemiarcDiagram, parse_pd
@@ -47,14 +48,19 @@ def parse_knot_table(text: str) -> dict[str, KnotRecord]:
     return records
 
 
+@cache
+def _builtin() -> dict[str, KnotRecord]:
+    """The bundled table, read and parsed once per process."""
+    return parse_knot_table(resources.files("biqknot").joinpath("data/knots.txt").read_text())
+
+
 def builtin_table() -> dict[str, KnotRecord]:
-    """The bundled table (small Rolfsen knots as verified diagrams)."""
-    text = resources.files("biqknot").joinpath("data/knots.txt").read_text()
-    return parse_knot_table(text)
+    """The bundled table (small Rolfsen knots as verified diagrams), as a fresh dict."""
+    return dict(_builtin())
 
 
 def builtin_knot(name: str) -> KnotRecord:
-    table = builtin_table()
+    table = _builtin()
     if name not in table:
         raise KeyError(f"unknown knot {name!r}; bundled: {', '.join(table)}")
     return table[name]

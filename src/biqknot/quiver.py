@@ -1,11 +1,13 @@
 """Coloring quivers: colorings as vertices, endomorphism actions as edges.
 
 Given a diagram d, a finite biquandle Y and a set S of endomorphisms of
-Y, the quiver has one vertex per coloring and, for every vertex v and
-every f in S, one edge v -> f(v). Post-composition with an endomorphism
-sends colorings to colorings, so every edge lands on a vertex. The
-structure is a multidigraph: distinct endomorphisms agreeing on a vertex
-contribute parallel edges, which keeps all out-degrees equal to |S|.
+Y, post-composition with each f in S sends colorings to colorings, so
+the quiver is |S| functions on its vertex set: targets[k][v] is the
+vertex that endos[k] sends vertex v to. Read as a multidigraph, every
+vertex has one edge per f in S, so all out-degrees equal |S| by
+construction; distinct endomorphisms agreeing on a vertex give parallel
+edges. Edge triples (source, target, endo index) are only derived at the
+CLI's dump boundary.
 
 Free loops contribute unconstrained coordinates; they are materialized
 here (appended after the semiarc coordinates) so the quiver is the full
@@ -28,20 +30,8 @@ ISO_SIZE_GUARD = 2000
 @dataclass(frozen=True)
 class ColoringQuiver:
     vertices: tuple[Coloring, ...]
-    edges: tuple[tuple[int, int, int], ...]  # (source, target, index into endos)
     endos: tuple[tuple[int, ...], ...]
-
-    def out_degrees(self) -> list[int]:
-        deg = [0] * len(self.vertices)
-        for src, _, _ in self.edges:
-            deg[src] += 1
-        return deg
-
-    def in_degrees(self) -> list[int]:
-        deg = [0] * len(self.vertices)
-        for _, dst, _ in self.edges:
-            deg[dst] += 1
-        return deg
+    targets: tuple[tuple[int, ...], ...]  # targets[k][v]: the vertex endos[k] sends v to
 
 
 def build_quiver(d: SemiarcDiagram, Y: FiniteBiquandle, S) -> ColoringQuiver:
@@ -52,17 +42,17 @@ def build_quiver(d: SemiarcDiagram, Y: FiniteBiquandle, S) -> ColoringQuiver:
             raise ValueError(f"{f} is not an endomorphism of the target biquandle")
     vertices = tuple(colorings_with_loops(d, Y))
     index = {v: i for i, v in enumerate(vertices)}
-    edges = []
-    for i, v in enumerate(vertices):
-        for k, f in enumerate(endos):
-            w = tuple(f[x - 1] for x in v)
-            edges.append((i, index[w], k))
-    return ColoringQuiver(vertices, tuple(edges), endos)
+    targets = tuple(tuple(index[tuple(f[x - 1] for x in v)] for v in vertices) for f in endos)
+    return ColoringQuiver(vertices, endos, targets)
 
 
 def in_degree_polynomial(q: ColoringQuiver) -> ExponentPolynomial:
     """The distribution of in-degrees, packaged as a polynomial in u."""
-    return ExponentPolynomial.from_multiset(q.in_degrees())
+    deg = [0] * len(q.vertices)
+    for row in q.targets:
+        for w in row:
+            deg[w] += 1
+    return ExponentPolynomial.from_multiset(deg)
 
 
 def quivers_isomorphic(q1: ColoringQuiver, q2: ColoringQuiver) -> bool:
@@ -74,7 +64,7 @@ def quivers_isomorphic(q1: ColoringQuiver, q2: ColoringQuiver) -> bool:
     n1, n2 = len(q1.vertices), len(q2.vertices)
     if max(n1, n2) > ISO_SIZE_GUARD:
         raise ValueError(f"quiver isomorphism guarded to {ISO_SIZE_GUARD} vertices")
-    if n1 != n2 or len(q1.edges) != len(q2.edges):
+    if n1 != n2 or n1 * len(q1.endos) != n2 * len(q2.endos):
         return False
     a1 = _adjacency(q1, n1)
     a2 = _adjacency(q2, n2)
@@ -90,9 +80,10 @@ def quivers_isomorphic(q1: ColoringQuiver, q2: ColoringQuiver) -> bool:
 def _adjacency(q: ColoringQuiver, n: int):
     out_mult: list[dict[int, int]] = [dict() for _ in range(n)]
     in_mult: list[dict[int, int]] = [dict() for _ in range(n)]
-    for src, dst, _ in q.edges:
-        out_mult[src][dst] = out_mult[src].get(dst, 0) + 1
-        in_mult[dst][src] = in_mult[dst].get(src, 0) + 1
+    for src, dsts in enumerate(zip(*q.targets)):  # by source, then endo
+        for dst in dsts:
+            out_mult[src][dst] = out_mult[src].get(dst, 0) + 1
+            in_mult[dst][src] = in_mult[dst].get(src, 0) + 1
     return out_mult, in_mult
 
 

@@ -1,12 +1,20 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from biqknot import enhance
-from biqknot.algebra import GroupOrderCapExceeded
+import biqknot
+from biqknot import cli, enhance
+from biqknot.algebra import GroupOrderCapExceeded, enumerate_endos
 from biqknot.cli import main
+from biqknot.quiver import build_quiver
+
+GOLDEN = json.loads((Path(__file__).parents[1] / "perfbench" / "cli_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -195,6 +203,10 @@ BAD_INPUT_FILES = {
     "empty.biq": "",
     "nokey.json": json.dumps({"vertices": [[1], [2]], "endos": [[1, 2]]}),
     "range.json": json.dumps({"vertices": [[1], [2]], "edges": [[0, 5, 0]], "endos": [[1, 2]]}),
+    "dup.json": json.dumps({"vertices": [[1], [2]], "edges": [[0, 0, 0], [0, 1, 0]],
+                            "endos": [[1, 2]]}),
+    "missing.json": json.dumps({"vertices": [[1], [2]], "edges": [[0, 0, 0]], "endos": [[1, 2]]}),
+    "zero.biq": "0\n",
 }
 
 
@@ -218,6 +230,10 @@ BAD_INPUT_FILES = {
     (["algebra", "validate", "empty.biq"], 1),
     (["quiver", "iso", "nokey.json", "nokey.json"], 1),
     (["quiver", "iso", "range.json", "range.json"], 1),
+    (["quiver", "iso", "dup.json", "dup.json"], 1),
+    (["quiver", "iso", "missing.json", "missing.json"], 1),
+    (["algebra", "validate", "zero.biq"], 1),
+    (["color", "count", "torus2:3", "zero.biq"], 1),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else f"exit{v}")
 def test_bad_input_exit_codes(tmp_path, capsys, argv, code):
     for name, text in BAD_INPUT_FILES.items():
@@ -238,3 +254,37 @@ def test_group_order_cap_exits_1(monkeypatch, capsys):
     code, out, err = run(capsys, "enhance", "colgroup", "knot:6_1", "dihedral:9")
     assert code == 1
     assert err == "error: group closure exceeded cap 1\n"
+
+
+@pytest.mark.parametrize("pd, alg, argv, endos", [
+    ("torus2:3", "dihedral:3", [], lambda Y: []),
+    ("chain:3", "dihedral:4", ["--endo", "2,4,2,4"], lambda Y: [(2, 4, 2, 4)]),
+    ("torus2:4", "linear:4,3,0,1,2", ["--all-endos"], enumerate_endos),
+], ids=["no-endos", "doubling", "all-endos-of-Z"])
+def test_quiver_dump_round_trip(tmp_path, monkeypatch, capsys, pd, alg, argv, endos):
+    if not argv:  # the CLI cannot ask for |S| = 0, so patch the endo set it builds from
+        monkeypatch.setattr(cli, "endo_set", lambda Y, args: [])
+    code, out, _ = run(capsys, "--format", "json", "quiver", "build", pd, alg, *argv)
+    assert code == 0
+    dump = tmp_path / "q.json"
+    dump.write_text(out)
+    Y = cli.load_biquandle(alg)
+    q = build_quiver(cli.load_diagram(pd), Y, endos(Y))
+    assert cli._load_quiver_dump(str(dump)) == q  # vertices, endos and targets
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN["commands"]))
+def test_cli_golden_bytes(tmp_path, monkeypatch, capsys, key):
+    # the README quick start, replayed against the recorded stdout bytes and exit codes
+    g = GOLDEN["commands"][key]
+    for name, text in GOLDEN["files"].items():
+        (tmp_path / name).write_text(text)
+    if "stdin" in g:  # reads /dev/stdin, so it runs in a child process
+        env = dict(os.environ, PYTHONPATH=str(Path(biqknot.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "biqknot.cli", *g["argv"]], cwd=tmp_path,
+                              input=g["stdin"].encode(), capture_output=True, env=env)
+        code, out = proc.returncode, proc.stdout.decode()
+    else:
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, *g["argv"])
+    assert (code, out) == (g["code"], g["stdout"])

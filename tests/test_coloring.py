@@ -28,7 +28,6 @@ from biqknot.coloring import (
     count_solutions_bruteforce,
     count_solutions_snf,
     enumerate_colorings,
-    snf_diagonal,
 )
 from biqknot.diagram import (
     SemiarcDiagram,
@@ -254,6 +253,78 @@ def test_snf_counts_match_brute_force_random():
         assert count_solutions_snf(m) == count_solutions_bruteforce(m)
 
 
+def snf_diagonal(rows) -> list[int]:
+    """Nonzero diagonal of the Smith normal form of an integer matrix (oracle).
+
+    Dense elimination over Z, unlike the library's sparse elimination
+    over each prime power of the modulus; test_snf_counts_match_sympy_smith_form
+    checks it against sympy's smith_normal_form.
+
+    Pivots are chosen by smallest nonzero absolute value to control
+    entry growth; unbounded Python integers make the reduction exact
+    regardless. The returned entries are positive and form a
+    divisibility chain.
+    """
+    A = [list(r) for r in rows]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    diag: list[int] = []
+    t = 0
+    while t < m and t < n:
+        # locate smallest nonzero entry in the working submatrix
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = abs(A[i][j])
+                if v and (best is None or v < best[0]):
+                    best = (v, i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        A[t], A[bi] = A[bi], A[t]
+        for row in A:
+            row[t], row[bj] = row[bj], row[t]
+        while True:
+            pivot = A[t][t]
+            done = True
+            for i in range(t + 1, m):
+                if A[i][t]:
+                    q = A[i][t] // pivot
+                    for j in range(t, n):
+                        A[i][j] -= q * A[t][j]
+                    if A[i][t]:
+                        A[t], A[i] = A[i], A[t]
+                        done = False
+                        break
+            if not done:
+                continue
+            for j in range(t + 1, n):
+                if A[t][j]:
+                    q = A[t][j] // pivot
+                    for i in range(t, m):
+                        A[i][j] -= q * A[i][t]
+                    if A[t][j]:
+                        for row in A:
+                            row[t], row[j] = row[j], row[t]
+                        done = False
+                        break
+            if done:
+                break
+        diag.append(abs(A[t][t]))
+        t += 1
+    # enforce the divisibility chain d1 | d2 | ...
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(diag) - 1):
+            a, b = diag[i], diag[i + 1]
+            if b % a:
+                g = math.gcd(a, b)
+                diag[i], diag[i + 1] = g, a * b // g
+                changed = True
+    return diag
+
+
 def snf_formula_count(diag, n, cols):
     """n^(cols - r) * prod gcd(d_i, n) for a Smith diagonal d_1..d_r over Z."""
     count = n ** (cols - len(diag))
@@ -323,6 +394,7 @@ def test_snf_counts_match_sympy_smith_form():
             rows = random_matrix(rng, n, rng.randrange(1, 9), cols, nonzeros=3)
             snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
             diag = [abs(int(snf[i, i])) for i in range(min(snf.shape)) if snf[i, i]]
+            assert snf_diagonal(rows) == diag
             m = RelationMatrix(rows, n, cols)
             assert count_solutions_snf(m) == snf_formula_count(diag, n, cols)
 

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from biqknot import knots
 from biqknot.algebra import make_dihedral
+from biqknot.cli import main
 from biqknot.coloring import count_colorings
 from biqknot.knots import builtin_knot, builtin_table, parse_knot_table
 
@@ -53,3 +55,32 @@ def test_parse_knot_table_errors():
 def test_table_without_determinant():
     recs = parse_knot_table("kink | X+ 0 1 1 0\n")
     assert recs["kink"].determinant is None
+
+
+def test_bundled_table_is_parsed_once_per_process(monkeypatch, capsys):
+    calls = []
+
+    def counting(text):
+        calls.append(1)
+        return parse_knot_table(text)
+
+    monkeypatch.setattr(knots, "parse_knot_table", counting)
+    knots._builtin.cache_clear()
+    try:
+        assert main(["knots", "show", "3_1"]) == 0
+        assert main(["diagram", "sum", "knot:3_1", "0", "knot:4_1", "0"]) == 0
+        assert main(["knots", "list"]) == 0
+        builtin_table()
+        builtin_knot("9_24")
+        assert len(calls) == 1
+    finally:
+        knots._builtin.cache_clear()
+    capsys.readouterr()
+
+
+def test_builtin_table_is_a_copy():
+    table = builtin_table()
+    table.pop("3_1")
+    table["extra"] = table["4_1"]
+    assert "3_1" in builtin_table() and "extra" not in builtin_table()
+    assert builtin_knot("3_1").name == "3_1"

@@ -35,23 +35,24 @@ def test_quiver_shape_and_functoriality():
     r4 = make_dihedral(4)
     q = build_quiver(torus_2n(4), r4, [doubling(4)])
     assert len(q.vertices) == 16
-    assert all(deg == 1 for deg in q.out_degrees())
-    # every edge under x -> 2x lands on an all-even-label vertex
-    for _, dst, _ in q.edges:
-        assert all(v % 2 == 0 for v in q.vertices[dst])
+    assert len(q.targets) == 1 and len(q.targets[0]) == 16
+    # x -> 2x sends every vertex to its doubled coloring, an all-even-label vertex
+    for v, w in enumerate(q.targets[0]):
+        assert q.vertices[w] == tuple(doubling(4)[x - 1] for x in q.vertices[v])
+        assert all(x % 2 == 0 for x in q.vertices[w])
 
 
 def test_quiver_identity_self_loops():
     r3 = make_dihedral(3)
     ident = tuple(range(1, 4))
     q = build_quiver(torus_2n(3), r3, [ident])
-    assert all(src == dst for src, dst, _ in q.edges)
+    assert q.targets == (tuple(range(9)),)
     assert in_degree_polynomial(q) == ExponentPolynomial({1: 9})
 
 
 def test_quiver_empty_s():
     q = build_quiver(torus_2n(3), make_dihedral(3), [])
-    assert q.edges == ()
+    assert q.endos == () and q.targets == ()
     assert in_degree_polynomial(q) == ExponentPolynomial({0: 9})
 
 
@@ -64,10 +65,13 @@ def test_out_degree_equals_s_size():
     z = biquandle_z()
     endos = enumerate_endos(z)
     q = build_quiver(torus_2n(4), z, endos)
-    assert all(deg == len(endos) for deg in q.out_degrees())
+    # one target per (endo, vertex): every vertex has out-degree |S|
+    assert len(q.targets) == len(endos)
+    assert all(len(row) == len(q.vertices) for row in q.targets)
+    assert all(0 <= w < len(q.vertices) for row in q.targets for w in row)
     poly = in_degree_polynomial(q)
     assert poly.total_mass() == len(q.vertices)
-    assert poly.weighted_mass() == len(q.edges)
+    assert poly.weighted_mass() == len(q.vertices) * len(endos)
 
 
 def test_separation_torus_sums_vs_chains():
