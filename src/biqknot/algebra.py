@@ -273,12 +273,13 @@ def is_hom(X: FiniteBiquandle, Y: FiniteBiquandle, image) -> bool:
     """Whether the image tuple defines a biquandle homomorphism X -> Y."""
     if len(image) != X.size or any(not 1 <= v <= Y.size for v in image):
         return False
-    for x in X.elements():
-        for y in X.elements():
-            if image[X.over(x, y) - 1] != Y.over(image[x - 1], image[y - 1]):
-                return False
-            if image[X.under(x, y) - 1] != Y.under(image[x - 1], image[y - 1]):
-                return False
+    f = (0, *image)  # f[x] is the image of x
+    for x_over, x_under, fx in zip(X.over_table, X.under_table, image):
+        # row x of each table: f(x op y) against f(x) op f(y), over every y at once
+        y_over, y_under = (0, *Y.over_table[fx - 1]), (0, *Y.under_table[fx - 1])
+        if (list(map(f.__getitem__, x_over)) != list(map(y_over.__getitem__, image))
+                or list(map(f.__getitem__, x_under)) != list(map(y_under.__getitem__, image))):
+            return False
     return True
 
 

@@ -224,7 +224,10 @@ def cmd_quiver(args) -> int:
 
 def _load_quiver_dump(path: str) -> quiver.ColoringQuiver:
     """The quiver in a `quiver build --format json` dump, checked before it is used."""
-    data = json.loads(_read(path, "quiver dump"))
+    try:
+        data = json.loads(_read(path, "quiver dump"))
+    except json.JSONDecodeError as e:
+        raise ValueError(f"quiver dump {path!r} is not JSON: {e}")
 
     def int_lists(key: str) -> tuple[tuple[int, ...], ...]:
         rows = data.get(key) if isinstance(data, dict) else None

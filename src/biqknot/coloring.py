@@ -12,7 +12,9 @@ relations form a sparse system mod n whose solutions are a Z/n-module.
 One elimination over each prime power of n serves two consumers: the
 counter multiplies the sizes its pivots leave free and keeps nothing;
 the lister keeps the pivots, reads a generator per free parameter off
-them by back-substitution, and lists the box of their multiples. Every
+them by back-substitution, and lists the box of their multiples column
+by column, building each distinct column once (a quandle crossing's
+o_in and o_out always share one) and zipping the columns into rows. Every
 other algebra is listed, or counted leaf by leaf, by a worklist
 propagation search that branches only when no relation can determine a
 new value through the forward relations, the inverse column maps, or
@@ -335,9 +337,14 @@ def _list_kernel(rows, cols: int, n: int) -> list[Coloring]:
     in the pivot columns. Every null vector is sum(t * g) for exactly one
     0 <= t < order per generator, so lifting each g to Z/n with the CRT
     idempotent of p^k makes the null space the box of their multiples.
+    The box is built column by column: a column's values depend only on
+    its coefficients across the generators, so columns with equal
+    coefficients (a quandle crossing's o_in and o_out) share one list.
     Residue 0 is label n.
     """
-    box = [(0,) * cols]
+    if cols == 0:
+        return [()]
+    gens = []  # (order, coefficient per column mod n)
     for p, k in _prime_powers(n):
         q = p**k
         e = n // q * pow(n // q, -1, q)  # 1 mod q, 0 mod n/q
@@ -349,9 +356,26 @@ def _list_kernel(rows, cols: int, n: int) -> list[Coloring]:
             g[col] = q // order
             for j, v, inv, rest in reversed(pivots):
                 g[j] = (g[j] - inv * (sum(a * g[c] for c, a in rest.items()) // p**v)) % q
-            steps = [tuple(t * x * e % n for x in g) for t in range(order)]
-            box = [tuple((a + b) % n for a, b in zip(x, s)) for x in box for s in steps]
-    return sorted(tuple(a or n for a in x) for x in box)
+            gens.append((order, [x * e % n for x in g]))
+    shifts = [[(r + s) % n for r in range(n)] for s in range(n)]  # n^2, as Y's own tables
+    label = [n, *range(1, n)]
+    built: dict[tuple[int, ...], list[int]] = {}  # coefficients across gens -> the column
+    columns = []
+    for c in range(cols):
+        key = tuple(g[c] for _, g in gens)
+        if key not in built:
+            col = [0]
+            for (order, _), a in zip(gens, key):
+                if not a:
+                    col = col * order
+                    continue
+                grown: list[int] = []
+                for t in range(order):
+                    grown += map(shifts[t * a % n].__getitem__, col)
+                col = grown
+            built[key] = list(map(label.__getitem__, col))
+        columns.append(built[key])
+    return sorted(zip(*columns))
 
 
 def count_solutions_snf(M: RelationMatrix) -> int:

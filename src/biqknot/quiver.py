@@ -9,6 +9,11 @@ construction; distinct endomorphisms agreeing on a vertex give parallel
 edges. Edge triples (source, target, endo index) are only derived at the
 CLI's dump boundary.
 
+Isomorphism has two routes: with one endomorphism on both sides a
+quiver is a functional graph, compared by a linear-time canonical form
+at any size; any other |S| goes through degree refinement and
+backtracking, guarded to ISO_SIZE_GUARD vertices.
+
 Free loops contribute unconstrained coordinates; they are materialized
 here (appended after the semiarc coordinates) so the quiver is the full
 Hom-set object.
@@ -42,7 +47,11 @@ def build_quiver(d: SemiarcDiagram, Y: FiniteBiquandle, S) -> ColoringQuiver:
             raise ValueError(f"{f} is not an endomorphism of the target biquandle")
     vertices = tuple(colorings_with_loops(d, Y))
     index = {v: i for i, v in enumerate(vertices)}
-    targets = tuple(tuple(index[tuple(f[x - 1] for x in v)] for v in vertices) for f in endos)
+    # column-wise: each coordinate column goes through f at once, and the image
+    # rows are looked up in the index; with no coordinates the one vertex is fixed
+    columns = list(zip(*vertices))
+    targets = tuple(tuple(map(index.__getitem__, zip(*[map((0, *f).__getitem__, c) for c in columns])
+                              if columns else vertices)) for f in endos)
     return ColoringQuiver(vertices, endos, targets)
 
 
@@ -58,10 +67,18 @@ def in_degree_polynomial(q: ColoringQuiver) -> ExponentPolynomial:
 def quivers_isomorphic(q1: ColoringQuiver, q2: ColoringQuiver) -> bool:
     """Directed-multigraph isomorphism, ignoring edge labels.
 
-    Decided by iterated in/out-degree neighborhood refinement followed
-    by backtracking on the refined classes; guarded to desk scale.
+    Two routes. If both quivers have exactly one endomorphism, each is a
+    functional graph and is compared by its canonical form (see
+    _functional_form), in time linear in the vertices and at any size.
+    Otherwise iterated in/out-degree neighborhood refinement is followed
+    by backtracking on the refined classes; only this route is guarded,
+    to ISO_SIZE_GUARD vertices.
     """
     n1, n2 = len(q1.vertices), len(q2.vertices)
+    if len(q1.endos) == len(q2.endos) == 1:
+        codes: dict[tuple[int, ...], int] = {}  # shared, so both forms use the same codes
+        return n1 == n2 and (_functional_form(q1.targets[0], codes)
+                             == _functional_form(q2.targets[0], codes))
     if max(n1, n2) > ISO_SIZE_GUARD:
         raise ValueError(f"quiver isomorphism guarded to {ISO_SIZE_GUARD} vertices")
     if n1 != n2 or n1 * len(q1.endos) != n2 * len(q2.endos):
@@ -75,6 +92,59 @@ def quivers_isomorphic(q1: ColoringQuiver, q2: ColoringQuiver) -> bool:
     if sorted(col1) != sorted(col2):
         return False
     return _backtrack(a1, a2, col1, col2, n1)
+
+
+def _functional_form(f, codes: dict) -> list[tuple[int, ...]]:
+    """A canonical form of the functional graph v -> f[v]: equal iff isomorphic.
+
+    Every component is a cycle with a rooted in-tree at each cycle vertex.
+    Kahn's pass strips the tree vertices leaves first, so each vertex is
+    coded after all its children: the code is the interned sorted tuple of
+    the children's codes (Aho-Hopcroft-Ullman). A cycle is the least
+    rotation of its vertices' codes read along f; the form is the sorted
+    list of cycles.
+    """
+    indeg = [0] * len(f)
+    for w in f:
+        indeg[w] += 1
+    below: list[list[int]] = [[] for _ in f]  # codes of each vertex's children
+    order = [v for v, d in enumerate(indeg) if not d]
+    for v in order:  # grows while it is read
+        w = f[v]
+        below[w].append(codes.setdefault(tuple(sorted(below[v])), len(codes)))
+        indeg[w] -= 1
+        if not indeg[w]:
+            order.append(w)
+    cycles = []
+    for v in range(len(f)):
+        seq = []
+        while indeg[v]:  # v is on a cycle not yet read
+            indeg[v] = 0
+            seq.append(codes.setdefault(tuple(sorted(below[v])), len(codes)))
+            v = f[v]
+        if seq:
+            cycles.append(_least_rotation(seq))
+    return sorted(cycles)
+
+
+def _least_rotation(seq) -> tuple:
+    """The lexicographically least rotation of seq, by Booth's failure function (1980)."""
+    s = list(seq) * 2
+    fail = [-1] * len(s)
+    k = 0  # start of the least rotation found so far
+    for j in range(1, len(s)):
+        i = fail[j - k - 1]
+        while i != -1 and s[j] != s[k + i + 1]:
+            if s[j] < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if s[j] != s[k + i + 1]:  # here i == -1
+            if s[j] < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return tuple(s[k:k + len(seq)])
 
 
 def _adjacency(q: ColoringQuiver, n: int):

@@ -207,6 +207,7 @@ BAD_INPUT_FILES = {
                             "endos": [[1, 2]]}),
     "missing.json": json.dumps({"vertices": [[1], [2]], "edges": [[0, 0, 0]], "endos": [[1, 2]]}),
     "zero.biq": "0\n",
+    "notjson.json": "not json\n",
 }
 
 
@@ -234,6 +235,7 @@ BAD_INPUT_FILES = {
     (["quiver", "iso", "missing.json", "missing.json"], 1),
     (["algebra", "validate", "zero.biq"], 1),
     (["color", "count", "torus2:3", "zero.biq"], 1),
+    (["quiver", "iso", "notjson.json", "missing.json"], 1),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else f"exit{v}")
 def test_bad_input_exit_codes(tmp_path, capsys, argv, code):
     for name, text in BAD_INPUT_FILES.items():
@@ -244,6 +246,8 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, code):
     assert out == ""
     prefix = "usage error: " if code == 2 else "error: "
     assert err.startswith(prefix) and len(err.splitlines()) == 1
+    if argv[:2] == ["quiver", "iso"]:  # the first dump is the bad one, and the error names it
+        assert repr(argv[2]) in err
 
 
 def test_group_order_cap_exits_1(monkeypatch, capsys):

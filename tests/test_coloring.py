@@ -28,6 +28,7 @@ from biqknot.coloring import (
     count_solutions_bruteforce,
     count_solutions_snf,
     enumerate_colorings,
+    list_solutions,
 )
 from biqknot.diagram import (
     SemiarcDiagram,
@@ -512,3 +513,34 @@ def test_lattice_listing_with_free_loops_and_no_semiarcs():
             assert len(colorings_with_loops(d, y)) == count_colorings(d, y)
     assert enumerate_colorings(SemiarcDiagram(0, (), 1), make_dihedral(5)) == [()]
     assert enumerate_colorings(chain(3), make_dihedral(1)) == [(1,) * chain(3).semiarc_count]
+
+
+def hom_quads(X):
+    """The relations of enumerate_homs: one quad (x, y, x .v y, y ." x) per pair."""
+    return [(x - 1, y - 1, X.under(x, y) - 1, X.over(y, x) - 1)
+            for x in X.elements() for y in X.elements()]
+
+
+def test_column_listing_matches_search_tuple_for_tuple():
+    r4, r9, r27 = make_dihedral(4), make_dihedral(9), make_dihedral(27)
+    l8, l9, l12 = (make_linear_biquandle(n, a, 0, 1, a - 1) for n, a in ((8, 5), (9, 7), (12, 7)))
+    # an integer m stands for the m-element algebra itself: the listing of End(y)
+    shared = [(chain(9), r4), (pretzel([3, 3, 3]), r9), (torus_2n(4), l9)]
+    distinct = [(27, r27), (torus_2n(4), l8), (9, l9), (torus_2n(4), l12)]
+    edge = [(chain(3), make_dihedral(1)), (SemiarcDiagram(0, (), 2), make_dihedral(5)),
+            (SemiarcDiagram(0, (), 2), l8)]
+    for group, cases in (("shared", shared), ("distinct", distinct), ("edge", edge)):
+        for d, y in cases:
+            if isinstance(d, int):
+                m, quads = d, hom_quads(y)
+            else:
+                m, quads = d.semiarc_count + d.free_loops, _oriented(d)
+            assert y.linear_form is not None
+            got = list_solutions(m, quads, y)
+            assert got == sorted(map(tuple, _search(m, quads, y)))
+            assert all(type(c) is tuple and len(c) == m for c in got)
+            columns = set(zip(*got))  # equal coefficient vectors give equal columns
+            if group == "shared":
+                assert len(columns) < m
+            elif group == "distinct":
+                assert len(columns) == m

@@ -5,10 +5,13 @@ import sys
 
 import pytest
 
+from biqknot import quiver
 from biqknot.algebra import biquandle_z, enumerate_endos, make_dihedral
-from biqknot.diagram import apply_r1, apply_r2, chain, connected_sum, pretzel, torus_2n
+from biqknot.diagram import (Crossing, SemiarcDiagram, apply_r1, apply_r2, chain, connected_sum,
+                             pretzel, torus_2n)
 from biqknot.polynomial import ExponentPolynomial
-from biqknot.quiver import build_quiver, in_degree_polynomial, quivers_isomorphic
+from biqknot.quiver import (ISO_SIZE_GUARD, ColoringQuiver, build_quiver, in_degree_polynomial,
+                            quivers_isomorphic)
 
 
 def doubling(n):
@@ -126,6 +129,123 @@ def test_iso_backtracking_does_not_use_the_call_stack():
         assert quivers_isomorphic(q1, q2)
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_iso_backtracking_with_two_endos_does_not_use_the_call_stack():
+    # |S| = 2 takes the refine/backtrack route: 256 vertices under the same tight limit
+    r4 = make_dihedral(4)
+    S = [doubling(4), (1, 2, 3, 4)]
+    d = chain(7)
+    moved = apply_r2(apply_r1(d, 0, -1), 1, 6, "parallel")
+    q1, q2 = build_quiver(d, r4, S), build_quiver(moved, r4, S)
+    assert len(q1.vertices) == 256
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        assert quivers_isomorphic(q1, q2)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def relabel(d, rng):
+    """d with its semiarcs renumbered by a random permutation."""
+    p = list(range(d.semiarc_count))
+    rng.shuffle(p)
+    return SemiarcDiagram(d.semiarc_count, tuple(
+        Crossing(c.sign, p[c.u_in], p[c.o_in], p[c.u_out], p[c.o_out]) for c in d.crossings),
+        d.free_loops)
+
+
+def functional_quiver(f):
+    """The one-endomorphism quiver v -> f[v], with placeholder vertices."""
+    return ColoringQuiver(tuple((v,) for v in range(len(f))), ((1,),), (tuple(f),))
+
+
+def backtrack_route(q1, q2):
+    """The refine/backtrack decision, which every quiver with |S| != 1 takes."""
+    n = len(q1.vertices)
+    a1, a2 = quiver._adjacency(q1, n), quiver._adjacency(q2, n)
+    c1, c2 = quiver._refine(a1, n), quiver._refine(a2, n)
+    return sorted(c1) == sorted(c2) and quiver._backtrack(a1, a2, c1, c2, n)
+
+
+def test_least_rotation_matches_brute_force():
+    rng = random.Random(4)
+    seqs = [[7] * 5, [1, 2] * 4, [3, 1, 2] * 3, [2, 1, 1, 2, 1, 1], [0], [5, 4]]
+    for _ in range(300):
+        n = rng.randrange(1, 13)
+        base = [rng.randrange(3) for _ in range(rng.randrange(1, 5))]
+        seqs.append([rng.randrange(4) for _ in range(n)])
+        seqs.append(base * rng.randrange(1, 4))  # periodic
+    for seq in seqs:
+        best = min(tuple(seq[i:] + seq[:i]) for i in range(len(seq)))
+        assert quiver._least_rotation(seq) == best
+
+
+def test_functional_graph_iso_matches_networkx_and_backtracking():
+    nx = pytest.importorskip("networkx")
+
+    def graph(f):
+        g = nx.DiGraph()
+        g.add_nodes_from(range(len(f)))
+        g.add_edges_from(enumerate(f))
+        return g
+
+    # a 4-cycle with leaves at adjacent or at opposite vertices: same tree codes, other order
+    pairs = [([1, 2, 3, 0, 0, 1], [1, 2, 3, 0, 0, 2], False)]
+    rng = random.Random(12)
+    for _ in range(200):
+        n = rng.randrange(1, 13)
+        f = [rng.randrange(n) for _ in range(n)]
+        p = list(range(n))
+        rng.shuffle(p)
+        g = [0] * n
+        for v in range(n):
+            g[p[v]] = p[f[v]]  # f conjugated by p
+        near = list(g)
+        near[rng.randrange(n)] = rng.randrange(n)
+        other = [rng.randrange(n) for _ in range(n)]
+        pairs += [(f, g, True), (f, near, None), (f, other, None)]
+    for f, h, known in pairs:
+        q1, q2 = functional_quiver(f), functional_quiver(h)
+        expected = nx.isomorphism.DiGraphMatcher(graph(f), graph(h)).is_isomorphic()
+        assert quivers_isomorphic(q1, q2) == expected == backtrack_route(q1, q2)
+        assert known in (None, expected)
+
+
+def test_relabeled_torus_copies_take_the_canonical_route(monkeypatch):
+    # T(2,9) over R_9 with x -> 2x against R2-moved, relabeled copies: the
+    # refine/backtrack route stalls on some of these, the canonical one never runs it
+    def refuse(*args):
+        raise AssertionError("|S| = 1 must not refine or backtrack")
+
+    monkeypatch.setattr(quiver, "_refine", refuse)
+    monkeypatch.setattr(quiver, "_backtrack", refuse)
+    r9, rng = make_dihedral(9), random.Random(3)
+    d = torus_2n(9)
+    q = build_quiver(d, r9, [doubling(9)])
+    assert len(q.vertices) == 81
+    for _ in range(20):
+        a, b = rng.sample(range(d.semiarc_count), 2)
+        moved = relabel(apply_r2(d, a, b, rng.choice(("parallel", "antiparallel"))), rng)
+        assert quivers_isomorphic(q, build_quiver(moved, r9, [doubling(9)]))
+
+
+def test_iso_size_guard_only_on_the_backtrack_route():
+    r4 = make_dihedral(4)
+    d = chain(11)
+    q = build_quiver(d, r4, [doubling(4)])
+    assert len(q.vertices) == 4096 > ISO_SIZE_GUARD
+    assert quivers_isomorphic(q, build_quiver(apply_r1(d, 0, 1), r4, [doubling(4)]))
+    sums = build_quiver(iterated_sum(torus_2n(4), 5), r4, [doubling(4)])
+    assert len(sums.vertices) == 4096
+    assert not quivers_isomorphic(q, sums)
+    two = build_quiver(d, r4, [doubling(4), (1, 2, 3, 4)])
+    with pytest.raises(ValueError, match="guarded"):
+        quivers_isomorphic(two, two)
 
 
 def test_quiver_iso_rejects_different_edge_structure():
