@@ -15,7 +15,7 @@ quiver and enhancement layers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 Table = tuple[tuple[int, ...], ...]
@@ -62,8 +62,6 @@ class FiniteBiquandle:
     size: int
     over_table: Table
     under_table: Table
-    # set by make_linear_biquandle: (n, a, b, c, d) with x." y = ax+by, x.v y = cx+dy mod n
-    linear_params: tuple[int, int, int, int, int] | None = field(default=None, compare=False)
 
     def over(self, x: int, y: int) -> int:
         return self.over_table[x - 1][y - 1]
@@ -72,13 +70,12 @@ class FiniteBiquandle:
     def linear_form(self) -> tuple[int, int, int, int, int] | None:
         """(n, a, b, c, d) when x ." y = ax + by and x .v y = cx + dy mod n, else None.
 
-        linear_params when set; otherwise read off the tables, with label L
-        standing for the residue L mod n and every one of the n^2 entries
-        checked. Computed on first use and cached, so building an algebra
-        never pays for it.
+        Read off the tables, with label L standing for the residue L mod n
+        and every one of the n^2 entries checked, so it is the one selector
+        of the elimination route and no constructor can mislabel an algebra.
+        Computed on first use and cached, so building an algebra never pays
+        for it.
         """
-        if self.linear_params is not None:
-            return self.linear_params
         n = self.size
         a, b = self.over(1, n) % n, self.over(n, 1) % n
         c, d = self.under(1, n) % n, self.under(n, 1) % n
@@ -239,9 +236,7 @@ def make_linear_biquandle(n: int, a: int, b: int, c: int, d: int) -> FiniteBiqua
                  for x in range(1, n + 1))
     under = tuple(tuple((c * x + d * y - 1) % n + 1 for y in range(1, n + 1))
                   for x in range(1, n + 1))
-    biq = from_tables(over, under)
-    object.__setattr__(biq, "linear_params", (n, a % n, b % n, c % n, d % n))
-    return biq
+    return from_tables(over, under)
 
 
 def biquandle_z() -> FiniteBiquandle:

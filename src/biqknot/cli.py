@@ -387,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_knots)
 
     p = sub.add_parser("repro", help="run the reference value battery")
-    p.add_argument("--all", action="store_true", help="run every item (default)")
     p.add_argument("--item", action="append", help="run one item by claim id (repeatable)")
     p.add_argument("--timings", action="store_true")
     p.set_defaults(fn=cmd_repro)

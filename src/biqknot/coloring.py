@@ -6,9 +6,10 @@ o_in and o_out = o_in ." u_in; negative: the inverse pair). The same
 relations, read over the quads (x, y, x .v y, y ." x) of a biquandle X,
 say that a map X -> Y is a homomorphism, so one solver serves both.
 
-Over a linear biquandle (built by make_linear_biquandle, or any table
-that is linear on residues mod n, such as the dihedral R_n) the
-relations form a sparse system mod n whose solutions are a Z/n-module.
+Over a linear biquandle (any table that is linear on residues mod n,
+such as make_linear_biquandle's or the dihedral R_n; see
+FiniteBiquandle.linear_form) the relations form a sparse system mod n
+whose solutions are a Z/n-module.
 One elimination over each prime power of n serves two consumers: the
 counter multiplies the sizes its pivots leave free and keeps nothing;
 the lister keeps the pivots, reads a generator per free parameter off
@@ -230,11 +231,12 @@ def coloring_matrix(d: SemiarcDiagram, Y: FiniteBiquandle) -> RelationMatrix:
     o_out - a*o_in - b*u_in = 0; a negative crossing contributes the
     same relations read through its inverse orientation.
     """
-    if Y.linear_params is None:
-        raise ValueError("coloring_matrix requires a biquandle built by make_linear_biquandle")
-    n = Y.linear_params[0]
+    form = Y.linear_form
+    if form is None:
+        raise ValueError("coloring_matrix requires a biquandle that is linear mod its size")
+    n = form[0]
     rows = []
-    for sparse in _relation_rows(_oriented(d), Y.linear_params):
+    for sparse in _relation_rows(_oriented(d), form):
         row = [0] * d.semiarc_count
         for j, v in sparse.items():
             row[j] = v % n

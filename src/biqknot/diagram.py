@@ -25,7 +25,7 @@ pairing is self-consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class DiagramError(ValueError):
@@ -241,206 +241,106 @@ def unknot(kinks: int = 0) -> SemiarcDiagram:
     return SemiarcDiagram(2 * kinks, tuple(crossings))
 
 
-# generic builder: unoriented crossings with a declared over-diagonal get
-# oriented by traversal, then emitted as signed crossing records
-
-_CCW = ("ne", "nw", "sw", "se")  # compass corners in counterclockwise order
-_DIAG = {"nw": "se", "se": "nw", "ne": "sw", "sw": "ne"}
-
-Port = tuple[int, str]
+_NE, _NW, _SW, _SE = range(4)  # corners in counterclockwise order; port = 4 * crossing + corner
 
 
-@dataclass
-class _Builder:
-    over_diags: list[str]  # per crossing: "main" = NW-SE over, "anti" = NE-SW over
-    arcs: list[tuple] = field(default_factory=list)  # nodes: ("p", ci, corner) | ("j", label)
+def pretzel(twists) -> SemiarcDiagram:
+    """Standard pretzel diagram P(t_1, ..., t_k), signed twist counts.
 
-    def build(self) -> tuple[SemiarcDiagram, dict[Port, int]]:
-        # splice arcs at shared junction nodes (each junction occurs in
-        # exactly two arcs) until only port-to-port arcs remain
-        changed = True
-        arcs = [list(a) for a in self.arcs]
-        while changed:
-            changed = False
-            for i, arc in enumerate(arcs):
-                if arc is None:
-                    continue
-                for endpos in (0, -1):
-                    node = arc[endpos]
-                    if node[0] != "j":
-                        continue
-                    for k, other in enumerate(arcs):
-                        if other is None or k == i:
-                            continue
-                        if other[0] == node or other[-1] == node:
-                            if other[0] == node:
-                                tail = other[1:]
-                            else:
-                                tail = other[-2::-1]
-                            if endpos == 0:
-                                arcs[i] = list(reversed(tail)) + arc[1:]
-                            else:
-                                arcs[i] = arc[:-1] + tail
-                            arcs[k] = None
-                            changed = True
-                            break
-                    if changed:
-                        break
-                if changed:
-                    break
-        free_loops = 0
-        clean: list[tuple[Port, Port]] = []
-        for arc in arcs:
-            if arc is None:
-                continue
-            ends = [n for n in (arc[0], arc[-1])]
-            if ends[0][0] == "j" and ends[1][0] == "j":
-                # a cycle of junctions only: crossingless component
-                free_loops += 1
-                continue
-            if ends[0][0] == "j" or ends[1][0] == "j":
-                raise DiagramError("dangling junction in diagram wiring")
-            clean.append(((ends[0][1], ends[0][2]), (ends[1][1], ends[1][2])))
+    Numbering contract, which stored semiarc labels (benchmark slots, golden
+    CLI output) rely on:
 
-        at_port: dict[Port, int] = {}
-        for idx, (a, b) in enumerate(clean):
-            for p in (a, b):
-                if p in at_port:
-                    raise DiagramError(f"port {p} used twice")
-                at_port[p] = idx
-        for ci in range(len(self.over_diags)):
-            for corner in _CCW:
-                if (ci, corner) not in at_port:
-                    raise DiagramError(f"port ({ci}, {corner}) unattached")
-
-        # orient by traversal; semiarc ids in discovery order
-        semiarc_of_arc: dict[int, int] = {}
-        flow: dict[Port, tuple[str, int]] = {}  # port -> ("in"/"out", semiarc)
-        next_id = 0
-        for start_idx in range(len(clean)):
-            if start_idx in semiarc_of_arc:
-                continue
-            idx, src, dst = start_idx, *clean[start_idx]
-            while idx not in semiarc_of_arc:
-                semiarc_of_arc[idx] = next_id
-                flow[src] = ("out", next_id)
-                flow[dst] = ("in", next_id)
-                next_id += 1
-                entry = dst
-                exit_port = (entry[0], _DIAG[entry[1]])
-                idx = at_port[exit_port]
-                a, b = clean[idx]
-                src, dst = (a, b) if a == exit_port else (b, a)
-
-        crossings = []
-        for ci, diag in enumerate(self.over_diags):
-            over_ports = ((ci, "nw"), (ci, "se")) if diag == "main" else ((ci, "ne"), (ci, "sw"))
-            under_ports = ((ci, "ne"), (ci, "sw")) if diag == "main" else ((ci, "nw"), (ci, "se"))
-            (o_in, o_out) = _in_out(flow, over_ports)
-            (u_in, u_out) = _in_out(flow, under_ports)
-            # positive crossing: the over exit corner is one counterclockwise
-            # step past the under exit corner
-            sign = 1 if (_CCW.index(o_out[1]) - _CCW.index(u_out[1])) % 4 == 1 else -1
-            crossings.append(Crossing(sign, flow[u_in][1], flow[o_in][1],
-                                      flow[u_out][1], flow[o_out][1]))
-        d = SemiarcDiagram(next_id, tuple(crossings), free_loops)
-        port_semiarc = {p: s for p, (_, s) in flow.items()}
-        return d, port_semiarc
-
-
-def _in_out(flow, ports):
-    a, b = ports
-    if flow[a][0] == "in" and flow[b][0] == "out":
-        return a, b
-    if flow[b][0] == "in" and flow[a][0] == "out":
-        return b, a
-    raise DiagramError(f"strand through {a}/{b} has inconsistent flow")
-
-
-@dataclass(frozen=True)
-class PretzelLayout:
-    """A pretzel diagram plus the semiarc ids of its documented landmarks.
-
-    top_arcs[i] is the semiarc running over the top into band i (for a
-    3-band pretzel these carry the three local maxima of the standard
-    height function). band_corners[i] = (nw, ne, sw, se) semiarc ids of
-    band i's corner arcs; for a band of m positive twists with top labels
-    a = nw, b = ne, a dihedral coloring forces sw = m*b - (m-1)*a and
-    se = (m+1)*b - m*a.
+    - band i is a column of |t_i| crossings, numbered top to bottom after
+      those of bands 0..i-1; t_i > 0 puts each crossing's NE-SW strand over,
+      t_i < 0 its NW-SE strand;
+    - the arcs between crossing corners are listed as: the outer top arc
+      into band 0, the top connectors from band i to band i + 1, the arcs
+      inside each band, the bottom connectors from band i to band i + 1,
+      the outer bottom arc;
+    - a zero-twist band passes its two strands straight through: the arcs
+      it joins merge into one, which keeps the place and direction of the
+      first-listed of them, and a merge that closes without reaching a
+      crossing is a free loop (so an all-zero necklace is one free loop
+      per band);
+    - semiarcs are numbered in traversal order: each component is entered
+      by its first-listed arc, in that arc's direction, starting from the
+      outer top arc into band 0.
     """
-
-    diagram: SemiarcDiagram
-    top_arcs: tuple[int, ...]
-    band_corners: tuple[tuple[int, int, int, int] | None, ...]
-
-
-def pretzel_layout(twists) -> PretzelLayout:
     twists = list(twists)
     if not twists:
         raise ValueError("pretzel needs at least one band")
     k = len(twists)
-    sizes = [abs(t) for t in twists]
-    base = [0] * k
-    for i in range(1, k):
-        base[i] = base[i - 1] + sizes[i - 1]
-    over_diags = []
+    over, first = [], []  # per crossing: is the NE-SW strand over; per band: its top crossing
     for t in twists:
-        over_diags.extend(["anti" if t > 0 else "main"] * abs(t))
+        first.append(len(over))
+        over += [t > 0] * abs(t)
 
-    def top_l(i):
-        return ("p", base[i], "nw") if sizes[i] else ("j", (i, "L"))
+    def port(i, c):
+        """Band i's port at corner c; a negative junction id when t_i = 0."""
+        if not twists[i]:
+            return -1 - 2 * i - (c in (_NE, _SE))
+        return 4 * (first[i] + (c in (_SW, _SE)) * (abs(twists[i]) - 1)) + c
 
-    def top_r(i):
-        return ("p", base[i], "ne") if sizes[i] else ("j", (i, "R"))
+    arcs = [(port((i - 1) % k, _NE), port(i, _NW)) for i in range(k)]
+    arcs += [(4 * ci + lo, 4 * ci + 4 + hi)
+             for i, t in enumerate(twists) for ci in range(first[i], first[i] + abs(t) - 1)
+             for lo, hi in ((_SW, _NW), (_SE, _NE))]
+    arcs += [(port(i, _SE), port((i + 1) % k, _SW)) for i in range(k)]
 
-    def bot_l(i):
-        return ("p", base[i] + sizes[i] - 1, "sw") if sizes[i] else ("j", (i, "L"))
+    # merge the arcs joined at junctions, each into the first-listed arc of its chain
+    ends: dict[int, list[tuple[int, int]]] = {}  # junction -> its two (arc, end) places
+    for a, arc in enumerate(arcs):
+        for e, p in enumerate(arc):
+            if p < 0:
+                ends.setdefault(p, []).append((a, e))
+    merged = [False] * len(arcs)
 
-    def bot_r(i):
-        return ("p", base[i] + sizes[i] - 1, "se") if sizes[i] else ("j", (i, "R"))
+    def tip(a, e):
+        """The port ending arc a's chain beyond its end e; None if the chain closes."""
+        while arcs[a][e] < 0:
+            a, e = next(x for x in ends[arcs[a][e]] if x != (a, e))
+            if merged[a]:  # only the chain's own first arc can be: it closed
+                return None
+            merged[a] = True
+            e = 1 - e
+        return arcs[a][e]
 
-    b = _Builder(over_diags)
-    top_arc_index: list[int] = []
-    # arc 0 enters band 0 from the outer top arc; connectors follow in band order
-    b.arcs.append((top_r(k - 1), top_l(0)))
-    top_arc_index.append(0)
-    for i in range(k - 1):
-        b.arcs.append((top_r(i), top_l(i + 1)))
-        top_arc_index.append(len(b.arcs) - 1)
-    for i in range(k):
-        for j in range(sizes[i] - 1):
-            ci = base[i] + j
-            b.arcs.append((("p", ci, "sw"), ("p", ci + 1, "nw")))
-            b.arcs.append((("p", ci, "se"), ("p", ci + 1, "ne")))
-    for i in range(k - 1):
-        b.arcs.append((bot_r(i), bot_l(i + 1)))
-    b.arcs.append((bot_r(k - 1), bot_l(0)))
+    clean, free_loops = [], 0
+    for a in range(len(arcs)):
+        if not merged[a]:
+            merged[a] = True
+            head = tip(a, 1)
+            if head is None:
+                free_loops += 1
+            else:
+                clean.append((tip(a, 0), head))
 
-    diagram, port_semiarc = b.build()
+    # number semiarcs along each component; a strand leaves a crossing at the
+    # port diagonally opposite (port ^ 2) the one it entered by
+    ports = 4 * len(over)
+    at_arc, label, entered = [0] * ports, [0] * ports, [False] * ports
+    for i, (a, b) in enumerate(clean):
+        at_arc[a] = at_arc[b] = i
+    seen, m = [False] * len(clean), 0
+    for j in range(len(clean)):
+        src, dst = clean[j]
+        while not seen[j]:
+            seen[j] = entered[dst] = True
+            label[src] = label[dst] = m
+            m += 1
+            src = dst ^ 2
+            j = at_arc[src]
+            a, b = clean[j]
+            dst = b if a == src else a
 
-    tops = []
-    for i, arc_i in enumerate(top_arc_index):
-        # semiarc at the band-entry port of that connector (band i's nw stub)
-        tgt = top_l(i)
-        if tgt[0] == "p":
-            tops.append(port_semiarc[(tgt[1], tgt[2])])
-        else:
-            tops.append(-1)  # zero-twist band: connector merged through
-    corners = []
-    for i in range(k):
-        if sizes[i] == 0:
-            corners.append(None)
-            continue
-        corners.append((port_semiarc[(base[i], "nw")],
-                        port_semiarc[(base[i], "ne")],
-                        port_semiarc[(base[i] + sizes[i] - 1, "sw")],
-                        port_semiarc[(base[i] + sizes[i] - 1, "se")]))
-    return PretzelLayout(diagram, tuple(tops), tuple(corners))
-
-
-def pretzel(twists) -> SemiarcDiagram:
-    """Standard pretzel diagram P(t_1, ..., t_k), signed twist counts."""
-    return pretzel_layout(twists).diagram
+    crossings = []
+    for ci, anti in enumerate(over):
+        o, u = 4 * ci + (_NE if anti else _NW), 4 * ci + (_NW if anti else _NE)
+        o_in, u_in = (o if entered[o] else o ^ 2), (u if entered[u] else u ^ 2)
+        # positive: the over exit corner is one counterclockwise step past the under exit corner
+        sign = 1 if ((o_in ^ 2) - (u_in ^ 2)) % 4 == 1 else -1
+        crossings.append(Crossing(sign, label[u_in], label[o_in], label[u_in ^ 2], label[o_in ^ 2]))
+    return SemiarcDiagram(m, tuple(crossings), free_loops)
 
 
 def chain(k: int) -> SemiarcDiagram:

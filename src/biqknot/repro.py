@@ -69,13 +69,9 @@ class ReproItem:
     seconds: float
 
 
-def _scale(n):
-    """x -> 2x on R_n, 1-based labels."""
-    return tuple((2 * x - 1) % n + 1 for x in range(1, n + 1))
-
-
-def _triple(n):
-    return tuple((3 * x - 1) % n + 1 for x in range(1, n + 1))
+def _times(a, n):
+    """x -> a x on R_n, 1-based labels."""
+    return tuple((a * x - 1) % n + 1 for x in range(1, n + 1))
 
 
 def _iterated_sum(d, copies):
@@ -173,7 +169,7 @@ def item_04_chain_counts():
 
 def item_05_quiver_separation_a():
     r4 = make_dihedral(4)
-    phi = _scale(4)
+    phi = _times(2, 4)
     ok = True
     parts = []
     for b in (2, 3):
@@ -199,7 +195,7 @@ def item_06_pretzel_and_granny_counts():
 
 def item_07_quiver_separation_b():
     r9 = make_dihedral(9)
-    phi = _triple(9)
+    phi = _times(3, 9)
     granny = build_quiver(_iterated_sum(torus_2n(3), 2), r9, [phi])
     pg = in_degree_polynomial(granny)
     ok = pg == ExponentPolynomial({0: 78, 27: 3})
@@ -232,7 +228,7 @@ def item_09_enhancement_and_u3():
     want = ExponentPolynomial({18: 54, 6: 18, 2: 9})
     p61 = column_group_polynomial(table["6_1"].diagram, r9)
     p924 = column_group_polynomial(table["9_24"].diagram, r9)
-    phi = _triple(9)
+    phi = _times(3, 9)
     q61 = in_degree_polynomial(build_quiver(table["6_1"].diagram, r9, [phi]))
     q924 = in_degree_polynomial(build_quiver(table["9_24"].diagram, r9, [phi]))
     ok = (p61 == want and p924 == want and q61.coefficient(3) == 0
@@ -276,9 +272,9 @@ def item_11_bridge_machinery():
 
 def item_12_move_invariance():
     rng = random.Random(20250810)
-    targets = [("R_3", make_dihedral(3), _scale(3)),
-               ("R_4", make_dihedral(4), _scale(4)),
-               ("R_9", make_dihedral(9), _triple(9)),
+    targets = [("R_3", make_dihedral(3), _times(2, 3)),
+               ("R_4", make_dihedral(4), _times(2, 4)),
+               ("R_9", make_dihedral(9), _times(3, 9)),
                ("Z", biquandle_z(), None)]
     z_endos = enumerate_endos(biquandle_z())
     families = [torus_2n(3), torus_2n(4), chain(3), chain(5),

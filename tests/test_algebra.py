@@ -96,7 +96,7 @@ def test_dihedral_validates_up_to_12():
 def test_linear_biquandle_z_is_valid():
     z = biquandle_z()
     assert z.size == 4
-    assert z.linear_params == (4, 3, 0, 1, 2)
+    assert z.linear_form == (4, 3, 0, 1, 2)
     assert validate_axioms(z.over_table, z.under_table) == []
     # x ." y = 3x, x .v y = x + 2y on labels 1..4 (4 standing for 0)
     assert z.over(1, 1) == 3

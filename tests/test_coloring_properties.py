@@ -23,7 +23,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 
-# R_n (no linear_params tag), the same tables read back from text, and the tagged Z
+# R_n, the same tables read back from text, and Z from make_linear_biquandle
 ALGEBRAS = ([make_dihedral(n) for n in range(2, 13)]
             + [parse_biquandle(serialize_biquandle(make_dihedral(n))) for n in range(2, 13)]
             + [biquandle_z()])

@@ -1,5 +1,8 @@
 """Tests for diagram parsing, family generators, moves, and strand extraction."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from biqknot.diagram import (
@@ -13,7 +16,6 @@ from biqknot.diagram import (
     connected_sum,
     parse_pd,
     pretzel,
-    pretzel_layout,
     serialize_pd,
     strands,
     torus_2n,
@@ -167,13 +169,15 @@ def test_pretzel_twist_knots_are_knots():
         assert d.component_count() == 1
 
 
-def test_pretzel_layout_landmarks():
-    lay = pretzel_layout([3, 3, 3])
-    assert len(lay.top_arcs) == 3
-    assert len(set(lay.top_arcs)) == 3
-    for corners in lay.band_corners:
-        assert corners is not None
-        assert len(set(corners)) == 4
+def test_pretzel_numbering_is_frozen():
+    # stored semiarc labels (benchmark slots, golden CLI bytes) depend on the
+    # numbering, not just the isotopy class: every vector with 1-4 bands and
+    # twists in -3..3, zero and all-zero bands included, hashed as one stream
+    h = hashlib.sha256()
+    for k in range(1, 5):
+        for tw in itertools.product(range(-3, 4), repeat=k):
+            h.update(f"{list(tw)}\n{serialize_pd(pretzel(list(tw)))}".encode())
+    assert h.hexdigest() == "bad47bf587cf9ba1b8a309c78483db0e889d5f32e68b330b0c1e2f0ddee50239"
 
 
 def test_pretzel_zero_band():
