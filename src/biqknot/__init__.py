@@ -10,8 +10,10 @@ from .algebra import (
     enumerate_homs,
     from_tables,
     group_order,
+    make_conjugation_quandle,
     make_dihedral,
     make_linear_biquandle,
+    make_module_biquandle,
     subquandle_closure,
     validate_axioms,
 )
@@ -46,8 +48,8 @@ from .quiver import ColoringQuiver, build_quiver, in_degree_polynomial, quivers_
 __all__ = [
     "AxiomError", "FiniteBiquandle", "Quandle", "biquandle_z",
     "column_permutation", "enumerate_endos", "enumerate_homs", "from_tables",
-    "group_order", "make_dihedral", "make_linear_biquandle",
-    "subquandle_closure", "validate_axioms",
+    "group_order", "make_conjugation_quandle", "make_dihedral", "make_linear_biquandle",
+    "make_module_biquandle", "subquandle_closure", "validate_axioms",
     "b1_lower", "b2_lower", "min_seed_size", "wirtinger_saturate",
     "brute_force_colorings", "coloring_matrix", "count_colorings",
     "count_solutions_snf", "enumerate_colorings",

@@ -67,15 +67,27 @@ class FiniteBiquandle:
         return self.over_table[x - 1][y - 1]
 
     @cached_property
-    def linear_form(self) -> tuple[int, int, int, int, int] | None:
-        """(n, a, b, c, d) when x ." y = ax + by and x .v y = cx + dy mod n, else None.
+    def linear_form(self) -> tuple | None:
+        """The algebra's linear shape, which selects the elimination route; None if it has none.
 
-        Read off the tables, with label L standing for the residue L mod n
-        and every one of the n^2 entries checked, so it is the one selector
-        of the elimination route and no constructor can mislabel an algebra.
+        Two shapes, both read off the tables with all N^2 entries of each
+        checked, so no constructor can mislabel an algebra:
+
+        - (n, a, b, c, d) with integers, n = N, when x ." y = ax + by and
+          x .v y = cx + dy mod n, label L standing for the residue L mod n
+          (label n is zero). This is tried first.
+        - (n, A, B, C, D) with r x r matrices over Z/n (tuples of rows),
+          r >= 2 and N = n^r, when x ." y = Ax + By and x .v y = Cx + Dy on
+          (Z/n)^r, the vector (v_0, ..., v_{r-1}) having label
+          1 + sum v_i n^i (label 1 is the zero vector). Each such (n, r) is
+          tried, smallest r first.
+
         Computed on first use and cached, so building an algebra never pays
         for it.
         """
+        return self._scalar_form() or self._module_form()
+
+    def _scalar_form(self) -> tuple[int, int, int, int, int] | None:
         n = self.size
         a, b = self.over(1, n) % n, self.over(n, 1) % n
         c, d = self.under(1, n) % n, self.under(n, 1) % n
@@ -84,6 +96,20 @@ class FiniteBiquandle:
                 if (self.over(x, y) - a * x - b * y) % n or (self.under(x, y) - c * x - d * y) % n:
                     return None
         return (n, a, b, c, d)
+
+    def _module_form(self) -> tuple | None:
+        n = self.size
+        for r in range(2, n.bit_length()):
+            base = round(n ** (1 / r))
+            if base**r == n:
+                units = [1 + base**j for j in range(r)]  # e_0 .. e_{r-1}; label 1 is zero
+                # A's column j is e_j ." 0 and B's is 0 ." e_j; C and D the same off .v
+                columns = ([self.over(u, 1) for u in units], [self.over(1, u) for u in units],
+                           [self.under(u, 1) for u in units], [self.under(1, u) for u in units])
+                mats = [tuple(zip(*(_vector(v, base, r) for v in col))) for col in columns]
+                if _module_tables(base, mats) == (self.over_table, self.under_table):
+                    return (base, *mats)
+        return None
 
     def under(self, x: int, y: int) -> int:
         return self.under_table[x - 1][y - 1]
@@ -237,6 +263,73 @@ def make_linear_biquandle(n: int, a: int, b: int, c: int, d: int) -> FiniteBiqua
     under = tuple(tuple((c * x + d * y - 1) % n + 1 for y in range(1, n + 1))
                   for x in range(1, n + 1))
     return from_tables(over, under)
+
+
+def _vector(label: int, n: int, r: int) -> tuple[int, ...]:
+    """The vector in (Z/n)^r with label 1 + sum v_i n^i."""
+    return tuple((label - 1) // n**i % n for i in range(r))
+
+
+def _module_tables(n: int, mats) -> tuple[Table, Table]:
+    """(over, under) of x ." y = Ax + By and x .v y = Cx + Dy on (Z/n)^r, mats = (A, B, C, D)."""
+    r = len(mats[0])
+    vecs = [_vector(v, n, r) for v in range(1, n**r + 1)]
+
+    def images(M):  # M v for every vector v, as rows of integers
+        return [[sum(m * x for m, x in zip(row, v)) for row in M] for v in vecs]
+
+    def table(M, K):
+        return tuple(tuple(1 + sum((s + t) % n * n**i for i, (s, t) in enumerate(zip(mx, ky)))
+                           for ky in images(K)) for mx in images(M))
+
+    return table(*mats[:2]), table(*mats[2:])
+
+
+def make_module_biquandle(n: int, A, B, C, D) -> FiniteBiquandle:
+    """Biquandle on (Z/n)^r with x ." y = Ax + By and x .v y = Cx + Dy, if valid.
+
+    A, B, C, D are r x r integer matrices, as lists of rows. For r >= 2
+    the vector (v_0, ..., v_{r-1}) has label 1 + sum v_i n^i, so the zero
+    vector is label 1; r = 1 is make_linear_biquandle, whose labels are
+    the residues (n standing for 0). These are linear_form's two label
+    maps. Raises AxiomError with the first failing axiom and witness.
+    """
+    if n < 1:
+        raise ValueError(f"modulus must be >= 1, got {n}")
+    mats = [tuple(tuple(int(v) % n for v in row) for row in M) for M in (A, B, C, D)]
+    r = len(mats[0])
+    if r < 1 or any(len(M) != r or any(len(row) != r for row in M) for M in mats):
+        raise ValueError("A, B, C and D must be r x r matrices with r >= 1")
+    if r == 1:
+        return make_linear_biquandle(n, *(M[0][0] for M in mats))
+    return from_tables(*_module_tables(n, mats))
+
+
+def make_conjugation_quandle(perms) -> Quandle:
+    """The conjugation quandle x |> y = y^-1 x y on permutations closed under conjugation.
+
+    perms are image tuples over {1..k} (see Permutation) multiplied left
+    to right, so x |> y sends y(i) to y(x(i)); element i is perms[i - 1].
+    Raises ValueError unless they are distinct permutations of one degree
+    whose conjugates by each other stay among them.
+    """
+    elems = [tuple(p) for p in perms]
+    index = {p: i for i, p in enumerate(elems, start=1)}
+    if not elems or len(index) < len(elems) or any(
+            len(p) != len(elems[0]) or not is_permutation(p) for p in elems):
+        raise ValueError(f"need distinct permutations of one degree, got {elems}")
+    under = []
+    for x in elems:
+        row = []
+        for y in elems:
+            z = [0] * len(y)
+            for xi, yi in zip(x, y):
+                z[yi - 1] = y[xi - 1]
+            if tuple(z) not in index:
+                raise ValueError(f"{y}^-1 {x} {y} = {tuple(z)} is not in the set")
+            row.append(index[tuple(z)])
+        under.append(row)
+    return from_tables([[x] * len(elems) for x in index.values()], under)
 
 
 def biquandle_z() -> FiniteBiquandle:

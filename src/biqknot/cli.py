@@ -88,9 +88,11 @@ def load_biquandle(spec: str) -> algebra.FiniteBiquandle:
 
 
 def endo_set(Y, args) -> list[tuple[int, ...]]:
-    if getattr(args, "all_endos", False):
+    if args.all_endos:
+        if args.endo:
+            raise UsageError("--all-endos and --endo exclude each other")
         return algebra.enumerate_endos(Y)
-    if getattr(args, "endo", None):
+    if args.endo:
         return [tuple(_ints(e)) for e in args.endo]
     return [tuple(Y.elements())]  # identity by default
 
@@ -254,6 +256,8 @@ def _load_quiver_dump(path: str) -> quiver.ColoringQuiver:
 def cmd_bridge(args) -> int:
     d = load_diagram(args.pd)
     if args.action == "seeds":
+        if args.kmax < 0:
+            raise UsageError(f"--kmax must be >= 0, got {args.kmax}")
         found = bridge.min_seed_size(d, args.kmax)
         if found is None:
             emit(args, [f"no saturating seed set of size <= {args.kmax}"],
@@ -407,7 +411,8 @@ def main(argv=None) -> int:
         return 2
     except (algebra.AxiomError, algebra.GroupOrderCapExceeded, diagram.DiagramError,
             ValueError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        print(f"error: {e.args[0] if isinstance(e, KeyError) and e.args else e}", file=sys.stderr)
         return 1
 
 

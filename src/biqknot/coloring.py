@@ -6,10 +6,15 @@ o_in and o_out = o_in ." u_in; negative: the inverse pair). The same
 relations, read over the quads (x, y, x .v y, y ." x) of a biquandle X,
 say that a map X -> Y is a homomorphism, so one solver serves both.
 
-Over a linear biquandle (any table that is linear on residues mod n,
-such as make_linear_biquandle's or the dihedral R_n; see
-FiniteBiquandle.linear_form) the relations form a sparse system mod n
-whose solutions are a Z/n-module.
+Over a linear biquandle the relations form a sparse system mod n whose
+solutions are a Z/n-module. FiniteBiquandle.linear_form reads two
+shapes off the tables: scalar, x ." y = ax + by and x .v y = cx + dy
+mod n = |Y| with label L the residue L mod n (make_linear_biquandle's,
+the dihedral R_n), one unknown per semiarc; and module, the same with
+r x r matrices on (Z/n)^r, r >= 2, the vector (v_0, ..., v_{r-1})
+labelled 1 + sum v_i n^i (make_module_biquandle's, Alexander quandles
+over GF(4) or GF(9)), r unknowns per semiarc, semiarc s's coordinate i
+being unknown s*r + i.
 One elimination over each prime power of n serves two consumers: the
 counter multiplies the sizes its pivots leave free and keeps nothing;
 the lister keeps the pivots, reads a generator per free parameter off
@@ -130,7 +135,7 @@ def list_solutions(m: int, oriented, Y: FiniteBiquandle) -> list[Coloring]:
     form = Y.linear_form
     if form is None:
         return sorted(map(tuple, _search(m, oriented, Y)))
-    return _list_kernel(_relation_rows(oriented, form), m, form[0])
+    return _list_kernel(_relation_rows(oriented, form), m, form[0], _width(form))
 
 
 def enumerate_colorings(d: SemiarcDiagram, Y: FiniteBiquandle) -> list[Coloring]:
@@ -156,7 +161,8 @@ def count_colorings(d: SemiarcDiagram, Y: FiniteBiquandle) -> int:
     if form is None:
         base = sum(1 for _ in _search(d.semiarc_count, _oriented(d), Y))
     else:
-        base = _count_kernel(_relation_rows(_oriented(d), form), d.semiarc_count, form[0])
+        base = _count_kernel(_relation_rows(_oriented(d), form), d.semiarc_count * _width(form),
+                             form[0])
     return base * Y.size**d.free_loops
 
 
@@ -207,12 +213,21 @@ class RelationMatrix:
     cols: int
 
 
-def _relation_rows(oriented, form) -> list[dict[int, int]]:
-    """Two sparse rows {index: coefficient} per quad for x ." y = ax+by, x .v y = cx+dy.
+def _width(form) -> int:
+    """Unknowns per semiarc: 1 for a scalar linear_form, r for r x r matrices."""
+    return 1 if isinstance(form[1], int) else len(form[1])
 
-    A quad (p, q, r, s) gives r - c*p - d*q and s - a*q - b*p.
+
+def _relation_rows(oriented, form) -> list[dict[int, int]]:
+    """Sparse rows {index: coefficient} for x ." y = ax+by, x .v y = cx+dy, two per quad.
+
+    A quad (p, q, r, s) gives r - c*p - d*q and s - a*q - b*p. With r x r
+    matrices each of these is r rows, one per coordinate i, over the
+    columns s*r + i (semiarc s, coordinate i).
     """
     _, a, b, c, dd = form
+    if not isinstance(a, int):
+        return _module_rows(oriented, form)
     rows = []
     for p, q, r, s in oriented:
         for terms in (((r, 1), (p, -c), (q, -dd)), ((s, 1), (q, -a), (p, -b))):
@@ -223,25 +238,42 @@ def _relation_rows(oriented, form) -> list[dict[int, int]]:
     return rows
 
 
+def _module_rows(oriented, form) -> list[dict[int, int]]:
+    _, A, B, C, D = form
+    w = len(A)
+    rows = []
+    for p, q, r, s in oriented:
+        for out, M, x, K, y in ((r, C, p, D, q), (s, A, q, B, p)):
+            for i in range(w):
+                row = {out * w + i: 1}
+                for j in range(w):
+                    for col, v in ((x * w + j, -M[i][j]), (y * w + j, -K[i][j])):
+                        row[col] = row.get(col, 0) + v
+                rows.append(row)
+    return rows
+
+
 def coloring_matrix(d: SemiarcDiagram, Y: FiniteBiquandle) -> RelationMatrix:
-    """The 2-rows-per-crossing relation matrix for a linear biquandle.
+    """The relation matrix for a linear biquandle: 2 rows per crossing, 2r if it is (Z/n)^r.
 
     With x ." y = ax + by and x .v y = cx + dy mod n, a positive
     crossing contributes u_out - c*u_in - d*o_in = 0 and
     o_out - a*o_in - b*u_in = 0; a negative crossing contributes the
-    same relations read through its inverse orientation.
+    same relations read through its inverse orientation. Over (Z/n)^r
+    (see FiniteBiquandle.linear_form) a, b, c, d are r x r matrices and
+    semiarc s owns the columns s*r .. s*r + r - 1.
     """
     form = Y.linear_form
     if form is None:
-        raise ValueError("coloring_matrix requires a biquandle that is linear mod its size")
-    n = form[0]
+        raise ValueError("coloring_matrix requires a linear biquandle (see linear_form)")
+    n, cols = form[0], d.semiarc_count * _width(form)
     rows = []
     for sparse in _relation_rows(_oriented(d), form):
-        row = [0] * d.semiarc_count
+        row = [0] * cols
         for j, v in sparse.items():
             row[j] = v % n
         rows.append(tuple(row))
-    return RelationMatrix(tuple(rows), n, d.semiarc_count)
+    return RelationMatrix(tuple(rows), n, cols)
 
 
 def _prime_powers(n: int) -> list[tuple[int, int]]:
@@ -330,52 +362,63 @@ def _pivots(rows, p: int, k: int):
             yield j, v, inv, row
 
 
-def _list_kernel(rows, cols: int, n: int) -> list[Coloring]:
-    """Every x in (Z/n)^cols with row . x = 0 mod n, as sorted tuples of labels 1..n.
+def _list_kernel(rows, cols: int, n: int, width: int = 1) -> list[Coloring]:
+    """Every x in ((Z/n)^width)^cols with row . x = 0 mod n, as sorted tuples of labels.
 
-    Per p^k, each parameter of the elimination gives a generator g: a free
-    column of order q = p^k, or a pivot of valuation v > 0 of order p^v
-    stepping x_j by p^(k-v); back-substitution in reverse pivot order fills
-    in the pivot columns. Every null vector is sum(t * g) for exactly one
-    0 <= t < order per generator, so lifting each g to Z/n with the CRT
-    idempotent of p^k makes the null space the box of their multiples.
-    The box is built column by column: a column's values depend only on
-    its coefficients across the generators, so columns with equal
-    coefficients (a quandle crossing's o_in and o_out) share one list.
-    Residue 0 is label n.
+    The rows are over cols * width unknowns, unknown s*width + i being
+    coordinate i of entry s. Per p^k, each parameter of the elimination
+    gives a generator g: a free unknown of order q = p^k, or a pivot of
+    valuation v > 0 of order p^v stepping x_j by p^(k-v); back-substitution
+    in reverse pivot order fills in the pivot unknowns. Every null vector
+    is sum(t * g) for exactly one 0 <= t < order per generator, so lifting
+    each g to Z/n with the CRT idempotent of p^k makes the null space the
+    box of their multiples. The box is built column by column: an
+    unknown's values depend only on its coefficients across the
+    generators, so entries with equal coefficients (a quandle crossing's
+    o_in and o_out) share one list. Labels are linear_form's: for
+    width 1 residue 0 is label n, else (v_0, ..) is 1 + sum v_i n^i.
     """
     if cols == 0:
         return [()]
-    gens = []  # (order, coefficient per column mod n)
+    unknowns = cols * width
+    gens = []  # (order, coefficient per unknown mod n)
     for p, k in _prime_powers(n):
         q = p**k
         e = n // q * pow(n // q, -1, q)  # 1 mod q, 0 mod n/q
         pivots = list(_pivots(rows, p, k))
         pivoted = {j for j, _, _, _ in pivots}
-        params = [(c, q) for c in range(cols) if c not in pivoted]
+        params = [(c, q) for c in range(unknowns) if c not in pivoted]
         for col, order in params + [(j, p**v) for j, v, _, _ in pivots if v]:
-            g = [0] * cols
+            g = [0] * unknowns
             g[col] = q // order
             for j, v, inv, rest in reversed(pivots):
                 g[j] = (g[j] - inv * (sum(a * g[c] for c, a in rest.items()) // p**v)) % q
             gens.append((order, [x * e % n for x in g]))
     shifts = [[(r + s) % n for r in range(n)] for s in range(n)]  # n^2, as Y's own tables
+
+    def residues(key) -> list[int]:  # an unknown's values over the box
+        col = [0]
+        for (order, _), a in zip(gens, key):
+            if not a:
+                col = col * order
+                continue
+            grown: list[int] = []
+            for t in range(order):
+                grown += map(shifts[t * a % n].__getitem__, col)
+            col = grown
+        return col
+
     label = [n, *range(1, n)]
-    built: dict[tuple[int, ...], list[int]] = {}  # coefficients across gens -> the column
+    built: dict[tuple, list[int]] = {}  # coefficients across gens, per coordinate -> the column
     columns = []
     for c in range(cols):
-        key = tuple(g[c] for _, g in gens)
+        key = tuple(tuple(g[c * width + i] for _, g in gens) for i in range(width))
         if key not in built:
-            col = [0]
-            for (order, _), a in zip(gens, key):
-                if not a:
-                    col = col * order
-                    continue
-                grown: list[int] = []
-                for t in range(order):
-                    grown += map(shifts[t * a % n].__getitem__, col)
-                col = grown
-            built[key] = list(map(label.__getitem__, col))
+            if width == 1:
+                built[key] = list(map(label.__getitem__, residues(key[0])))
+            else:
+                parts = [residues(coords) for coords in key]
+                built[key] = [1 + sum(v * n**i for i, v in enumerate(vs)) for vs in zip(*parts)]
         columns.append(built[key])
     return sorted(zip(*columns))
 

@@ -168,8 +168,26 @@ def parse_pd(text: str) -> SemiarcDiagram:
         dangling.sort()
         raise ParseError("; ".join(msg for _, msg, _ in dangling), dangling[0][2])
 
-    # erase virtual crossings: each joins its through-going semiarc pairs
-    parent = {s: s for s in head_line}
+    if virtuals:
+        relabel, semiarcs, loops = _erase_virtuals(head_line, crossings, virtuals)
+        free_loops += loops
+    else:  # every id is a semiarc of a real crossing
+        relabel = {s: i for i, s in enumerate(sorted(head_line))}
+        semiarcs = len(relabel)
+    out = tuple(Crossing(sign, relabel[a], relabel[b], relabel[c], relabel[d])
+                for sign, a, b, c, d in crossings)
+    return SemiarcDiagram(semiarcs, out, free_loops)
+
+
+def _erase_virtuals(ids, crossings, virtuals) -> tuple[dict[int, int], int, int]:
+    """(id -> semiarc, semiarc count, free loops) once each virtual crossing joins
+    its through-going semiarc pairs.
+
+    The joined classes are numbered in increasing order of their
+    union-find root; classes touching no real crossing are purely virtual
+    components, counted as free loops.
+    """
+    parent = {s: s for s in ids}
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -183,19 +201,11 @@ def parse_pd(text: str) -> SemiarcDiagram:
             if ra != rb:
                 parent[ra] = rb
 
-    used = set()
-    for (_, a_in, b_in, a_out, b_out) in crossings:
-        used.update((find(a_in), find(b_in), find(a_out), find(b_out)))
-
-    # classes touching no real crossing are purely-virtual components
-    all_classes = {find(s) for s in parent}
-    free_loops += len(all_classes - used)
-
-    relabel = {rep: i for i, rep in enumerate(sorted(used))}
-    out = tuple(Crossing(sign, relabel[find(a)], relabel[find(b)],
-                         relabel[find(c)], relabel[find(d)])
-                for sign, a, b, c, d in crossings)
-    return SemiarcDiagram(len(used), out, free_loops)
+    rep = {s: find(s) for s in parent}
+    used = {rep[s] for crossing in crossings for s in crossing[1:]}
+    semiarc = {r: i for i, r in enumerate(sorted(used))}
+    return ({s: semiarc[r] for s, r in rep.items() if r in semiarc}, len(used),
+            len(set(rep.values()) - used))
 
 
 def serialize_pd(d: SemiarcDiagram) -> str:

@@ -19,8 +19,10 @@ from biqknot.algebra import (
     from_tables,
     group_order,
     is_hom,
+    make_conjugation_quandle,
     make_dihedral,
     make_linear_biquandle,
+    make_module_biquandle,
     parse_biquandle,
     parse_tables,
     serialize_biquandle,
@@ -196,11 +198,27 @@ def gf4_alexander_tables():
     return [[x + 1] * 4 for x in range(4)], under
 
 
+# multiplication by w and by 1 + w on GF(4) = (Z/2)^2, as rows
+W, ONE_PLUS_W, IDENTITY, ZERO = ((0, 1), (1, 1)), ((1, 1), (1, 0)), ((1, 0), (0, 1)), ((0, 0), (0, 0))
+
+
+def transpositions_quandle():
+    """The 6 transpositions of S_4 under conjugation: connected, order 6, so not linear."""
+    swaps = []
+    for i, j in itertools.combinations(range(4), 2):
+        p = list(range(1, 5))
+        p[i], p[j] = p[j], p[i]
+        swaps.append(tuple(p))
+    return make_conjugation_quandle(swaps)
+
+
 def test_homs_match_is_hom_filter():
     gf4 = from_tables(*gf4_alexander_tables())
-    assert gf4.linear_form is None  # listed by the search
+    assert gf4.linear_form == (2, IDENTITY, ZERO, W, ONE_PLUS_W)  # listed by elimination
+    s4 = transpositions_quandle()
+    assert s4.linear_form is None  # listed by the search
     algebras = [make_dihedral(1), make_dihedral(2), make_dihedral(3), make_dihedral(4),
-                make_dihedral(6), biquandle_z(), gf4, make_linear_biquandle(8, 5, 0, 1, 4)]
+                make_dihedral(6), biquandle_z(), gf4, s4, make_linear_biquandle(8, 5, 0, 1, 4)]
     for X in algebras:
         for Y in algebras:
             if Y.size**X.size > 5000:
@@ -208,6 +226,51 @@ def test_homs_match_is_hom_filter():
             want = [img for img in itertools.product(Y.elements(), repeat=X.size)
                     if is_hom(X, Y, img)]
             assert enumerate_homs(X, Y) == want, (X, Y)
+
+
+def test_module_biquandle_builds_the_tables_its_linear_form_reads():
+    gf4 = make_module_biquandle(2, IDENTITY, ZERO, W, ONE_PLUS_W)
+    assert "linear_form" not in vars(gf4)  # building never pays for detection
+    assert gf4 == from_tables(*gf4_alexander_tables())  # label 1 + v_0 + 2 v_1
+    assert gf4.is_quandle() and gf4.linear_form == (2, IDENTITY, ZERO, W, ONE_PLUS_W)
+    # a non-quandle: x ." y = i x and x .v y = -x + (1 + i) y over GF(9) = (Z/3)^2, i^2 = -1
+    i, minus_one, one_plus_i = ((0, 2), (1, 0)), ((2, 0), (0, 2)), ((1, 2), (1, 1))
+    y = make_module_biquandle(3, i, ZERO, minus_one, one_plus_i)
+    assert y.size == 9 and not y.is_quandle()
+    assert y.over(1 + 1, 1) == 1 + 3  # i e_0 = e_1
+    assert y.linear_form == (3, i, ZERO, minus_one, one_plus_i)
+    # r = 1 is make_linear_biquandle, labels and linear_form alike
+    z = make_module_biquandle(4, [[3]], [[0]], [[1]], [[2]])
+    assert z == biquandle_z() and z.linear_form == (4, 3, 0, 1, 2)
+
+
+def test_module_biquandle_rejects_bad_input():
+    with pytest.raises(ValueError):
+        make_module_biquandle(0, IDENTITY, ZERO, W, ONE_PLUS_W)
+    with pytest.raises(ValueError):
+        make_module_biquandle(2, IDENTITY, ZERO, W, ((1, 1),))
+    with pytest.raises(ValueError):
+        make_module_biquandle(2, [], [], [], [])
+    with pytest.raises(AxiomError):  # x ." y = 0 is no bijection
+        make_module_biquandle(2, ZERO, ZERO, W, ONE_PLUS_W)
+
+
+def test_conjugation_quandle():
+    s4 = transpositions_quandle()
+    assert s4.size == 6 and s4.is_quandle() and s4.linear_form is None
+    orbit = {1}
+    for _ in range(s4.size):
+        orbit |= {s4.op(x, y) for x in orbit for y in s4.elements()}
+    assert orbit == set(s4.elements())  # connected
+    # (1 2) conjugated by (2 3) is (1 3)
+    assert s4.op(1, 4) == 2 and s4.op(2, 4) == 1
+    # the transpositions of S_3 are R_3 under any labelling: the third one when they differ
+    s3 = make_conjugation_quandle([(2, 1, 3), (3, 2, 1), (1, 3, 2)])
+    assert s3 == make_dihedral(3) and s3.linear_form == (3, 1, 0, 2, 2)
+    for bad in ([], [(1, 1)], [(2, 1), (2, 1, 3)], [(2, 1, 3), (2, 1, 3)],
+                [(2, 1, 3), (1, 3, 2)]):  # the last misses (1 3)
+        with pytest.raises(ValueError):
+            make_conjugation_quandle(bad)
 
 
 def test_dihedral_endomorphism_count():

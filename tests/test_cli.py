@@ -177,6 +177,15 @@ def test_unknown_knot_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [["knots", "show", "nope"],
+                                  ["color", "count", "knot:nope", "dihedral:3"]])
+def test_unknown_knot_message_is_not_quoted(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: unknown knot 'nope'; bundled: 3_1, ")
+    assert err.endswith("9_24\n") and '"' not in err and len(err.splitlines()) == 1
+
+
 def test_repro_single_item(capsys):
     code, out, _ = run(capsys, "repro", "--item", "04-chain-counts")
     assert code == 0
@@ -226,6 +235,9 @@ BAD_INPUT_FILES = {
     (["algebra", "dihedral", "x"], 2),
     (["algebra", "linear", "4,3,0,1,2"], 2),
     (["quiver", "indeg", "torus2:3", "dihedral:3", "--endo", "2,x"], 2),
+    (["quiver", "build", "torus2:3", "dihedral:3", "--all-endos", "--endo", "1,2,3"], 2),
+    (["quiver", "indeg", "torus2:3", "dihedral:3", "--endo", "1,2,3", "--all-endos"], 2),
+    (["bridge", "seeds", "torus2:3", "--kmax", "-1"], 2),
     (["color", "count", "torus2:3", "dihedral:0"], 1),
     (["color", "count", "torus2:3", "linear:4,2,0,0,1"], 1),
     (["algebra", "validate", "empty.biq"], 1),

@@ -8,9 +8,11 @@ import sys
 import pytest
 
 from biqknot.algebra import (
+    AxiomError,
     biquandle_z,
     enumerate_endos,
     from_tables,
+    make_conjugation_quandle,
     make_dihedral,
     make_linear_biquandle,
     parse_biquandle,
@@ -193,7 +195,11 @@ def test_coloring_matrix_t24():
 
 def test_coloring_matrix_requires_linear():
     with pytest.raises(ValueError):
-        coloring_matrix(torus_2n(3), gf4_alexander_quandle())
+        coloring_matrix(torus_2n(3), transpositions_quandle())
+    # over (Z/2)^2 each semiarc owns two columns and each relation gives two rows
+    m = coloring_matrix(torus_2n(3), gf4_alexander_quandle())
+    assert (m.modulus, m.cols, len(m.rows)) == (2, 12, 12)
+    assert count_solutions_snf(m) == count_solutions_bruteforce(m) == 16
     # linearity is read off the tables, so R_3 qualifies however it was built
     assert count_solutions_snf(coloring_matrix(torus_2n(3), make_dihedral(3))) == 9
 
@@ -423,10 +429,21 @@ def gf4_alexander_quandle():
     return from_tables(over, under)
 
 
+def transpositions_quandle():
+    """The 6 transpositions of S_4 under conjugation: connected, order 6, so not linear."""
+    swaps = []
+    for i, j in itertools.combinations(range(4), 2):
+        p = list(range(1, 5))
+        p[i], p[j] = p[j], p[i]
+        swaps.append(tuple(p))
+    return make_conjugation_quandle(swaps)
+
+
 def test_colorings_with_loops_appends_every_free_loop_value():
     # free loops are trailing coordinates no relation touches: the listing is the
     # semiarc colorings times every tuple of loop values, sorted
-    for y in (make_dihedral(3), biquandle_z(), gf4_alexander_quandle(), make_dihedral(1)):
+    for y in (make_dihedral(3), biquandle_z(), gf4_alexander_quandle(), transpositions_quandle(),
+              make_dihedral(1)):
         for base in (SemiarcDiagram(0, ()), torus_2n(3), chain(3), unknot(2)):
             for loops in (1, 2):
                 d = SemiarcDiagram(base.semiarc_count, base.crossings, loops)
@@ -443,17 +460,40 @@ def test_linear_form_detected_lazily_from_tables():
         untagged = parse_biquandle(serialize_biquandle(make_linear_biquandle(n, 1, 0, n - 1, 2)))
         assert untagged.linear_form == rn.linear_form
     assert biquandle_z().linear_form == (4, 3, 0, 1, 2)
+    # every table linear mod its size keeps the scalar shape, whatever its size
+    for n in range(1, 6):
+        for a, b, c, d in itertools.product(range(n), repeat=4):
+            try:
+                y = make_linear_biquandle(n, a, b, c, d)
+            except AxiomError:
+                continue
+            assert "linear_form" not in vars(y)
+            assert y.linear_form == (n, a, b, c, d)
+    assert make_linear_biquandle(4, -1, 4, 5, -2).linear_form == (4, 3, 0, 1, 2)
 
 
-def test_gf4_alexander_quandle_is_not_linear_and_counts_by_search():
+def test_gf4_alexander_quandle_is_module_linear_and_counts_match_search():
     q = gf4_alexander_quandle()
-    assert q.linear_form is None
+    # (Z/2)^2, label 1 + v_0 + 2 v_1: x |> y = w x + (1 + w) y with w = ((0, 1), (1, 1))
+    assert q.linear_form == (2, ((1, 0), (0, 1)), ((0, 0), (0, 0)), ((0, 1), (1, 1)),
+                             ((1, 1), (1, 0)))
     for d in (torus_2n(2), torus_2n(3), torus_2n(5), apply_r1(torus_2n(3), 2, -1)):
         want = len(brute_force_colorings(d, q))
         assert count_colorings(d, q) == want == listed_count(d, q)
     assert count_colorings(chain(3), q) == listed_count(chain(3), q)
     # T(2,3) has 4^2 GF(4) colorings: its Alexander polynomial t^2 - t + 1 vanishes at w
     assert count_colorings(torus_2n(3), q) == 16
+
+
+def test_conjugation_quandle_is_not_linear_and_counts_by_search():
+    q = transpositions_quandle()
+    assert q.linear_form is None
+    for d in (torus_2n(2), torus_2n(3), unknot(2), apply_r1(torus_2n(2), 1, -1)):
+        want = len(brute_force_colorings(d, q))
+        assert count_colorings(d, q) == want == listed_count(d, q)
+    assert count_colorings(chain(3), q) == listed_count(chain(3), q)
+    # T(2,3): 6 constant colorings and 6 in each of the 4 copies of S_3's transpositions (R_3)
+    assert count_colorings(torus_2n(3), q) == 30
 
 
 def test_chain21_over_r4_counts_without_listing():
@@ -468,15 +508,16 @@ def test_search_depth_does_not_use_the_call_stack():
     # each kink costs one branch level, so a recursive search would need a
     # frame per kink; allow far fewer frames than kinks
     d = unknot(300)
-    q = gf4_alexander_quandle()
+    q = transpositions_quandle()
+    assert q.linear_form is None  # so the search runs
     frame, depth = sys._getframe(), 0
     while frame is not None:
         frame, depth = frame.f_back, depth + 1
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 100)
     try:
-        assert count_colorings(d, q) == 4
-        assert len(enumerate_colorings(d, q)) == 4
+        assert count_colorings(d, q) == 6
+        assert len(enumerate_colorings(d, q)) == 6
     finally:
         sys.setrecursionlimit(limit)
 
