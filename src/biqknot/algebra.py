@@ -399,7 +399,8 @@ def group_order(gens, cap: int = DEFAULT_GROUP_CAP) -> int:
 
     Breadth-first closure; raises GroupOrderCapExceeded rather than ever
     returning a wrong number. Column groups in scope are tiny, so no
-    stabilizer-chain machinery is warranted.
+    stabilizer-chain machinery is warranted. Each generator is kept as the
+    1-shifted tuple (0, *g), so g o h is one map over h.
     """
     gens = [tuple(g) for g in gens]
     if not gens:
@@ -408,14 +409,15 @@ def group_order(gens, cap: int = DEFAULT_GROUP_CAP) -> int:
     for g in gens:
         if len(g) != n or not is_permutation(g):
             raise ValueError(f"not a permutation of 1..{n}: {g}")
+    shifted = [(0, *g) for g in gens]
     ident = tuple(range(1, n + 1))
     seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for h in frontier:
-            for g in gens:
-                hg = compose(g, h)
+            for g in shifted:
+                hg = tuple(map(g.__getitem__, h))
                 if hg not in seen:
                     if len(seen) >= cap:
                         raise GroupOrderCapExceeded(f"group closure exceeded cap {cap}")
@@ -426,25 +428,32 @@ def group_order(gens, cap: int = DEFAULT_GROUP_CAP) -> int:
 
 
 def subquandle_closure(Q: Quandle, S) -> frozenset[int]:
-    """Smallest subset containing S closed under |> and its column inverses."""
+    """Smallest subset containing S closed under |> and its column inverses.
+
+    It is the orbit of S under the columns R_s (x -> x |> s) of s in S,
+    read off the rows of the under table: the orbit is contained in the
+    closure, and since R_{x |> y} = R_y R_x R_y^-1, the column of every
+    orbit element lies in the group the R_s generate, so the orbit is
+    closed. On a finite set the forward orbit is already closed under the
+    inverse columns.
+    """
     if not Q.is_quandle():
         raise ValueError("subquandle closure is defined for quandles only")
-    todo = {int(s) for s in S}
-    if not todo:
+    seeds = {int(s) for s in S}
+    if not seeds:
         raise ValueError("seed set must be nonempty")
-    for s in todo:
+    for s in seeds:
         if not 1 <= s <= Q.size:
             raise ValueError(f"element {s} out of range 1..{Q.size}")
-    closed: set[int] = set()
+    columns = [s - 1 for s in seeds]
+    orbit, todo = set(seeds), list(seeds)
     while todo:
-        x = todo.pop()
-        closed.add(x)
-        for y in closed:
-            for z in (Q.under(x, y), Q.under(y, x),
-                      Q.under_col_inv(y, x), Q.under_col_inv(x, y)):
-                if z not in closed:
-                    todo.add(z)
-    return frozenset(closed)
+        row = Q.under_table[todo.pop() - 1]
+        for z in map(row.__getitem__, columns):
+            if z not in orbit:
+                orbit.add(z)
+                todo.append(z)
+    return frozenset(orbit)
 
 
 # -- text format --------------------------------------------------------------

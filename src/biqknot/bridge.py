@@ -105,21 +105,35 @@ def min_seed_size(d: SemiarcDiagram, k_max: int = 6) -> tuple[int, tuple[int, ..
     Exhaustive over strand subsets in increasing cardinality, then
     lexicographic, so the witness is the lexicographically least seed
     set of minimal size. Returns None when no subset within the cap
-    saturates. The size is an upper bound certificate for the overpass
-    bridge index of the underlying link on this diagram. Each subset is
-    tested by a worklist closure over one strand decomposition, which
-    reaches the same strands as wirtinger_saturate.
+    saturates; raises ValueError when k_max < 0. The size is an upper
+    bound certificate for the overpass bridge index of the underlying
+    link on this diagram. Each subset is tested by a worklist closure
+    over one strand decomposition, which reaches the same strands as
+    wirtinger_saturate.
+
+    A move colors an under-strand from the other under-strand of the same
+    component, so a saturating set meets every component: on every
+    diagram, the number of components is at most the seed count, hence
+    at most b_1. The search starts at that size and skips subsets that
+    miss a component; neither changes the witness.
     """
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     dec = strands(d)
     n_strands = len(dec.strands)
     if n_strands == 0:
         return None
+    cycles = d.components()
+    component_of = {s: c for c, cycle in enumerate(cycles) for s in cycle}
+    component = [component_of[path[0]] for path in dec.strands]
     touching: list[list[tuple[int, int, int]]] = [[] for _ in range(n_strands)]
     for incidence in dec.crossing_incidence:
         for s in set(incidence):
             touching[s].append(incidence)
-    for k in range(1, min(k_max, n_strands) + 1):
+    for k in range(len(cycles), min(k_max, n_strands) + 1):
         for combo in itertools.combinations(range(n_strands), k):
+            if len(set(map(component.__getitem__, combo))) < len(cycles):
+                continue
             # a move can first fire when one of its crossing's strands gets
             # colored, so only the crossings of newly colored strands are rechecked
             colored, todo = set(combo), list(combo)

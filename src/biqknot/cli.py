@@ -203,6 +203,9 @@ def quiver_edges(q) -> list[tuple[int, int, int]]:
 
 def cmd_quiver(args) -> int:
     if args.action == "iso":
+        if args.endo or args.all_endos:
+            raise UsageError("quiver iso reads its endomorphisms from the dumps; "
+                             "--endo and --all-endos apply to build and indeg")
         qa = _load_quiver_dump(args.pd)
         qb = _load_quiver_dump(args.alg)
         result = quiver.quivers_isomorphic(qa, qb)

@@ -7,6 +7,11 @@ generated by these columns, one entry per coloring, gives a multiset of
 cardinality Col_Q(d), packaged as a polynomial (orders as exponents,
 multiplicities as coefficients).
 
+The columns of the labels alone generate that group: the subquandle is
+their orbit under it (see subquandle_closure), and the column of g(s) is
+g R_s g^-1. So the order is closed over the labels' columns, once per
+subquandle, which many label sets share; each label set is closed once.
+
 Only defined for quandles: for a general biquandle it is ambiguous
 which table's columns should act, so anything else is rejected.
 """
@@ -24,17 +29,17 @@ def column_group_multiset(d: SemiarcDiagram, Q: FiniteBiquandle) -> list[int]:
     if not Q.is_quandle():
         raise ValueError("column group enhancement is defined for quandles only")
     order_of_subquandle: dict[frozenset[int], int] = {}
+    order_of_labels: dict[frozenset[int], int] = {frozenset(): 1}  # empty diagram: no columns act
     out = []
     for coloring in colorings_with_loops(d, Q):
         labels = frozenset(coloring)
-        if not labels:
-            out.append(1)  # empty diagram: no columns act, trivial group
-            continue
-        sub = subquandle_closure(Q, labels)
-        if sub not in order_of_subquandle:
-            cols = [column_permutation(Q, y) for y in sorted(sub)]
-            order_of_subquandle[sub] = group_order(cols)
-        out.append(order_of_subquandle[sub])
+        if labels not in order_of_labels:
+            sub = subquandle_closure(Q, labels)
+            if sub not in order_of_subquandle:
+                cols = [column_permutation(Q, y) for y in sorted(labels)]
+                order_of_subquandle[sub] = group_order(cols)
+            order_of_labels[labels] = order_of_subquandle[sub]
+        out.append(order_of_labels[labels])
     return out
 
 

@@ -9,6 +9,12 @@ construction; distinct endomorphisms agreeing on a vertex give parallel
 edges. Edge triples (source, target, endo index) are only derived at the
 CLI's dump boundary.
 
+Targets are read off a few generators: one greedy pass picks coordinate
+columns on which the colorings are pairwise distinct (for T(2,9) over
+R_9, 2 of 18), the vertices are indexed by those columns, and each f maps
+only them. This is sound because every f is checked to be an
+endomorphism first, so f o v is always a vertex.
+
 Isomorphism has two routes: with one endomorphism on both sides a
 quiver is a functional graph, compared by a linear-time canonical form
 at any size; any other |S| goes through degree refinement and
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import add
 
 from .algebra import FiniteBiquandle, is_hom
 from .coloring import Coloring, colorings_with_loops
@@ -46,13 +53,40 @@ def build_quiver(d: SemiarcDiagram, Y: FiniteBiquandle, S) -> ColoringQuiver:
         if not is_hom(Y, Y, f):
             raise ValueError(f"{f} is not an endomorphism of the target biquandle")
     vertices = tuple(colorings_with_loops(d, Y))
-    index = {v: i for i, v in enumerate(vertices)}
-    # column-wise: each coordinate column goes through f at once, and the image
-    # rows are looked up in the index; with no coordinates the one vertex is fixed
-    columns = list(zip(*vertices))
-    targets = tuple(tuple(map(index.__getitem__, zip(*[map((0, *f).__getitem__, c) for c in columns])
-                              if columns else vertices)) for f in endos)
+    columns = _separating_columns(vertices, Y.size)
+    if not columns:  # one vertex (or none): every f fixes it
+        return ColoringQuiver(vertices, endos, tuple((0,) * len(vertices) for _ in endos))
+    # f o v is a vertex (f is a hom), so its values on the separating columns name it
+    index = {key: i for i, key in enumerate(zip(*columns))}
+    targets = tuple(tuple(map(index.__getitem__, zip(*[map(f.__getitem__, c) for c in columns])))
+                    for f in [(0, *f) for f in endos])
     return ColoringQuiver(vertices, endos, targets)
+
+
+def _separating_columns(vertices, size: int) -> list[tuple[int, ...]]:
+    """Coordinate columns on which the vertices are pairwise distinct, chosen greedily.
+
+    Each vertex carries an integer key for its class under the columns taken
+    so far, scaled by size so that adding a label (1..size) keeps distinct
+    (class, label) pairs apart. A new distinct column is taken when it splits
+    some class, and the pass stops once every class is one vertex: each
+    column costs one scan, never a recount of the columns taken so far.
+    """
+    n = len(vertices)
+    keys, classes, taken, seen = [0] * n, 1, [], set()
+    for column in zip(*vertices):
+        if classes == n:
+            break
+        if column in seen:
+            continue
+        seen.add(column)
+        split = list(map(add, keys, column))
+        count = len(set(split))
+        if count > classes:
+            classes = count
+            keys = list(map(size.__mul__, split))
+            taken.append(column)
+    return taken
 
 
 def in_degree_polynomial(q: ColoringQuiver) -> ExponentPolynomial:

@@ -366,10 +366,20 @@ def test_subquandle_closure_r9():
 def test_subquandle_closure_matches_naive_fixpoint():
     # oracle: iterate the raw product closure until stable
     rng = random.Random(13)
-    for n in (4, 6, 9):
-        q = make_dihedral(n)
-        for _ in range(10):
-            seed = set(rng.sample(range(1, n + 1), rng.randrange(1, n + 1)))
+    quandles = [make_dihedral(n) for n in (4, 6, 9)]
+    quandles += [make_conjugation_quandle(itertools.permutations(range(1, 5))),  # S_4
+                 transpositions_quandle(),
+                 make_module_biquandle(2, IDENTITY, ZERO, W, ONE_PLUS_W),  # GF(4)
+                 # GF(9): x |> y = tx + (1 - t)y, t = 1 + i and 1 - t = -i, i^2 = -1
+                 make_module_biquandle(3, IDENTITY, ZERO, ((1, 2), (1, 1)), ((0, 1), (2, 0))),
+                 make_linear_biquandle(8, 1, 0, 3, 6),  # x |> y = 3x + 6y mod 8
+                 make_linear_biquandle(12, 1, 0, 5, 8)]  # x |> y = 5x + 8y mod 12
+    for q in quandles:
+        assert q.is_quandle()
+        n = q.size
+        seeds = [set(c) for k in (1, 2) for c in itertools.combinations(q.elements(), k)]
+        seeds += [set(rng.sample(range(1, n + 1), rng.randrange(1, n + 1))) for _ in range(10)]
+        for seed in seeds:
             naive = set(seed)
             while True:
                 new = {q.under(a, b) for a in naive for b in naive} - naive
@@ -389,6 +399,13 @@ def test_subquandle_closure_idempotent_monotone():
 def test_subquandle_closure_empty_rejected():
     with pytest.raises(ValueError):
         subquandle_closure(make_dihedral(3), set())
+
+
+def test_subquandle_closure_validates_its_input():
+    with pytest.raises(ValueError, match="out of range"):
+        subquandle_closure(make_dihedral(3), {4})
+    with pytest.raises(ValueError, match="quandles only"):
+        subquandle_closure(biquandle_z(), {1})
 
 
 def test_biquandle_text_round_trip():

@@ -14,7 +14,7 @@ from biqknot.bridge import (
     wirtinger_saturate,
 )
 from biqknot.coloring import count_colorings
-from biqknot.diagram import chain, pretzel, strands, torus_2n, unknot
+from biqknot.diagram import Crossing, SemiarcDiagram, chain, pretzel, strands, torus_2n, unknot
 from biqknot.knots import builtin_table
 
 
@@ -109,6 +109,16 @@ def test_single_seed_iff_reachable():
         assert (min_seed_size(d)[0] == 1) == single
 
 
+def split_sum(*diagrams):
+    """The split link of the diagrams side by side: semiarcs renumbered, nothing linked."""
+    crossings, offset = [], 0
+    for d in diagrams:
+        crossings += [Crossing(c.sign, c.u_in + offset, c.o_in + offset, c.u_out + offset,
+                               c.o_out + offset) for c in d.crossings]
+        offset += d.semiarc_count
+    return SemiarcDiagram(offset, tuple(crossings))
+
+
 def exhaustive_min_seed(d, k_max=6):
     """The first saturating subset by size, then lexicographically, by wirtinger_saturate."""
     n = len(strands(d).strands)
@@ -120,11 +130,24 @@ def exhaustive_min_seed(d, k_max=6):
 
 
 def test_min_seed_size_matches_exhaustive_saturation():
+    # the search starts at the component count and skips subsets that miss a component;
+    # the exhaustive one tries every subset from size 1, so caps go below and above the count
     diagrams = [torus_2n(p) for p in (1, 2, 3, 4, 5, 8)] + [chain(3), chain(5), chain(7)]
+    diagrams += [split_sum(torus_2n(3), unknot(1)), split_sum(chain(3), torus_2n(3)),
+                 split_sum(unknot(1), unknot(1), unknot(2)),
+                 split_sum(torus_2n(4), pretzel([3, 3, 3]))]
     diagrams += [rec.diagram for rec in builtin_table().values()]
     for d in diagrams:
+        for k_max in range(0, d.component_count() + 2):
+            assert min_seed_size(d, k_max) == exhaustive_min_seed(d, k_max)
         assert min_seed_size(d) == exhaustive_min_seed(d)
     assert min_seed_size(chain(7)) is None  # seven components need seven seeds
+    assert min_seed_size(split_sum(torus_2n(3), unknot(1)))[0] == 3
+
+
+def test_min_seed_size_rejects_a_negative_cap():
+    with pytest.raises(ValueError, match="k_max"):
+        min_seed_size(torus_2n(3), -1)
 
 
 def test_b1_lower_examples():

@@ -1,12 +1,16 @@
 """Tests for the column group enhancement."""
 
+import itertools
 import random
 
 import pytest
 
-from biqknot.algebra import FiniteBiquandle, biquandle_z, make_dihedral
-from biqknot.coloring import count_colorings
-from biqknot.diagram import apply_r1, apply_r2, chain, pretzel, torus_2n, unknot
+from biqknot.algebra import (FiniteBiquandle, biquandle_z, column_permutation, compose,
+                             make_conjugation_quandle, make_dihedral, make_linear_biquandle,
+                             make_module_biquandle)
+from biqknot.coloring import colorings_with_loops, count_colorings
+from biqknot.diagram import (SemiarcDiagram, apply_r1, apply_r2, chain, pretzel, torus_2n,
+                             unknot)
 from biqknot.enhance import column_group_multiset, column_group_polynomial
 from biqknot.knots import builtin_knot
 from biqknot.polynomial import ExponentPolynomial
@@ -67,3 +71,44 @@ def test_move_invariance():
     assert column_group_polynomial(apply_r1(d, s, 1), r9) == base
     a, b = rng.sample(range(d.semiarc_count), 2)
     assert column_group_polynomial(apply_r2(d, a, b, "antiparallel"), r9) == base
+
+
+def multiset_by_subquandle_columns(d, q):
+    """The former route: close each label set pair by pair, then close the group of
+    every column of that subquandle by composing tuples."""
+    out = []
+    for coloring in colorings_with_loops(d, q):
+        todo, sub = set(coloring), set()
+        while todo:
+            x = todo.pop()
+            sub.add(x)
+            for y in sub:
+                for z in (q.under(x, y), q.under(y, x),
+                          q.under_col_inv(y, x), q.under_col_inv(x, y)):
+                    if z not in sub:
+                        todo.add(z)
+        gens = [column_permutation(q, y) for y in sorted(sub)]
+        group = frontier = {tuple(q.elements())}
+        while frontier:
+            frontier = {compose(g, h) for h in frontier for g in gens} - group
+            group = group | frontier
+        out.append(len(group))
+    return out
+
+
+def test_column_group_multiset_matches_the_subquandle_columns():
+    swaps = [p for p in itertools.permutations(range(1, 5))
+             if sum(p[i] != i + 1 for i in range(4)) == 2]
+    s4 = make_conjugation_quandle(swaps)
+    t, one = ((1, 2), (1, 1)), ((1, 0), (0, 1))  # GF(9) with t = 1 + i, i^2 = -1
+    gf9 = make_module_biquandle(3, one, ((0, 0), (0, 0)), t, ((0, 1), (2, 0)))  # 1 - t = -i
+    cases = [(builtin_knot(name).diagram, make_dihedral(9)) for name in ("6_1", "9_24", "8_1")]
+    cases += [(pretzel([3, 3, 3]), make_dihedral(9)), (torus_2n(12), make_dihedral(6)),
+              (chain(3), make_dihedral(4)), (torus_2n(4), s4), (builtin_knot("6_1").diagram, s4),
+              (torus_2n(3), gf9), (builtin_knot("4_1").diagram, gf9),
+              (torus_2n(4), make_linear_biquandle(8, 1, 0, 3, 6)),
+              (SemiarcDiagram(4, torus_2n(2).crossings, 1), make_dihedral(6)),
+              (SemiarcDiagram(0, (), 0), make_dihedral(3))]
+    for d, q in cases:
+        assert q.is_quandle()
+        assert column_group_multiset(d, q) == multiset_by_subquandle_columns(d, q)

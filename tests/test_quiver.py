@@ -1,14 +1,18 @@
 """Tests for coloring quivers, in-degree polynomials, and quiver isomorphism."""
 
+import itertools
 import random
 import sys
 
 import pytest
 
 from biqknot import quiver
-from biqknot.algebra import biquandle_z, enumerate_endos, make_dihedral
+from biqknot.algebra import (biquandle_z, enumerate_endos, make_conjugation_quandle,
+                             make_dihedral, make_module_biquandle)
+from biqknot.coloring import colorings_with_loops
 from biqknot.diagram import (Crossing, SemiarcDiagram, apply_r1, apply_r2, chain, connected_sum,
-                             pretzel, torus_2n)
+                             pretzel, torus_2n, unknot)
+from biqknot.knots import builtin_knot
 from biqknot.polynomial import ExponentPolynomial
 from biqknot.quiver import (ISO_SIZE_GUARD, ColoringQuiver, build_quiver, in_degree_polynomial,
                             quivers_isomorphic)
@@ -75,6 +79,51 @@ def test_out_degree_equals_s_size():
     poly = in_degree_polynomial(q)
     assert poly.total_mass() == len(q.vertices)
     assert poly.weighted_mass() == len(q.vertices) * len(endos)
+
+
+def targets_by_full_index(q):
+    """The former route: map every coordinate of every vertex, look the image up whole."""
+    index = {v: i for i, v in enumerate(q.vertices)}
+    return tuple(tuple(index[tuple(f[x - 1] for x in v)] for v in q.vertices) for f in q.endos)
+
+
+def test_targets_match_the_full_tuple_index():
+    swaps = [p for p in itertools.permutations(range(1, 5))
+             if sum(p[i] != i + 1 for i in range(4)) == 2]
+    s4 = make_conjugation_quandle(swaps)  # not linear: listed by the search
+    w, one, zero = ((0, 1), (1, 1)), ((1, 0), (0, 1)), ((0, 0), (0, 0))
+    gf4 = make_module_biquandle(2, one, zero, w, ((1, 1), (1, 0)))  # x |> y = wx + (1 + w)y
+    loops = SemiarcDiagram(4, torus_2n(2).crossings, 2)
+    rng = random.Random(41)
+    cases = []
+    for n in range(3, 10):
+        r = make_dihedral(n)
+        endos = enumerate_endos(r)
+        for d in (torus_2n(n), pretzel([3, 3, 3]), chain(3), builtin_knot("6_1").diagram):
+            cases += [(d, r, []), (d, r, [doubling(n)]), (d, r, rng.sample(endos, 4))]
+        cases.append((torus_2n(4), r, endos))
+    for y in (biquandle_z(), gf4, s4):
+        endos = enumerate_endos(y)
+        for d in (torus_2n(4), chain(3), builtin_knot("5_2").diagram, loops):
+            cases += [(d, y, endos), (d, y, endos[-1:])]
+    cases += [(loops, make_dihedral(3), [tripling(3)]),
+              (SemiarcDiagram(0, (), 0), make_dihedral(5), enumerate_endos(make_dihedral(5))),
+              (unknot(1), make_dihedral(1), [(1,)])]  # one vertex, with and without coordinates
+    for d, y, endos in cases:
+        q = build_quiver(d, y, endos)
+        assert q.vertices == tuple(colorings_with_loops(d, y))
+        assert q.endos == tuple(map(tuple, endos))
+        assert q.targets == targets_by_full_index(q)
+
+
+def test_targets_map_only_separating_columns():
+    # T(2,9) over R_9: 81 colorings on 18 semiarcs, told apart by 2 of them
+    vertices = colorings_with_loops(torus_2n(9), make_dihedral(9))
+    columns = quiver._separating_columns(vertices, 9)
+    assert len(columns) == 2
+    assert len(set(zip(*columns))) == len(vertices) == 81
+    one = colorings_with_loops(unknot(1), make_dihedral(3))[:1]
+    assert quiver._separating_columns(one, 3) == []  # one vertex needs no column
 
 
 def test_separation_torus_sums_vs_chains():
