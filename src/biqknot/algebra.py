@@ -385,11 +385,6 @@ def column_permutation(Q: Quandle, y: int) -> Permutation:
     return tuple(Q.under(x, y) for x in Q.elements())
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """p after q: (p o q)(x) = p(q(x))."""
-    return tuple(p[q[i] - 1] for i in range(len(p)))
-
-
 def is_permutation(p) -> bool:
     return sorted(p) == list(range(1, len(p) + 1))
 

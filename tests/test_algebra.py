@@ -13,7 +13,6 @@ from biqknot.algebra import (
     Quandle,
     biquandle_z,
     column_permutation,
-    compose,
     enumerate_endos,
     enumerate_homs,
     from_tables,
@@ -86,7 +85,7 @@ def test_dihedral_columns_are_involutions():
         q = make_dihedral(n)
         for y in q.elements():
             col = column_permutation(q, y)
-            assert compose(col, col) == tuple(q.elements())
+            assert tuple(col[x - 1] for x in col) == tuple(q.elements())
 
 
 def test_dihedral_validates_up_to_12():
@@ -309,7 +308,7 @@ def test_column_permutation_r9_reflection():
     r9 = make_dihedral(9)
     col = column_permutation(r9, 1)
     assert col == tuple((2 - x - 1) % 9 + 1 for x in range(1, 10))
-    assert compose(col, col) == tuple(range(1, 10))
+    assert tuple(col[x - 1] for x in col) == tuple(range(1, 10))
 
 
 def test_column_permutation_out_of_range():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from biqknot.algebra import (FiniteBiquandle, biquandle_z, column_permutation, compose,
+from biqknot.algebra import (FiniteBiquandle, biquandle_z, column_permutation,
                              make_conjugation_quandle, make_dihedral, make_linear_biquandle,
                              make_module_biquandle)
 from biqknot.coloring import colorings_with_loops, count_colorings
@@ -90,7 +90,7 @@ def multiset_by_subquandle_columns(d, q):
         gens = [column_permutation(q, y) for y in sorted(sub)]
         group = frontier = {tuple(q.elements())}
         while frontier:
-            frontier = {compose(g, h) for h in frontier for g in gens} - group
+            frontier = {tuple(g[x - 1] for x in h) for h in frontier for g in gens} - group
             group = group | frontier
         out.append(len(group))
     return out
