@@ -1,26 +1,21 @@
 """Wirtinger coloring sequences and bridge index bounds.
 
-Saturation works on strands (maximal overpasses) with abstract color
-tokens: a coloring move copies the token from one under-strand of a
-crossing to the other, provided the overstrand is already colored.
-A seed set that saturates every strand certifies an upper bound for
-the overpass bridge index on this diagram; counting invariants give
-the complementary lower bounds via Col <= |X|^b.
+Saturation works on strands (maximal overpasses): a coloring move
+colors one under-strand of a crossing from the other, provided the
+overstrand is already colored. Every move runs through one engine,
+`_moves`. A seed set that saturates every strand, plus one seed per
+free loop (a loop has no strand to color from), certifies an upper
+bound for the overpass bridge index on this diagram; counting
+invariants give the complementary lower bounds via Col <= |X|^b.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
-from .algebra import FiniteBiquandle
-from .diagram import SemiarcDiagram, strands
-
-
-@dataclass(frozen=True)
-class PartialColoring:
-    colored: frozenset[int]
-    labels: dict[int, int]  # strand -> token, defined exactly on colored
+from .diagram import SemiarcDiagram, StrandDecomposition, strands
 
 
 @dataclass(frozen=True)
@@ -28,8 +23,35 @@ class SeedReport:
     seed_set: tuple[int, ...]
     saturated: bool
     sequence: tuple[tuple[int, int], ...]  # (crossing index, newly colored strand)
-    final: PartialColoring
-    b1_upper: int | None
+    colored: frozenset[int]
+
+
+def _touching(dec: StrandDecomposition) -> list[list[int]]:
+    """For each strand, the indices of the crossings whose incidence names it."""
+    touching: list[list[int]] = [[] for _ in dec.strands]
+    for ci, incidence in enumerate(dec.crossing_incidence):
+        for s in set(incidence):
+            touching[s].append(ci)
+    return touching
+
+
+def _moves(dec: StrandDecomposition, touching, seeds):
+    """Yield (crossing index, newly colored strand) per move from the seeds, to exhaustion.
+
+    The least eligible crossing fires next. A crossing only becomes eligible
+    when one of its strands gets colored, so the heap holds every eligible one.
+    """
+    colored = set(seeds)
+    heap = sorted({ci for s in colored for ci in touching[s]})
+    while heap:
+        ci = heapq.heappop(heap)
+        u_in_s, u_out_s, over_s = dec.crossing_incidence[ci]
+        if over_s in colored and (u_in_s in colored) != (u_out_s in colored):
+            new = u_out_s if u_in_s in colored else u_in_s
+            colored.add(new)
+            yield ci, new
+            for cj in touching[new]:
+                heapq.heappush(heap, cj)
 
 
 def wirtinger_saturate(d: SemiarcDiagram, seeds) -> SeedReport:
@@ -38,42 +60,20 @@ def wirtinger_saturate(d: SemiarcDiagram, seeds) -> SeedReport:
     Moves apply deterministically: at each step the lowest-index
     eligible crossing fires. Saturation is order-independent (the moves
     are monotone), so the deterministic order is just for reproducible
-    sequences.
+    sequences. The report holds the sorted seeds, the moves and the
+    colored strands. Only a diagram without strands takes no seeds.
     """
     dec = strands(d)
     n_strands = len(dec.strands)
     seed_set = tuple(sorted({int(s) for s in seeds}))
-    if not seed_set:
+    if not seed_set and n_strands:
         raise ValueError("seed set must be nonempty")
     for s in seed_set:
         if not 0 <= s < n_strands:
             raise ValueError(f"unknown strand id {s} (diagram has {n_strands})")
-
-    labels = {s: i for i, s in enumerate(seed_set)}
-    sequence: list[tuple[int, int]] = []
-    progress = True
-    while progress:
-        progress = False
-        for ci, (u_in_s, u_out_s, over_s) in enumerate(dec.crossing_incidence):
-            if over_s not in labels:
-                continue
-            for src, dst in ((u_in_s, u_out_s), (u_out_s, u_in_s)):
-                if src in labels and dst not in labels:
-                    labels[dst] = labels[src]
-                    sequence.append((ci, dst))
-                    progress = True
-                    break
-            if progress:
-                break
-    saturated = len(labels) == n_strands
-    report = SeedReport(
-        seed_set=seed_set,
-        saturated=saturated,
-        sequence=tuple(sequence),
-        final=PartialColoring(frozenset(labels), dict(labels)),
-        b1_upper=len(seed_set) if saturated else None,
-    )
-    return report
+    sequence = tuple(_moves(dec, _touching(dec), seed_set))
+    colored = frozenset(seed_set).union(s for _, s in sequence)
+    return SeedReport(seed_set, len(colored) == n_strands, sequence, colored)
 
 
 def saturating_closure(d: SemiarcDiagram, seeds) -> frozenset[int]:
@@ -100,16 +100,16 @@ def saturating_closure(d: SemiarcDiagram, seeds) -> frozenset[int]:
 
 
 def min_seed_size(d: SemiarcDiagram, k_max: int = 6) -> tuple[int, tuple[int, ...]] | None:
-    """Smallest saturating seed set of size <= k_max, with its witness.
+    """Smallest saturating seed count of at most k_max, with its witness strands.
 
-    Exhaustive over strand subsets in increasing cardinality, then
-    lexicographic, so the witness is the lexicographically least seed
-    set of minimal size. Returns None when no subset within the cap
-    saturates; raises ValueError when k_max < 0. The size is an upper
-    bound certificate for the overpass bridge index of the underlying
-    link on this diagram. Each subset is tested by a worklist closure
-    over one strand decomposition, which reaches the same strands as
-    wirtinger_saturate.
+    Each free loop costs one seed, and the strands are searched
+    exhaustively over subsets in increasing cardinality, then
+    lexicographic order, so the witness is the lexicographically least
+    strand set of minimal size; the seed count minus the witness length
+    is the number of free loops. Returns None when no seed set within
+    the cap saturates; raises ValueError when k_max < 0. The count is an
+    upper bound certificate for the overpass bridge index of the
+    underlying link on this diagram.
 
     A move colors an under-strand from the other under-strand of the same
     component, so a saturating set meets every component: on every
@@ -121,41 +121,28 @@ def min_seed_size(d: SemiarcDiagram, k_max: int = 6) -> tuple[int, tuple[int, ..
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     dec = strands(d)
     n_strands = len(dec.strands)
-    if n_strands == 0:
-        return None
     cycles = d.components()
     component_of = {s: c for c, cycle in enumerate(cycles) for s in cycle}
     component = [component_of[path[0]] for path in dec.strands]
-    touching: list[list[tuple[int, int, int]]] = [[] for _ in range(n_strands)]
-    for incidence in dec.crossing_incidence:
-        for s in set(incidence):
-            touching[s].append(incidence)
-    for k in range(len(cycles), min(k_max, n_strands) + 1):
+    touching = _touching(dec)
+    for k in range(len(cycles), min(k_max - d.free_loops, n_strands) + 1):
         for combo in itertools.combinations(range(n_strands), k):
             if len(set(map(component.__getitem__, combo))) < len(cycles):
                 continue
-            # a move can first fire when one of its crossing's strands gets
-            # colored, so only the crossings of newly colored strands are rechecked
-            colored, todo = set(combo), list(combo)
-            while todo:
-                for u_in_s, u_out_s, over_s in touching[todo.pop()]:
-                    if over_s in colored and (u_in_s in colored) != (u_out_s in colored):
-                        new = u_in_s if u_out_s in colored else u_out_s
-                        colored.add(new)
-                        todo.append(new)
-            if len(colored) == n_strands:
-                return k, combo
+            moves = sum(1 for _ in _moves(dec, touching, combo))
+            if k + moves == n_strands:
+                return k + d.free_loops, combo
     return None
 
 
 def _log_bound(size: int, count: int) -> int:
     """Smallest b with size^b >= count (exact integer arithmetic)."""
+    if size < 2:
+        raise ValueError("counting bounds need |X| >= 2")
     if count <= 0:
-        raise ValueError("coloring counts are always positive (constants color everything)")
+        raise ValueError(f"a coloring count of {count} gives no bridge bound")
     b = 0
-    power = 1
-    while power < count:
-        power *= size
+    while size**b < count:
         b += 1
     return b
 
@@ -168,26 +155,20 @@ def b1_lower(counts) -> int:
     overpass index b1; the same computation on general biquandles
     (b2_lower) bounds the height-function index b2.
     """
-    return _counting_bound(counts, require_quandle=True)
+    counts = list(counts)
+    if not all(X.is_quandle() for X, _ in counts):
+        raise ValueError("b1 bounds need quandle counting invariants")
+    return b2_lower(counts)
 
 
 def b2_lower(counts) -> int:
-    return _counting_bound(counts, require_quandle=False)
+    """The same bound over (FiniteBiquandle, Col value) pairs, for b2.
 
-
-def _counting_bound(counts, require_quandle: bool) -> int:
+    It holds only over algebras whose counts are Reidemeister invariant in
+    the library's crossing convention: every quandle, but not every table
+    validate_axioms accepts (see the diagram module).
+    """
     counts = list(counts)
     if not counts:
         raise ValueError("need at least one (algebra, count) pair")
-    best = 0
-    for X, col in counts:
-        if isinstance(X, FiniteBiquandle):
-            if require_quandle and not X.is_quandle():
-                raise ValueError("b1 bounds need quandle counting invariants")
-            size = X.size
-        else:
-            size = int(X)
-        if size < 2:
-            raise ValueError("counting bounds need |X| >= 2")
-        best = max(best, _log_bound(size, col))
-    return best
+    return max(_log_bound(X.size, col) for X, col in counts)

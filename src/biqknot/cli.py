@@ -268,7 +268,9 @@ def cmd_bridge(args) -> int:
             return 0
         k, witness = found
         report = bridge.wirtinger_saturate(d, witness)
-        lines = [f"min seeds: {k}", f"witness strands: {' '.join(map(str, witness))}"]
+        lines = [f"min seeds: {k}", " ".join(["witness strands:", *map(str, witness)])]
+        if d.free_loops:
+            lines.append(f"free loops: {d.free_loops}")
         lines += [f"move: crossing {ci} colors strand {s}" for ci, s in report.sequence]
         emit(args, lines, {"found": True, "min_seeds": k, "witness": list(witness),
                            "sequence": [list(step) for step in report.sequence]})

@@ -19,8 +19,10 @@ chain into oriented closed components.
 Crossing relation convention used throughout the library: a positive
 crossing imposes u_out = u_in .v o_in and o_out = o_in ." u_in; a
 negative crossing imposes the inverse relations u_in = u_out .v o_out
-and o_in = o_out ." u_out. The move-invariance tests certify that this
-pairing is self-consistent.
+and o_in = o_out ." u_out. The move-invariance tests check this pairing
+only on the algebras they run: validate_axioms accepts some non-quandle
+tables whose counts change under R1 here (linear:3,1,1,2,0 colors L 1
+in 3 ways, torus2:1 in 1).
 """
 
 from __future__ import annotations
@@ -488,27 +490,16 @@ def strands(d: SemiarcDiagram) -> StrandDecomposition:
     for s in range(d.semiarc_count):
         if strand_of[s] != -1:
             continue
-        # rewind to the start of the overpass, watching for all-over cycles
-        start, is_cycle = s, False
+        # rewind to the start of the overpass; on an all-over cycle stop at s, its
+        # least semiarc, since a cycle's semiarcs are assigned all at once
+        start = s
         while start in over_prev:
             start = over_prev[start]
             if start == s:
-                is_cycle = True
                 break
-        if is_cycle:
-            cyc = [s]
-            cur = over_next[s]
-            while cur != s:
-                cyc.append(cur)
-                cur = over_next[cur]
-            pivot = cyc.index(min(cyc))
-            path = cyc[pivot:] + cyc[:pivot]
-        else:
-            path = [start]
-            cur = start
-            while cur in over_next:
-                cur = over_next[cur]
-                path.append(cur)
+        path = [start]
+        while over_next.get(path[-1], start) != start:
+            path.append(over_next[path[-1]])
         idx = len(paths)
         for p in path:
             strand_of[p] = idx

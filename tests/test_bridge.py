@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from biqknot.algebra import biquandle_z, make_dihedral
+from biqknot.algebra import (
+    biquandle_z,
+    make_dihedral,
+    parse_biquandle,
+    parse_tables,
+    validate_axioms,
+)
 from biqknot.bridge import (
     b1_lower,
     b2_lower,
@@ -14,7 +20,18 @@ from biqknot.bridge import (
     wirtinger_saturate,
 )
 from biqknot.coloring import count_colorings
-from biqknot.diagram import Crossing, SemiarcDiagram, chain, pretzel, strands, torus_2n, unknot
+from biqknot.diagram import (
+    Crossing,
+    SemiarcDiagram,
+    apply_r1,
+    apply_r2,
+    chain,
+    parse_pd,
+    pretzel,
+    strands,
+    torus_2n,
+    unknot,
+)
 from biqknot.knots import builtin_table
 
 
@@ -24,18 +41,17 @@ def test_all_seeds_saturate_trivially():
     rep = wirtinger_saturate(d, range(n))
     assert rep.saturated
     assert rep.sequence == ()
-    assert rep.b1_upper == n
+    assert len(rep.seed_set) == n
 
 
 def test_trefoil_two_seeds():
     d = torus_2n(3)
     rep = wirtinger_saturate(d, (0, 1))
     assert rep.saturated
-    assert rep.b1_upper == 2
+    assert len(rep.seed_set) == 2
     assert len(rep.sequence) == 1  # third strand colored by one move
     rep1 = wirtinger_saturate(d, (0,))
     assert not rep1.saturated
-    assert rep1.b1_upper is None
 
 
 def test_sequence_steps_record_crossing_and_strand():
@@ -44,7 +60,7 @@ def test_sequence_steps_record_crossing_and_strand():
     ci, new_strand = rep.sequence[0]
     assert 0 <= ci < len(d.crossings)
     assert new_strand == 2
-    assert rep.final.labels[new_strand] in (0, 1)
+    assert new_strand in rep.colored
 
 
 def test_chain_needs_two_seeds():
@@ -89,7 +105,7 @@ def test_saturation_monotone():
         big = small | set(rng.sample(range(n), 2))
         sat_small = wirtinger_saturate(d, small)
         sat_big = wirtinger_saturate(d, big)
-        assert sat_small.final.colored <= sat_big.final.colored
+        assert sat_small.colored <= sat_big.colored
 
 
 def test_saturation_confluence_with_reachability_oracle():
@@ -99,7 +115,7 @@ def test_saturation_confluence_with_reachability_oracle():
         for _ in range(8):
             seeds = set(rng.sample(range(n), rng.randrange(1, min(4, n) + 1)))
             rep = wirtinger_saturate(d, seeds)
-            assert rep.final.colored == saturating_closure(d, seeds)
+            assert rep.colored == saturating_closure(d, seeds)
 
 
 def test_single_seed_iff_reachable():
@@ -172,3 +188,148 @@ def test_bound_consistency_on_instances():
         found = min_seed_size(d)
         assert found is not None
         assert lower <= found[0]
+
+
+def with_loops(d, loops):
+    return SemiarcDiagram(d.semiarc_count, d.crossings, d.free_loops + loops)
+
+
+def test_each_free_loop_costs_one_seed():
+    looped = with_loops(torus_2n(3), 2)  # three components
+    assert min_seed_size(looped) == (4, (0, 1))
+    assert min_seed_size(looped, k_max=3) is None  # the cap counts the loops too
+    for d in (unknot(0), parse_pd("L 1\n")):
+        assert min_seed_size(d) == (1, ())
+        assert min_seed_size(d, k_max=0) is None
+        rep = wirtinger_saturate(d, ())
+        assert rep.saturated and rep.sequence == ()
+
+
+def test_min_seed_size_with_loops_matches_exhaustive_saturation():
+    # the strands of a looped diagram are the loop-free diagram's, searched under the cap
+    # the loops leave; the witness still lists strands only
+    diagrams = [torus_2n(3), chain(3), split_sum(torus_2n(3), unknot(1)),
+                split_sum(chain(3), torus_2n(3)), split_sum(unknot(1), unknot(1), unknot(2))]
+    for d in diagrams:
+        for loops in (1, 2):
+            looped = with_loops(d, loops)
+            for k_max in range(0, looped.component_count() + 2):
+                found = exhaustive_min_seed(d, k_max - loops)
+                expected = found and (found[0] + loops, found[1])
+                assert min_seed_size(looped, k_max) == expected
+                if expected:
+                    assert wirtinger_saturate(looped, expected[1]).saturated
+
+
+def restart_loop(d, seeds):
+    """The moves by a scan that restarts at crossing 0 after every move."""
+    dec = strands(d)
+    labels = set(seeds)
+    sequence = []
+    progress = True
+    while progress:
+        progress = False
+        for ci, (u_in_s, u_out_s, over_s) in enumerate(dec.crossing_incidence):
+            if over_s not in labels:
+                continue
+            for src, dst in ((u_in_s, u_out_s), (u_out_s, u_in_s)):
+                if src in labels and dst not in labels:
+                    labels.add(dst)
+                    sequence.append((ci, dst))
+                    progress = True
+                    break
+            if progress:
+                break
+    return tuple(sequence)
+
+
+def rotating_strand_walk(d):
+    """The strand paths by a walk that rotates each all-over cycle to its least semiarc."""
+    over_next = {c.o_in: c.o_out for c in d.crossings}
+    over_prev = {c.o_out: c.o_in for c in d.crossings}
+    assigned, paths = set(), []
+    for s in range(d.semiarc_count):
+        if s in assigned:
+            continue
+        start, is_cycle = s, False
+        while start in over_prev:
+            start = over_prev[start]
+            if start == s:
+                is_cycle = True
+                break
+        if is_cycle:
+            cyc = [s]
+            cur = over_next[s]
+            while cur != s:
+                cyc.append(cur)
+                cur = over_next[cur]
+            pivot = cyc.index(min(cyc))
+            path = cyc[pivot:] + cyc[:pivot]
+        else:
+            path = [start]
+            cur = start
+            while cur in over_next:
+                cur = over_next[cur]
+                path.append(cur)
+        assigned.update(path)
+        paths.append(tuple(path))
+    return tuple(paths)
+
+
+# two components: an under-cycle 0 -> 1 -> 2 and an all-over cycle 5 -> 3 -> 4
+ALL_OVER = parse_pd("X+ 0 5 1 3\nX+ 1 3 2 4\nX+ 2 4 0 5\n")
+
+
+def relabeled(d, rng):
+    p = list(range(d.semiarc_count))
+    rng.shuffle(p)
+    return SemiarcDiagram(d.semiarc_count, tuple(
+        Crossing(c.sign, p[c.u_in], p[c.o_in], p[c.u_out], p[c.o_out]) for c in d.crossings),
+        d.free_loops)
+
+
+def moved(d, rng):
+    if rng.random() < 0.5:
+        return apply_r1(d, rng.randrange(d.semiarc_count), rng.choice((1, -1)))
+    a, b = rng.sample(range(d.semiarc_count), 2)
+    return apply_r2(d, a, b, rng.choice(("parallel", "antiparallel")))
+
+
+def oracle_battery(rng):
+    base = [torus_2n(p) for p in (1, 2, 3, 4, 5, 8)] + [chain(3), chain(5), unknot(1)]
+    base += [pretzel([3, 3, 3]), pretzel([9, 2, 9]), pretzel([3, -2, 5]), ALL_OVER]
+    base += [rec.diagram for rec in builtin_table().values()]
+    for d in base:
+        yield d
+        yield relabeled(d, rng)
+        yield moved(moved(d, rng), rng)
+        yield relabeled(moved(d, rng), rng)
+    for _ in range(20):
+        yield relabeled(ALL_OVER, rng)
+
+
+def test_strands_match_the_rotating_walk():
+    assert strands(ALL_OVER).strands == ((0,), (1,), (2,), (3, 4, 5))
+    for d in oracle_battery(random.Random(29)):
+        assert strands(d).strands == rotating_strand_walk(d)
+
+
+def test_moves_match_the_restart_loop():
+    rng = random.Random(31)
+    for d in oracle_battery(random.Random(37)):
+        n = len(strands(d).strands)
+        for _ in range(8):
+            seeds = rng.sample(range(n), rng.randrange(1, n + 1))
+            assert wirtinger_saturate(d, seeds).sequence == restart_loop(d, seeds)
+
+
+# x ." y = x .v y = sigma(x) with sigma = (1 2 3 4): no constant map is a coloring
+SIGMA_SHIFT = "4\n" + "2 2 2 2\n3 3 3 3\n4 4 4 4\n1 1 1 1\n\n" * 2
+
+
+def test_zero_count_error_names_the_true_reason():
+    assert validate_axioms(*parse_tables(SIGMA_SHIFT)) == []
+    X = parse_biquandle(SIGMA_SHIFT)
+    assert count_colorings(torus_2n(3), X) == 0
+    with pytest.raises(ValueError, match="^a coloring count of 0 gives no bridge bound$"):
+        b2_lower([(X, 0)])

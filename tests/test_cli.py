@@ -147,6 +147,59 @@ def test_bridge_lower(capsys):
     assert "b1 >= 2" in out
 
 
+# recorded before the move engine became a heap, which fires in the same order
+SEEDS_JSON = {
+    "knot:9_24": '{"found": true, "min_seeds": 2, "sequence": [[0, 4], [1, 1], [2, 8], [3, 2], '
+                 '[4, 5], [5, 7], [6, 6]], "witness": [0, 3]}\n',
+    "pretzel:3,3,3": '{"found": true, "min_seeds": 3, "sequence": [[6, 4], [7, 8], [8, 5], '
+                     '[1, 6], [2, 2], [3, 7]], "witness": [0, 1, 3]}\n',
+    "chain:5": '{"found": true, "min_seeds": 5, "sequence": [[0, 1], [1, 9], [2, 3], [4, 5], '
+               '[6, 7]], "witness": [0, 2, 4, 6, 8]}\n',
+    "torus2:11": '{"found": true, "min_seeds": 2, "sequence": [[0, 2], [1, 3], [2, 4], [3, 5], '
+                 '[4, 6], [5, 7], [6, 8], [7, 9], [8, 10]], "witness": [0, 1]}\n',
+}
+
+
+@pytest.mark.parametrize("spec", sorted(SEEDS_JSON))
+def test_bridge_seeds_json_bytes(capsys, spec):
+    assert run(capsys, "--format", "json", "bridge", "seeds", spec) == (0, SEEDS_JSON[spec], "")
+
+
+def test_bridge_seeds_counts_free_loops(tmp_path, capsys):
+    looped = tmp_path / "looped.pd"
+    looped.write_text("X+ 0 1 3 2\nX+ 2 3 5 4\nX+ 4 5 1 0\nL 2\n")
+    code, out, _ = run(capsys, "bridge", "seeds", str(looped))
+    assert (code, out) == (0, "min seeds: 4\nwitness strands: 0 1\nfree loops: 2\n"
+                              "move: crossing 0 colors strand 2\n")
+    loop = tmp_path / "loop.pd"
+    loop.write_text("L 1\n")
+    assert run(capsys, "bridge", "seeds", str(loop)) == (
+        0, "min seeds: 1\nwitness strands:\nfree loops: 1\n", "")
+    assert run(capsys, "--format", "json", "bridge", "seeds", str(loop)) == (
+        0, '{"found": true, "min_seeds": 1, "sequence": [], "witness": []}\n', "")
+
+
+def test_bridge_lower_zero_count_exits_1(tmp_path, capsys):
+    # x ." y = x .v y = sigma(x), sigma = (1 2 3 4), validates but colors T(2,3) in 0 ways
+    f = tmp_path / "shift.biq"
+    f.write_text("4\n" + "2 2 2 2\n3 3 3 3\n4 4 4 4\n1 1 1 1\n\n" * 2)
+    assert run(capsys, "algebra", "validate", str(f))[0] == 0
+    code, out, err = run(capsys, "bridge", "lower", "torus2:3", "--alg", str(f), "--mode", "b2")
+    assert (code, out) == (1, "")
+    assert err == "error: a coloring count of 0 gives no bridge bound\n"
+
+
+def test_runtime_imports_only_the_standard_library():
+    probe = ("import sys; before = set(sys.modules); import biqknot, biqknot.cli; "
+             "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))")
+    env = dict(os.environ, PYTHONPATH=str(Path(biqknot.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    loaded = set(proc.stdout.split())
+    assert "biqknot" in loaded
+    assert loaded - {"biqknot"} <= sys.stdlib_module_names
+
+
 def test_enhance_colgroup(capsys):
     code, out, _ = run(capsys, "enhance", "colgroup", "knot:6_1", "dihedral:9")
     assert code == 0
