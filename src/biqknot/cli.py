@@ -171,9 +171,10 @@ def cmd_color(args) -> int:
         d = load_diagram(pd)
         m = coloring.coloring_matrix(d, load_biquandle(f"linear:{','.join(coeffs)}"))
         solutions = coloring.count_solutions_snf(m)
-        lines = [" ".join(map(str, row)) for row in m.rows]
+        dense = m.dense()
+        lines = [" ".join(map(str, row)) for row in dense]
         lines.append(f"# solutions mod {m.modulus}: {solutions}")
-        emit(args, lines, {"rows": [list(r) for r in m.rows], "modulus": m.modulus,
+        emit(args, lines, {"rows": [list(r) for r in dense], "modulus": m.modulus,
                            "cols": m.cols, "solutions": solutions})
         return 0
     pd, spec = _params(args, "pd", "biquandle")

@@ -14,7 +14,9 @@ the dihedral R_n), one unknown per semiarc; and module, the same with
 r x r matrices on (Z/n)^r, r >= 2, the vector (v_0, ..., v_{r-1})
 labelled 1 + sum v_i n^i (make_module_biquandle's, Alexander quandles
 over GF(4) or GF(9)), r unknowns per semiarc, semiarc s's coordinate i
-being unknown s*r + i.
+being unknown s*r + i. coloring_matrix hands out that system as a
+RelationMatrix of sparse rows, the form the elimination reads; dense()
+is for printing.
 One elimination over each prime power of n serves two consumers: the
 counter multiplies the sizes its pivots leave free and keeps nothing;
 the lister keeps the pivots, reads a generator per free parameter off
@@ -206,11 +208,24 @@ def colorings_with_loops(d: SemiarcDiagram, Y: FiniteBiquandle) -> list[Coloring
 
 @dataclass(frozen=True)
 class RelationMatrix:
-    """Homogeneous crossing relations of a linear biquandle, mod n."""
+    """Homogeneous linear relations mod n over the unknowns 0..cols-1.
 
-    rows: tuple[tuple[int, ...], ...]
+    One sparse row {column: coefficient} per relation, coefficients read
+    mod modulus; dense() writes the rows out in full for printing."""
+
+    rows: tuple[dict[int, int], ...]
     modulus: int
     cols: int
+
+    def __post_init__(self):
+        for row in self.rows:
+            if row and (min(row) < 0 or max(row) >= self.cols):
+                raise ValueError(f"relation row {row} has a column outside 0..{self.cols - 1}")
+
+    def dense(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as full tuples of length cols, entries reduced mod modulus."""
+        n = self.modulus
+        return tuple(tuple(row.get(j, 0) % n for j in range(self.cols)) for row in self.rows)
 
 
 def _width(form) -> int:
@@ -261,19 +276,16 @@ def coloring_matrix(d: SemiarcDiagram, Y: FiniteBiquandle) -> RelationMatrix:
     o_out - a*o_in - b*u_in = 0; a negative crossing contributes the
     same relations read through its inverse orientation. Over (Z/n)^r
     (see FiniteBiquandle.linear_form) a, b, c, d are r x r matrices and
-    semiarc s owns the columns s*r .. s*r + r - 1.
+    semiarc s owns the columns s*r .. s*r + r - 1. Each free loop owns
+    the next r columns, which no row touches, in the order
+    colorings_with_loops uses, so the null space has Col_Y(d) vectors.
+    The rows stay sparse; dense() is for printing.
     """
     form = Y.linear_form
     if form is None:
         raise ValueError("coloring_matrix requires a linear biquandle (see linear_form)")
-    n, cols = form[0], d.semiarc_count * _width(form)
-    rows = []
-    for sparse in _relation_rows(_oriented(d), form):
-        row = [0] * cols
-        for j, v in sparse.items():
-            row[j] = v % n
-        rows.append(tuple(row))
-    return RelationMatrix(tuple(rows), n, cols)
+    cols = (d.semiarc_count + d.free_loops) * _width(form)
+    return RelationMatrix(tuple(_relation_rows(_oriented(d), form)), form[0], cols)
 
 
 def _prime_powers(n: int) -> list[tuple[int, int]]:
@@ -426,17 +438,16 @@ def _list_kernel(rows, cols: int, n: int, width: int = 1) -> list[Coloring]:
 def count_solutions_snf(M: RelationMatrix) -> int:
     """Number of x in (Z/n)^cols with Mx = 0 mod n.
 
-    Counted by the same sparse elimination over each prime power of n
-    that count_colorings runs, which yields the local Smith normal form:
-    with nonzero diagonal d_1..d_r over Z the count is
-    n^(cols - r) * prod_i gcd(d_i, n). It is no independent route; the
-    coloring search and brute force are, and the tests also check it
-    against integer Smith diagonals.
+    Counted, straight off M's sparse rows and leaving them unchanged, by
+    the same elimination over each prime power of n that count_colorings
+    runs, which yields the local Smith normal form: with nonzero diagonal
+    d_1..d_r over Z the count is n^(cols - r) * prod_i gcd(d_i, n). It is
+    no independent route; the coloring search and brute force are, and the
+    tests also check it against integer Smith diagonals.
     """
     if M.modulus < 1:
         raise ValueError("modulus must be >= 1")
-    rows = [{j: v for j, v in enumerate(row) if v} for row in M.rows]
-    return _count_kernel(rows, M.cols, M.modulus)
+    return _count_kernel(M.rows, M.cols, M.modulus)
 
 
 def count_solutions_bruteforce(M: RelationMatrix) -> int:
@@ -446,6 +457,6 @@ def count_solutions_bruteforce(M: RelationMatrix) -> int:
         raise ValueError(f"brute force over {n}^{M.cols} vectors refused")
     count = 0
     for vec in itertools.product(range(n), repeat=M.cols):
-        if all(sum(cf * v for cf, v in zip(row, vec)) % n == 0 for row in M.rows):
+        if all(sum(a * vec[j] for j, a in row.items()) % n == 0 for row in M.rows):
             count += 1
     return count

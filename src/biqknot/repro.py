@@ -150,7 +150,7 @@ def item_03_snf_path():
         n = rng.choice((4, 9))
         cols = rng.randrange(1, 5 if n == 9 else 7)
         rows = rng.randrange(1, 7)
-        mat = tuple(tuple(rng.randrange(n) for _ in range(cols)) for _ in range(rows))
+        mat = tuple({j: v for j in range(cols) if (v := rng.randrange(n))} for _ in range(rows))
         m = RelationMatrix(mat, n, cols)
         if count_solutions_snf(m) == count_solutions_bruteforce(m):
             random_ok += 1

@@ -53,6 +53,24 @@ def test_color_matrix(capsys):
     assert len(data["rows"]) == 8
 
 
+def test_color_matrix_gives_each_free_loop_a_zero_column(tmp_path, capsys):
+    # the matrix count then agrees with `color count`, loops included
+    _, t22, _ = run(capsys, "diagram", "gen", "torus2", "2")
+    cases = {"loops.pd": ("L 2\n", 2, 16), "t22_loop.pd": (t22 + "L 1\n", 5, 32)}
+    for name, (text, cols, solutions) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, _ = run(capsys, "--format", "json", "color", "matrix", str(path), "4", "3", "0", "1", "2")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["cols"], data["solutions"]) == (cols, solutions)
+        assert all(len(row) == cols and row[-1] == 0 for row in data["rows"])
+        _, human, _ = run(capsys, "color", "matrix", str(path), "4", "3", "0", "1", "2")
+        assert human.splitlines()[-1] == f"# solutions mod 4: {solutions}"
+        _, count, _ = run(capsys, "color", "count", str(path), "linear:4,3,0,1,2")
+        assert int(count) == solutions
+
+
 def test_color_usage_error(capsys):
     code, _, err = run(capsys, "color", "matrix", "torus2:4", "4")
     assert code == 2

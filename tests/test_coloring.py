@@ -1,5 +1,6 @@
 """Tests for coloring enumeration, the linear-algebra path, and their oracles."""
 
+import copy
 import itertools
 import math
 import random
@@ -15,6 +16,7 @@ from biqknot.algebra import (
     make_conjugation_quandle,
     make_dihedral,
     make_linear_biquandle,
+    make_module_biquandle,
     parse_biquandle,
     serialize_biquandle,
 )
@@ -22,7 +24,9 @@ from biqknot.coloring import (
     RelationMatrix,
     _list_kernel,
     _oriented,
+    _relation_rows,
     _search,
+    _width,
     brute_force_colorings,
     coloring_matrix,
     colorings_with_loops,
@@ -232,7 +236,7 @@ def test_trefoil_r3_null_space():
 
 
 def test_snf_zero_matrix():
-    m = RelationMatrix(((0, 0, 0),), 4, 3)
+    m = RelationMatrix(({},), 4, 3)
     assert count_solutions_snf(m) == 64
 
 
@@ -258,7 +262,7 @@ def test_snf_counts_match_brute_force_random():
         cols = rng.randrange(1, 5 if n == 9 else 7)
         rows = rng.randrange(1, 6)
         mat = tuple(tuple(rng.randrange(n) for _ in range(cols)) for _ in range(rows))
-        m = RelationMatrix(mat, n, cols)
+        m = RelationMatrix(sparse(mat), n, cols)
         assert count_solutions_snf(m) == count_solutions_bruteforce(m)
 
 
@@ -342,6 +346,11 @@ def snf_formula_count(diag, n, cols):
     return count
 
 
+def sparse(mat):
+    """Dense rows as RelationMatrix rows: {column: entry} for the nonzero entries."""
+    return tuple({j: a for j, a in enumerate(row) if a} for row in mat)
+
+
 def random_matrix(rng, n, rows, cols, nonzeros=None):
     """Dense rows mod n; with nonzeros set, at most that many per row, like crossing rows."""
     out = []
@@ -362,10 +371,10 @@ def test_snf_counts_on_composite_moduli():
         max_cols = int(math.log(5000, n))  # keeps the brute force quick
         for _ in range(25):
             cols = rng.randrange(1, max_cols + 1)
-            m = RelationMatrix(random_matrix(rng, n, rng.randrange(0, 6), cols), n, cols)
+            m = RelationMatrix(sparse(random_matrix(rng, n, rng.randrange(0, 6), cols)), n, cols)
             want = count_solutions_bruteforce(m)
             assert count_solutions_snf(m) == want
-            assert snf_formula_count(snf_diagonal(m.rows), n, cols) == want
+            assert snf_formula_count(snf_diagonal(m.dense()), n, cols) == want
 
 
 def test_kernel_listing_matches_brute_force_on_composite_moduli():
@@ -388,7 +397,7 @@ def test_snf_counts_on_sparse_systems_match_diagonal_formula():
         for _ in range(6):
             cols = rng.randrange(5, 25)
             rows = random_matrix(rng, n, rng.randrange(cols // 2, 2 * cols), cols, nonzeros=3)
-            m = RelationMatrix(rows, n, cols)
+            m = RelationMatrix(sparse(rows), n, cols)
             assert count_solutions_snf(m) == snf_formula_count(snf_diagonal(rows), n, cols)
 
 
@@ -404,14 +413,74 @@ def test_snf_counts_match_sympy_smith_form():
             snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
             diag = [abs(int(snf[i, i])) for i in range(min(snf.shape)) if snf[i, i]]
             assert snf_diagonal(rows) == diag
-            m = RelationMatrix(rows, n, cols)
+            m = RelationMatrix(sparse(rows), n, cols)
             assert count_solutions_snf(m) == snf_formula_count(diag, n, cols)
 
 
 def test_snf_modulus_one_and_invalid():
-    assert count_solutions_snf(RelationMatrix(((1, 2),), 1, 2)) == 1
+    assert count_solutions_snf(RelationMatrix(({0: 1, 1: 2},), 1, 2)) == 1
     with pytest.raises(ValueError):
-        count_solutions_snf(RelationMatrix(((1,),), 0, 1))
+        count_solutions_snf(RelationMatrix(({0: 1},), 0, 1))
+
+
+def test_relation_matrix_rejects_columns_outside_cols():
+    # a row reaching past cols used to count 1 by SNF and 5 by brute force
+    for rows in (({2: 1},), ({0: 1}, {-1: 2}), ({0: 1, 1: 1},)):
+        with pytest.raises(ValueError):
+            RelationMatrix(rows, 5, 1)
+    m = RelationMatrix(({0: 5}, {}), 5, 1)  # unreduced and empty rows fit
+    assert count_solutions_snf(m) == count_solutions_bruteforce(m) == 5
+    assert RelationMatrix(({0: -1, 2: 7},), 4, 3).dense() == ((3, 0, 3),)
+
+
+def dense_coloring_matrix(d, y):
+    """The relation rows written out in full mod n, without RelationMatrix.dense (oracle)."""
+    form = y.linear_form
+    n, cols = form[0], d.semiarc_count * _width(form)
+    rows = []
+    for sparse_row in _relation_rows(_oriented(d), form):
+        row = [0] * cols
+        for j, v in sparse_row.items():
+            row[j] = v % n
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def matrix_battery():
+    t, one, zero = ((1, 2), (1, 1)), ((1, 0), (0, 1)), ((0, 0), (0, 0))
+    gf9 = make_module_biquandle(3, one, zero, t, ((0, 1), (2, 0)))  # x |> y = tx + (1 - t)y
+    algebras = [make_dihedral(3), make_dihedral(4), make_linear_biquandle(9, 1, 0, 8, 2),
+                biquandle_z(), make_linear_biquandle(8, 5, 0, 1, 4), gf4_alexander_quandle(), gf9]
+    t22 = torus_2n(2)
+    diagrams = ([torus_2n(p) for p in (1, 2, 3, 4, 6)] + [chain(3), chain(5)]
+                + [pretzel(tw) for tw in ([3, 3, 3], [-3, 2, 5], [3, 1, 1])]
+                + [unknot(k) for k in (1, 2, 3)]  # a kink's row repeats a column
+                + [apply_r1(torus_2n(3), 2, 1), apply_r1(torus_2n(3), 1, -1),
+                   apply_r2(torus_2n(4), 0, 5), apply_r2(t22, 0, 2, "antiparallel")]
+                + [SemiarcDiagram(0, (), 2), SemiarcDiagram(t22.semiarc_count, t22.crossings, 1),
+                   SemiarcDiagram(chain(3).semiarc_count, chain(3).crossings, 2)])
+    return [(d, y) for y in algebras for d in diagrams]
+
+
+def test_sparse_matrix_matches_dense_construction_and_counts():
+    for d, y in matrix_battery():
+        m = coloring_matrix(d, y)
+        loop_cols = (0,) * (d.free_loops * _width(y.linear_form))
+        assert m.dense() == tuple(row + loop_cols for row in dense_coloring_matrix(d, y))
+        rows = copy.deepcopy(m.rows)
+        count = count_solutions_snf(m)
+        assert m.rows == rows  # counting leaves the rows as they were
+        assert count == snf_formula_count(snf_diagonal(m.dense()), m.modulus, m.cols)
+        assert count == count_colorings(d, y)
+
+
+def test_snf_count_never_densifies(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the SNF count wrote the relation matrix out densely")
+
+    monkeypatch.setattr(RelationMatrix, "dense", refuse)
+    m = coloring_matrix(torus_2n(2000), make_linear_biquandle(9, 1, 0, 8, 2))
+    assert count_solutions_snf(m) == 9  # n * gcd(p, n) for T(2, p) over R_n
 
 
 # -- which algebras count by elimination ---------------------------------------
