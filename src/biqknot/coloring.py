@@ -16,9 +16,9 @@ labelled 1 + sum v_i n^i (make_module_biquandle's, Alexander quandles
 over GF(4) or GF(9)), r unknowns per semiarc, semiarc s's coordinate i
 being unknown s*r + i. coloring_matrix hands out that system as a
 RelationMatrix of sparse rows, the form the elimination reads; dense()
-is for printing.
-One elimination over each prime power of n serves two consumers: the
-counter multiplies the sizes its pivots leave free and keeps nothing;
+is for printing. One elimination over each prime power of n, after a
+union-find merges the unknowns of each equality row x_a = x_b, serves
+two consumers: the counter multiplies the sizes its pivots leave free;
 the lister keeps the pivots, reads a generator per free parameter off
 them by back-substitution, and lists the box of their multiples column
 by column, building each distinct column once (a quandle crossing's
@@ -327,6 +327,11 @@ def _pivots(rows, p: int, k: int):
     A pivot is (j, v, inv, rest): its row reads p^v*u*x_j + sum(rest[c]*x_c) = 0
     with inv = u^-1 mod q, and every entry of rest divisible by p^v.
 
+    First, each row u*x_a - u*x_b, u a unit (half a quandle diagram's rows),
+    merges a and b in a path-halving union-find. Merged columns j come first as
+    pivots x_j - x_root = 0 and the other rows are rewritten onto the roots,
+    so no later pivot uses j; reverse back-substitution fills j last.
+
     Phase v pivots on entries of valuation exactly v; no entry of lower
     valuation is left or can arise, because every remaining entry is
     divisible by p^v. Clearing the pivot's column with row operations
@@ -340,18 +345,43 @@ def _pivots(rows, p: int, k: int):
     into it keeps that so.
     """
     q = p**k
+    parent: dict[int, int] = {}  # merged column -> a column it equals, nearer its root
+
+    def find(j: int) -> int:
+        while j in parent:
+            parent[j] = parent.get(parent[j], parent[j])  # path halving
+            j = parent[j]
+        return j
+
     live: dict[int, dict[int, int]] = {}  # row id -> nonzero entries mod q
-    col_rows: dict[int, set[int]] = {}    # column -> ids of live rows using it
     for i, row in enumerate(rows):
         entries = {j: v % q for j, v in row.items() if v % q}
+        if len(entries) == 2:
+            (a, u), (b, w) = entries.items()
+            if u + w == q and u % p:
+                a, b = find(a), find(b)
+                if a != b:
+                    parent[b] = a
+                continue
         live[i] = entries
-        for j in entries:
+    for j in reversed(parent):  # j's ancestors were merged after j: map j to its root
+        parent[j] = parent.get(parent[j], parent[j])
+    yield from ((j, 0, 1, {r: q - 1}) for j, r in parent.items())
+    col_rows: dict[int, set[int]] = {}  # column -> ids of live rows using it
+    for i, row in live.items():
+        if parent:  # rewrite the row onto the roots
+            moved: dict[int, int] = {}
+            for j, a in row.items():
+                j = parent.get(j, j)
+                moved[j] = moved.get(j, 0) + a
+            live[i] = row = {j: a % q for j, a in moved.items() if a % q}
+        for j in row:
             col_rows.setdefault(j, set()).add(i)
     for v in range(k):
         pv, above = p**v, p ** (v + 1)
         for i in list(live):
             row = live[i]
-            cands = [j for j, a in row.items() if a % above]
+            cands = row if k == 1 else [j for j, a in row.items() if a % above]
             if not cands:
                 continue
             j = min(cands, key=lambda c: len(col_rows[c]))

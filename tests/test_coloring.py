@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import sys
+import time
 
 import pytest
 
@@ -24,6 +25,7 @@ from biqknot.coloring import (
     RelationMatrix,
     _list_kernel,
     _oriented,
+    _pivots,
     _relation_rows,
     _search,
     _width,
@@ -363,6 +365,7 @@ def random_matrix(rng, n, rows, cols, nonzeros=None):
 
 
 COMPOSITE_MODULI = (4, 8, 9, 12, 27, 36, 72)
+PRIMES = (2, 3, 5, 7)
 
 
 def test_snf_counts_on_composite_moduli():
@@ -384,10 +387,8 @@ def test_kernel_listing_matches_brute_force_on_composite_moduli():
         for _ in range(15):
             cols = rng.randrange(0, max_cols + 1)
             mat = random_matrix(rng, n, rng.randrange(0, 6), cols, nonzeros=rng.choice((None, 2, 3)))
-            want = sorted(tuple(v or n for v in vec) for vec in itertools.product(range(n), repeat=cols)
-                          if all(sum(a * v for a, v in zip(row, vec)) % n == 0 for row in mat))
-            rows = [{j: a for j, a in enumerate(row) if a} for row in mat]
-            assert _list_kernel(rows, cols, n) == want
+            rows = list(sparse(mat))
+            assert _list_kernel(rows, cols, n) == brute_force_kernel(rows, cols, n)
 
 
 def test_snf_counts_on_sparse_systems_match_diagonal_formula():
@@ -415,6 +416,119 @@ def test_snf_counts_match_sympy_smith_form():
             assert snf_diagonal(rows) == diag
             m = RelationMatrix(sparse(rows), n, cols)
             assert count_solutions_snf(m) == snf_formula_count(diag, n, cols)
+    # systems made mostly of equality rows, which the elimination merges first
+    rng = random.Random(17)
+    for n in COMPOSITE_MODULI + PRIMES:
+        for _ in range(4):
+            cols = rng.randrange(2, 9)
+            m = RelationMatrix(tuple(equality_system(rng, n, cols)), n, cols)
+            rows = m.dense() or ((0,) * cols,)
+            snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+            diag = [abs(int(snf[i, i])) for i in range(min(snf.shape)) if snf[i, i]]
+            assert snf_diagonal(rows) == diag
+            assert count_solutions_snf(m) == snf_formula_count(diag, n, cols)
+
+
+# -- equality rows u*x_a - u*x_b, merged by union-find before the elimination ----
+
+
+def equality_system(rng, n, cols):
+    """Sparse rows mod n, most of them u*x_a - u*x_b with u a unit or not,
+    some repeated, some closing cycles, a few general rows between them."""
+    rows = []
+    for _ in range(rng.randrange(0, 2 * cols + 3)):
+        kind = rng.randrange(5)
+        a, b = rng.sample(range(cols), 2)
+        u = rng.randrange(1, n) + n * rng.randrange(-1, 2)  # unreduced coefficients too
+        if kind <= 1:
+            rows.append({a: u, b: -u} if kind else {a: -u, b: u})
+        elif kind == 2 and rows:
+            rows.append(dict(rng.choice(rows)))  # a repeated row
+        elif kind == 3:
+            cycle = rng.sample(range(cols), rng.randrange(2, cols + 1))
+            rows += [{c: u, d: -u} for c, d in zip(cycle, cycle[1:] + cycle[:1])]
+        else:
+            some = rng.sample(range(cols), rng.randrange(1, min(4, cols + 1)))
+            rows.append({j: rng.randrange(n) for j in some})
+    rng.shuffle(rows)
+    return rows
+
+
+def brute_force_kernel(rows, cols, n):
+    """Every null vector mod n by enumeration, as labels (residue 0 is label n), sorted."""
+    return sorted(tuple(v or n for v in vec) for vec in itertools.product(range(n), repeat=cols)
+                  if all(sum(a * vec[j] for j, a in row.items()) % n == 0 for row in rows))
+
+
+def check_kernel_routes(rows, cols, n):
+    """Count and listing against brute force and the integer Smith diagonal; rows untouched."""
+    m = RelationMatrix(tuple(rows), n, cols)
+    before = copy.deepcopy(rows)
+    want = brute_force_kernel(rows, cols, n)
+    assert count_solutions_snf(m) == count_solutions_bruteforce(m) == len(want)
+    assert snf_formula_count(snf_diagonal(m.dense()), n, cols) == len(want)
+    assert _list_kernel(rows, cols, n) == want
+    assert rows == before
+    return len(want)
+
+
+def merges(rows, p, k):
+    """The leading pivots of the form x_j - x_root = 0 mod p^k, as {j: root}."""
+    out = {}
+    for j, v, inv, rest in _pivots(rows, p, k):
+        if (v, inv, list(rest.values())) != (0, 1, [p**k - 1]):
+            break
+        out[j] = next(iter(rest))
+    return out
+
+
+def test_equality_rows_merge_only_over_units():
+    # 2 is a unit mod 9: 2x - 2y = 0 says x = y
+    assert len(merges([{0: 2, 1: -2}], 3, 2)) == 1
+    assert check_kernel_routes([{0: 2, 1: -2}], 2, 9) == 9
+    # look-alikes whose coefficient is no unit must not merge
+    assert merges([{0: 3, 1: -3}], 3, 2) == {}
+    assert check_kernel_routes([{0: 3, 1: -3}], 2, 9) == 27
+    assert merges([{0: 2, 1: -2}], 2, 2) == {}
+    assert check_kernel_routes([{0: 2, 1: -2}], 2, 4) == 8
+    # 2x + 10y mod 12 is 2x + 2y mod 4 (no unit) but 2x - 2y mod 3 (merges)
+    assert len(merges([{0: 2, 1: 10}], 3, 1)) == 1
+    assert merges([{0: 2, 1: 10}], 2, 2) == {}
+    assert check_kernel_routes([{0: 2, 1: 10}], 2, 12) == 8 * 3
+    # repeated and cyclic equalities: one merge per column joined, redundant rows drop out
+    cycle = [{0: 1, 1: -1}, {1: 1, 2: -1}, {2: 1, 0: -1}, {1: 4, 0: -4}, {0: 1, 1: -1}]
+    roots = merges(cycle + [{2: 1, 3: 3}], 7, 1)
+    assert len(roots) == 2 and len(set(roots.values())) == 1  # one root, no merged column
+    assert not set(roots.values()) & set(roots)
+    assert check_kernel_routes(cycle + [{2: 1, 3: 3}], 4, 7) == 7
+    assert check_kernel_routes(cycle + [{2: 3, 3: 3}, {3: 2, 0: 5}], 4, 9) == 9
+    # a row the merge makes zero drops out; one it makes 2x = 0 mod 4 stays
+    assert check_kernel_routes([{0: 1, 1: -1}, {0: 5, 1: -5}, {1: 4, 0: 8}], 2, 12) == 12
+    assert check_kernel_routes([{0: 1, 1: -1}, {0: 3, 1: 3}], 3, 12) == 2 * 3 * 12
+
+
+def test_random_equality_systems_match_brute_force():
+    rng = random.Random(23)
+    for n in COMPOSITE_MODULI + PRIMES:
+        max_cols = max(2, int(math.log(3000, n)))  # keeps the brute force quick
+        for _ in range(12):
+            cols = rng.randrange(2, max_cols + 1)
+            check_kernel_routes(equality_system(rng, n, cols), cols, n)
+
+
+def test_equality_chain_with_deep_union_find_tree_counts_q():
+    # x_i = x_(i-1), each union linking the newest column's set to the previous
+    # one's, builds a 5000-deep union-find tree; the rows x_0 = x_j then walk it
+    # again and again, which without path compression is quadratic (about 25 s
+    # against 0.3 s on a 2-core VM, so the budget below is generous either way)
+    cols = 5000
+    rows = [{i: 1, i - 1: -1} for i in range(1, cols)]
+    rows += [{0: 1, j: -1} for j in range(cols - 1, 0, -1)]
+    start = time.perf_counter()
+    for n in (7, 9, 12):
+        assert count_solutions_snf(RelationMatrix(tuple(rows), n, cols)) == n
+        assert _list_kernel(rows, cols, n) == [(v,) * cols for v in range(1, n + 1)]
+    assert time.perf_counter() - start < 8.0
 
 
 def test_snf_modulus_one_and_invalid():
@@ -571,6 +685,11 @@ def test_chain21_over_r4_counts_without_listing():
 
 def test_long_kinked_unknot_counts():
     assert count_colorings(unknot(2000), make_dihedral(3)) == 3
+    # every kink row is an equality, so the chain is one union-find set
+    d = unknot(20000)
+    for y in (make_dihedral(3), make_linear_biquandle(9, 1, 0, 8, 2)):
+        assert count_colorings(d, y) == y.size
+        assert enumerate_colorings(d, y) == [(v,) * d.semiarc_count for v in y.elements()]
 
 
 def test_search_depth_does_not_use_the_call_stack():

@@ -3,18 +3,27 @@
 count_colorings and enumerate_colorings (both from the elimination for
 linear algebras, the search otherwise) are compared with the coloring
 search and, where it is quick, with brute force, over tori, chains and
-pretzels after random R1/R2 moves.
+pretzels after random R1/R2 moves. Random sparse systems with planted
+equality rows u*x_a - u*x_b, which the elimination merges first, are
+counted and listed against brute force.
 """
+
+import itertools
+import math
 
 import pytest
 
 from biqknot.algebra import biquandle_z, make_dihedral, parse_biquandle, serialize_biquandle
 from biqknot.coloring import (
     BRUTE_FORCE_GUARD,
+    RelationMatrix,
+    _list_kernel,
     _oriented,
     _search,
     brute_force_colorings,
     count_colorings,
+    count_solutions_bruteforce,
+    count_solutions_snf,
     enumerate_colorings,
 )
 from biqknot.diagram import SemiarcDiagram, apply_r1, apply_r2, chain, pretzel, torus_2n
@@ -60,3 +69,30 @@ def test_elimination_count_matches_enumeration_and_brute_force(d, y):
     # brute force only where it is quick (well inside BRUTE_FORCE_GUARD)
     if y.size**d.semiarc_count <= min(BRUTE_FORCE_GUARD, 20000):
         assert listed == brute_force_colorings(d, y)
+
+
+@st.composite
+def planted_equality_systems(draw):
+    """(n, cols, rows): sparse rows mod n with equality rows u*x_a - u*x_b planted
+    among them, u a unit or not, written unreduced or through -u = n - u."""
+    n = draw(st.sampled_from((2, 3, 4, 5, 6, 7, 8, 9, 12, 27)))
+    cols = draw(st.integers(2, int(math.log(2000, n))))  # keeps the brute force quick
+    col = st.integers(0, cols - 1)
+    rows = draw(st.lists(st.dictionaries(col, st.integers(-n, 2 * n), max_size=3), max_size=3))
+    for _ in range(draw(st.integers(1, 2 * cols))):
+        a, b = draw(st.lists(col, min_size=2, max_size=2, unique=True))
+        u = draw(st.integers(1, n - 1))
+        minus_u = draw(st.sampled_from((-u, n - u, 2 * n - u)))
+        rows.insert(draw(st.integers(0, len(rows))), {a: u, b: minus_u})
+    return n, cols, rows
+
+
+@hypothesis.settings(max_examples=120, deadline=None)
+@hypothesis.given(planted_equality_systems())
+def test_planted_equality_rows_count_and_list_like_brute_force(system):
+    n, cols, rows = system
+    want = sorted(tuple(v or n for v in vec) for vec in itertools.product(range(n), repeat=cols)
+                  if all(sum(a * vec[j] for j, a in row.items()) % n == 0 for row in rows))
+    m = RelationMatrix(tuple(rows), n, cols)
+    assert count_solutions_snf(m) == count_solutions_bruteforce(m) == len(want)
+    assert _list_kernel(rows, cols, n) == want
