@@ -70,45 +70,26 @@ class FiniteBiquandle:
     def linear_form(self) -> tuple | None:
         """The algebra's linear shape, which selects the elimination route; None if it has none.
 
-        Two shapes, both read off the tables with all N^2 entries of each
-        checked, so no constructor can mislabel an algebra:
-
-        - (n, a, b, c, d) with integers, n = N, when x ." y = ax + by and
-          x .v y = cx + dy mod n, label L standing for the residue L mod n
-          (label n is zero). This is tried first.
-        - (n, A, B, C, D) with r x r matrices over Z/n (tuples of rows),
-          r >= 2 and N = n^r, when x ." y = Ax + By and x .v y = Cx + Dy on
-          (Z/n)^r, the vector (v_0, ..., v_{r-1}) having label
-          1 + sum v_i n^i (label 1 is the zero vector). Each such (n, r) is
-          tried, smallest r first.
-
-        Computed on first use and cached, so building an algebra never pays
-        for it.
+        (n, A, B, C, D) with r x r matrices over Z/n as tuples of rows, when
+        N = n^r and x ." y = Ax + By, x .v y = Cx + Dy on (Z/n)^r, labelled
+        as _label says. Each such r is tried, smallest first, so a table
+        linear mod N has r = 1. The matrices are read off the unit vectors'
+        images, then every entry of both tables is checked against them, so
+        no constructor can mislabel an algebra. Computed on first use and
+        cached, so building an algebra never pays for it.
         """
-        return self._scalar_form() or self._module_form()
-
-    def _scalar_form(self) -> tuple[int, int, int, int, int] | None:
-        n = self.size
-        a, b = self.over(1, n) % n, self.over(n, 1) % n
-        c, d = self.under(1, n) % n, self.under(n, 1) % n
-        for x in self.elements():
-            for y in self.elements():
-                if (self.over(x, y) - a * x - b * y) % n or (self.under(x, y) - c * x - d * y) % n:
-                    return None
-        return (n, a, b, c, d)
-
-    def _module_form(self) -> tuple | None:
-        n = self.size
-        for r in range(2, n.bit_length()):
-            base = round(n ** (1 / r))
-            if base**r == n:
-                units = [1 + base**j for j in range(r)]  # e_0 .. e_{r-1}; label 1 is zero
-                # A's column j is e_j ." 0 and B's is 0 ." e_j; C and D the same off .v
-                columns = ([self.over(u, 1) for u in units], [self.over(1, u) for u in units],
-                           [self.under(u, 1) for u in units], [self.under(1, u) for u in units])
-                mats = [tuple(zip(*(_vector(v, base, r) for v in col))) for col in columns]
-                if _module_tables(base, mats) == (self.over_table, self.under_table):
-                    return (base, *mats)
+        size = self.size
+        for r in range(1, max(size.bit_length(), 2)):
+            n = round(size ** (1 / r))
+            if n**r != size:
+                continue
+            zero, units = _label(0, n, r), [_label(n**j, n, r) for j in range(r)]
+            # A's column j is e_j ." 0 and B's is 0 ." e_j; C and D the same off .v
+            columns = ([self.over(u, zero) for u in units], [self.over(zero, u) for u in units],
+                       [self.under(u, zero) for u in units], [self.under(zero, u) for u in units])
+            mats = [tuple(zip(*(_vector(v, n, r) for v in col))) for col in columns]
+            if _module_tables(n, mats) == (self.over_table, self.under_table):
+                return (n, *mats)
         return None
 
     def under(self, x: int, y: int) -> int:
@@ -253,34 +234,53 @@ def make_dihedral(n: int) -> Quandle:
 def make_linear_biquandle(n: int, a: int, b: int, c: int, d: int) -> FiniteBiquandle:
     """Biquandle on Z_n with x ." y = ax + by and x .v y = cx + dy, if valid.
 
-    Elements are 1-based labels for the residues 1..n (n standing for 0).
-    Raises AxiomError with the first failing axiom and witness otherwise.
+    The r = 1 case of make_module_biquandle: elements are 1-based labels
+    for the residues 1..n (n standing for 0). Raises AxiomError with the
+    first failing axiom and witness otherwise.
     """
-    if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {n}")
-    over = tuple(tuple((a * x + b * y - 1) % n + 1 for y in range(1, n + 1))
-                 for x in range(1, n + 1))
-    under = tuple(tuple((c * x + d * y - 1) % n + 1 for y in range(1, n + 1))
-                  for x in range(1, n + 1))
-    return from_tables(over, under)
+    return make_module_biquandle(n, [[a]], [[b]], [[c]], [[d]])
+
+
+def _label(index: int, n: int, r: int) -> int:
+    """The label of the vector in (Z/n)^r with index sum v_i n^i.
+
+    For r = 1 the label is the residue itself, with n standing for 0;
+    for r >= 2 it is 1 + index, so label 1 is the zero vector.
+    """
+    return (index or n) if r == 1 else index + 1
 
 
 def _vector(label: int, n: int, r: int) -> tuple[int, ...]:
-    """The vector in (Z/n)^r with label 1 + sum v_i n^i."""
-    return tuple((label - 1) // n**i % n for i in range(r))
+    """The vector in (Z/n)^r that _label gives this label."""
+    index = label % n if r == 1 else label - 1
+    return tuple(index // n**i % n for i in range(r))
 
 
 def _module_tables(n: int, mats) -> tuple[Table, Table]:
-    """(over, under) of x ." y = Ax + By and x .v y = Cx + Dy on (Z/n)^r, mats = (A, B, C, D)."""
-    r = len(mats[0])
-    vecs = [_vector(v, n, r) for v in range(1, n**r + 1)]
+    """(over, under) of x ." y = Ax + By and x .v y = Cx + Dy on (Z/n)^r, mats = (A, B, C, D).
 
-    def images(M):  # M v for every vector v, as rows of integers
-        return [[sum(m * x for m, x in zip(row, v)) for row in M] for v in vecs]
+    Row by row: each coordinate of K y is listed once over all y, and row
+    x adds the matching coordinate of M x to it, one list per coordinate.
+    """
+    r = len(mats[0])
+    labels = [_label(i, n, r) for i in range(n**r)]
+    coords = list(zip(*(_vector(v, n, r) for v in range(1, n**r + 1))))  # in label order
+
+    def image(row):  # sum_j row[j] v_j, over every vector v
+        acc = [0] * n**r
+        for m, col in zip(row, coords):
+            acc = [a + m * c for a, c in zip(acc, col)]
+        return acc
 
     def table(M, K):
-        return tuple(tuple(1 + sum((s + t) % n * n**i for i, (s, t) in enumerate(zip(mx, ky)))
-                           for ky in images(K)) for mx in images(M))
+        ky, rows = [image(row) for row in K], []
+        for mx in zip(*map(image, M)):
+            index = [(mx[0] + t) % n for t in ky[0]]
+            for i in range(1, r):
+                m, scale = mx[i], n**i
+                index = [a + (m + t) % n * scale for a, t in zip(index, ky[i])]
+            rows.append(tuple(map(labels.__getitem__, index)))
+        return tuple(rows)
 
     return table(*mats[:2]), table(*mats[2:])
 
@@ -288,11 +288,9 @@ def _module_tables(n: int, mats) -> tuple[Table, Table]:
 def make_module_biquandle(n: int, A, B, C, D) -> FiniteBiquandle:
     """Biquandle on (Z/n)^r with x ." y = Ax + By and x .v y = Cx + Dy, if valid.
 
-    A, B, C, D are r x r integer matrices, as lists of rows. For r >= 2
-    the vector (v_0, ..., v_{r-1}) has label 1 + sum v_i n^i, so the zero
-    vector is label 1; r = 1 is make_linear_biquandle, whose labels are
-    the residues (n standing for 0). These are linear_form's two label
-    maps. Raises AxiomError with the first failing axiom and witness.
+    A, B, C, D are r x r integer matrices, as lists of rows; elements are
+    labelled as _label says, like linear_form reads them. Raises
+    AxiomError with the first failing axiom and witness.
     """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
@@ -300,8 +298,6 @@ def make_module_biquandle(n: int, A, B, C, D) -> FiniteBiquandle:
     r = len(mats[0])
     if r < 1 or any(len(M) != r or any(len(row) != r for row in M) for M in mats):
         raise ValueError("A, B, C and D must be r x r matrices with r >= 1")
-    if r == 1:
-        return make_linear_biquandle(n, *(M[0][0] for M in mats))
     return from_tables(*_module_tables(n, mats))
 
 

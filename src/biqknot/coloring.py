@@ -7,28 +7,27 @@ relations, read over the quads (x, y, x .v y, y ." x) of a biquandle X,
 say that a map X -> Y is a homomorphism, so one solver serves both.
 
 Over a linear biquandle the relations form a sparse system mod n whose
-solutions are a Z/n-module. FiniteBiquandle.linear_form reads two
-shapes off the tables: scalar, x ." y = ax + by and x .v y = cx + dy
-mod n = |Y| with label L the residue L mod n (make_linear_biquandle's,
-the dihedral R_n), one unknown per semiarc; and module, the same with
-r x r matrices on (Z/n)^r, r >= 2, the vector (v_0, ..., v_{r-1})
-labelled 1 + sum v_i n^i (make_module_biquandle's, Alexander quandles
-over GF(4) or GF(9)), r unknowns per semiarc, semiarc s's coordinate i
-being unknown s*r + i. coloring_matrix hands out that system as a
-RelationMatrix of sparse rows, the form the elimination reads; dense()
-is for printing. One elimination over each prime power of n, after a
-union-find merges the unknowns of each equality row x_a = x_b, serves
-two consumers: the counter multiplies the sizes its pivots leave free;
-the lister keeps the pivots, reads a generator per free parameter off
-them by back-substitution, and lists the box of their multiples column
-by column, building each distinct column once (a quandle crossing's
-o_in and o_out always share one) and zipping the columns into rows. Every
-other algebra is listed, or counted leaf by leaf, by a worklist
-propagation search that branches only when no relation can determine a
-new value through the forward relations, the inverse column maps, or
-the inverse of the sideways map. The search and brute force stay as the
-references for both linear routes. Arithmetic is plain Python integers,
-so entries can never overflow.
+solutions are a Z/n-module. FiniteBiquandle.linear_form reads one shape
+off the tables: x ." y = Ax + By and x .v y = Cx + Dy with r x r
+matrices on (Z/n)^r, |Y| = n^r, labelled by algebra._label (r = 1 for
+make_linear_biquandle's algebras and the dihedral R_n, r = 2 for
+Alexander quandles over GF(4) or GF(9)). Each semiarc has r unknowns,
+semiarc s's coordinate i being unknown s*r + i. coloring_matrix hands
+out that system as a RelationMatrix of sparse rows, the form the
+elimination reads; dense() is for printing. One elimination over each
+prime power of n, after a union-find merges the unknowns of each
+equality row x_a = x_b, serves two consumers: the counter multiplies
+the sizes its pivots leave free; the lister keeps the pivots, reads a
+generator per free parameter off them by back-substitution, and lists
+the box of their multiples column by column, building each distinct
+column once (a quandle crossing's o_in and o_out always share one) and
+zipping the columns into rows. Every other algebra is listed, or
+counted leaf by leaf, by a worklist propagation search that branches
+only when no relation can determine a new value through the forward
+relations, the inverse column maps, or the inverse of the sideways map.
+The search and brute force stay as the references for both linear
+routes. Arithmetic is plain Python integers, so entries can never
+overflow.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import FiniteBiquandle
+from .algebra import FiniteBiquandle, _label
 from .diagram import SemiarcDiagram
 
 Coloring = tuple[int, ...]
@@ -137,7 +136,7 @@ def list_solutions(m: int, oriented, Y: FiniteBiquandle) -> list[Coloring]:
     form = Y.linear_form
     if form is None:
         return sorted(map(tuple, _search(m, oriented, Y)))
-    return _list_kernel(_relation_rows(oriented, form), m, form[0], _width(form))
+    return _list_kernel(_relation_rows(oriented, form), m, form[0], len(form[1]))
 
 
 def enumerate_colorings(d: SemiarcDiagram, Y: FiniteBiquandle) -> list[Coloring]:
@@ -163,7 +162,7 @@ def count_colorings(d: SemiarcDiagram, Y: FiniteBiquandle) -> int:
     if form is None:
         base = sum(1 for _ in _search(d.semiarc_count, _oriented(d), Y))
     else:
-        base = _count_kernel(_relation_rows(_oriented(d), form), d.semiarc_count * _width(form),
+        base = _count_kernel(_relation_rows(_oriented(d), form), d.semiarc_count * len(form[1]),
                              form[0])
     return base * Y.size**d.free_loops
 
@@ -228,55 +227,41 @@ class RelationMatrix:
         return tuple(tuple(row.get(j, 0) % n for j in range(self.cols)) for row in self.rows)
 
 
-def _width(form) -> int:
-    """Unknowns per semiarc: 1 for a scalar linear_form, r for r x r matrices."""
-    return 1 if isinstance(form[1], int) else len(form[1])
-
-
 def _relation_rows(oriented, form) -> list[dict[int, int]]:
-    """Sparse rows {index: coefficient} for x ." y = ax+by, x .v y = cx+dy, two per quad.
+    """Sparse rows {unknown: coefficient} of linear_form's relations, 2w per quad.
 
-    A quad (p, q, r, s) gives r - c*p - d*q and s - a*q - b*p. With r x r
-    matrices each of these is r rows, one per coordinate i, over the
-    columns s*r + i (semiarc s, coordinate i).
+    With form = (n, A, B, C, D), w x w matrices, a quad (p, q, r, s)
+    gives r - Cp - Dq and s - Aq - Bp, each as w rows, one per coordinate
+    i, over the unknowns t*w + i (semiarc t, coordinate i). Zero
+    coefficients are left out.
     """
-    _, a, b, c, dd = form
-    if not isinstance(a, int):
-        return _module_rows(oriented, form)
+    _, A, B, C, D = form
+    w = len(A)
+    plan = []  # per row of a quad: (quad slot, coordinate, coefficient) terms
+    for out, M, x, K, y in ((2, C, 0, D, 1), (3, A, 1, B, 0)):
+        for i in range(w):
+            plan.append([(out, i, 1), *((x, j, -v) for j, v in enumerate(M[i]) if v),
+                         *((y, j, -v) for j, v in enumerate(K[i]) if v)])
     rows = []
-    for p, q, r, s in oriented:
-        for terms in (((r, 1), (p, -c), (q, -dd)), ((s, 1), (q, -a), (p, -b))):
+    for quad in oriented:
+        for terms in plan:
             row: dict[int, int] = {}
-            for j, v in terms:
-                row[j] = row.get(j, 0) + v
+            for slot, j, v in terms:
+                c = quad[slot] * w + j
+                row[c] = row.get(c, 0) + v
             rows.append(row)
     return rows
 
 
-def _module_rows(oriented, form) -> list[dict[int, int]]:
-    _, A, B, C, D = form
-    w = len(A)
-    rows = []
-    for p, q, r, s in oriented:
-        for out, M, x, K, y in ((r, C, p, D, q), (s, A, q, B, p)):
-            for i in range(w):
-                row = {out * w + i: 1}
-                for j in range(w):
-                    for col, v in ((x * w + j, -M[i][j]), (y * w + j, -K[i][j])):
-                        row[col] = row.get(col, 0) + v
-                rows.append(row)
-    return rows
-
-
 def coloring_matrix(d: SemiarcDiagram, Y: FiniteBiquandle) -> RelationMatrix:
-    """The relation matrix for a linear biquandle: 2 rows per crossing, 2r if it is (Z/n)^r.
+    """The relation matrix for a linear biquandle on (Z/n)^r: 2r rows per crossing.
 
-    With x ." y = ax + by and x .v y = cx + dy mod n, a positive
-    crossing contributes u_out - c*u_in - d*o_in = 0 and
-    o_out - a*o_in - b*u_in = 0; a negative crossing contributes the
-    same relations read through its inverse orientation. Over (Z/n)^r
-    (see FiniteBiquandle.linear_form) a, b, c, d are r x r matrices and
-    semiarc s owns the columns s*r .. s*r + r - 1. Each free loop owns
+    With x ." y = Ax + By and x .v y = Cx + Dy (see
+    FiniteBiquandle.linear_form), a positive crossing contributes
+    u_out - C*u_in - D*o_in = 0 and o_out - A*o_in - B*u_in = 0, one row
+    per coordinate; a negative crossing contributes the same relations
+    read through its inverse orientation. Semiarc s owns the columns
+    s*r .. s*r + r - 1. Each free loop owns
     the next r columns, which no row touches, in the order
     colorings_with_loops uses, so the null space has Col_Y(d) vectors.
     The rows stay sparse; dense() is for printing.
@@ -284,7 +269,7 @@ def coloring_matrix(d: SemiarcDiagram, Y: FiniteBiquandle) -> RelationMatrix:
     form = Y.linear_form
     if form is None:
         raise ValueError("coloring_matrix requires a linear biquandle (see linear_form)")
-    cols = (d.semiarc_count + d.free_loops) * _width(form)
+    cols = (d.semiarc_count + d.free_loops) * len(form[1])
     return RelationMatrix(tuple(_relation_rows(_oriented(d), form)), form[0], cols)
 
 
@@ -417,8 +402,8 @@ def _list_kernel(rows, cols: int, n: int, width: int = 1) -> list[Coloring]:
     box of their multiples. The box is built column by column: an
     unknown's values depend only on its coefficients across the
     generators, so entries with equal coefficients (a quandle crossing's
-    o_in and o_out) share one list. Labels are linear_form's: for
-    width 1 residue 0 is label n, else (v_0, ..) is 1 + sum v_i n^i.
+    o_in and o_out) share one list. Labels are linear_form's, given by
+    algebra._label for r = width.
     """
     if cols == 0:
         return [()]
@@ -450,17 +435,17 @@ def _list_kernel(rows, cols: int, n: int, width: int = 1) -> list[Coloring]:
             col = grown
         return col
 
-    label = [n, *range(1, n)]
+    labels = [_label(i, n, width) for i in range(n**width)]
     built: dict[tuple, list[int]] = {}  # coefficients across gens, per coordinate -> the column
     columns = []
     for c in range(cols):
         key = tuple(tuple(g[c * width + i] for _, g in gens) for i in range(width))
         if key not in built:
-            if width == 1:
-                built[key] = list(map(label.__getitem__, residues(key[0])))
-            else:
-                parts = [residues(coords) for coords in key]
-                built[key] = [1 + sum(v * n**i for i, v in enumerate(vs)) for vs in zip(*parts)]
+            index = residues(key[0])
+            for i in range(1, width):
+                scale = n**i
+                index = [a + v * scale for a, v in zip(index, residues(key[i]))]
+            built[key] = list(map(labels.__getitem__, index))
         columns.append(built[key])
     return sorted(zip(*columns))
 

@@ -22,6 +22,7 @@ from .algebra import (
     biquandle_z,
     enumerate_endos,
     make_dihedral,
+    make_linear_biquandle,
     validate_axioms,
 )
 from .bridge import b1_lower, min_seed_size
@@ -131,7 +132,6 @@ def item_03_snf_path():
     z = biquandle_z()
     t24 = count_solutions_snf(coloring_matrix(torus_2n(4), z))
     family_ok = True
-    from .algebra import make_linear_biquandle
 
     def listed(d, y):  # the search route, independent of the elimination
         return sum(1 for _ in _search(d.semiarc_count, _oriented(d), y)) * y.size**d.free_loops

@@ -97,7 +97,7 @@ def test_dihedral_validates_up_to_12():
 def test_linear_biquandle_z_is_valid():
     z = biquandle_z()
     assert z.size == 4
-    assert z.linear_form == (4, 3, 0, 1, 2)
+    assert z.linear_form == (4, ((3,),), ((0,),), ((1,),), ((2,),))
     assert validate_axioms(z.over_table, z.under_table) == []
     # x ." y = 3x, x .v y = x + 2y on labels 1..4 (4 standing for 0)
     assert z.over(1, 1) == 3
@@ -240,7 +240,7 @@ def test_module_biquandle_builds_the_tables_its_linear_form_reads():
     assert y.linear_form == (3, i, ZERO, minus_one, one_plus_i)
     # r = 1 is make_linear_biquandle, labels and linear_form alike
     z = make_module_biquandle(4, [[3]], [[0]], [[1]], [[2]])
-    assert z == biquandle_z() and z.linear_form == (4, 3, 0, 1, 2)
+    assert z == biquandle_z() and z.linear_form == (4, ((3,),), ((0,),), ((1,),), ((2,),))
 
 
 def test_module_biquandle_rejects_bad_input():
@@ -254,6 +254,30 @@ def test_module_biquandle_rejects_bad_input():
         make_module_biquandle(2, ZERO, ZERO, W, ONE_PLUS_W)
 
 
+def test_linear_form_checks_every_entry_of_both_tables():
+    # unvalidated copies, so no constructor vouches for the tables
+    gf4 = (2, IDENTITY, ZERO, W, ONE_PLUS_W)
+    gf9 = (3, IDENTITY, ZERO, ((1, 2), (1, 1)), ((0, 1), (2, 0)))  # x |> y = tx + (1 - t)y
+    cases = [  # (algebra, its form, the labels of the zero and unit vectors)
+        (make_dihedral(5), (5, ((1,),), ((0,),), ((4,),), ((2,),)), {5, 1}),
+        (biquandle_z(), (4, ((3,),), ((0,),), ((1,),), ((2,),)), {4, 1}),
+        (make_module_biquandle(*gf4), gf4, {1, 2, 3}),
+        (make_module_biquandle(*gf9), gf9, {1, 2, 4}),
+    ]
+    for y, form, read in cases:
+        n = y.size
+        assert FiniteBiquandle(n, y.over_table, y.under_table).linear_form == form
+        # the matrices are read off rows and columns `read`; every other entry is only checked
+        untouched = [(x, z) for x in range(n) for z in range(n) if {x + 1, z + 1}.isdisjoint(read)]
+        assert untouched
+        for x, z in untouched:
+            for which in (0, 1):
+                tables = [[list(row) for row in y.over_table], [list(row) for row in y.under_table]]
+                tables[which][x][z] = tables[which][x][z] % n + 1
+                over, under = (tuple(map(tuple, tab)) for tab in tables)
+                assert FiniteBiquandle(n, over, under).linear_form is None, (form, which, x, z)
+
+
 def test_conjugation_quandle():
     s4 = transpositions_quandle()
     assert s4.size == 6 and s4.is_quandle() and s4.linear_form is None
@@ -265,7 +289,7 @@ def test_conjugation_quandle():
     assert s4.op(1, 4) == 2 and s4.op(2, 4) == 1
     # the transpositions of S_3 are R_3 under any labelling: the third one when they differ
     s3 = make_conjugation_quandle([(2, 1, 3), (3, 2, 1), (1, 3, 2)])
-    assert s3 == make_dihedral(3) and s3.linear_form == (3, 1, 0, 2, 2)
+    assert s3 == make_dihedral(3) and s3.linear_form == (3, ((1,),), ((0,),), ((2,),), ((2,),))
     for bad in ([], [(1, 1)], [(2, 1), (2, 1, 3)], [(2, 1, 3), (2, 1, 3)],
                 [(2, 1, 3), (1, 3, 2)]):  # the last misses (1 3)
         with pytest.raises(ValueError):

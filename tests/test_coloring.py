@@ -26,9 +26,7 @@ from biqknot.coloring import (
     _list_kernel,
     _oriented,
     _pivots,
-    _relation_rows,
     _search,
-    _width,
     brute_force_colorings,
     coloring_matrix,
     colorings_with_loops,
@@ -548,15 +546,27 @@ def test_relation_matrix_rejects_columns_outside_cols():
 
 
 def dense_coloring_matrix(d, y):
-    """The relation rows written out in full mod n, without RelationMatrix.dense (oracle)."""
-    form = y.linear_form
-    n, cols = form[0], d.semiarc_count * _width(form)
+    """The relation rows written out in full mod n from d's crossings and y's matrices (oracle).
+
+    A positive crossing asks u_out = C u_in + D o_in and o_out = A o_in + B u_in,
+    a negative one the same with in and out swapped: r - Cp - Dq and s - Aq - Bp
+    for (p, q, r, s), one row per coordinate, semiarc t's coordinate i being
+    column t*w + i.
+    """
+    n, A, B, C, D = y.linear_form
+    w = len(A)
     rows = []
-    for sparse_row in _relation_rows(_oriented(d), form):
-        row = [0] * cols
-        for j, v in sparse_row.items():
-            row[j] = v % n
-        rows.append(tuple(row))
+    for c in d.crossings:
+        p, q, r, s = ((c.u_in, c.o_in, c.u_out, c.o_out) if c.sign > 0
+                      else (c.u_out, c.o_out, c.u_in, c.o_in))
+        for out, M, x, K, z in ((r, C, p, D, q), (s, A, q, B, p)):
+            for i in range(w):
+                row = [0] * (d.semiarc_count * w)
+                row[out * w + i] += 1
+                for j in range(w):
+                    row[x * w + j] -= M[i][j]
+                    row[z * w + j] -= K[i][j]
+                rows.append(tuple(v % n for v in row))
     return tuple(rows)
 
 
@@ -579,7 +589,7 @@ def matrix_battery():
 def test_sparse_matrix_matches_dense_construction_and_counts():
     for d, y in matrix_battery():
         m = coloring_matrix(d, y)
-        loop_cols = (0,) * (d.free_loops * _width(y.linear_form))
+        loop_cols = (0,) * (d.free_loops * len(y.linear_form[1]))
         assert m.dense() == tuple(row + loop_cols for row in dense_coloring_matrix(d, y))
         rows = copy.deepcopy(m.rows)
         count = count_solutions_snf(m)
@@ -639,11 +649,11 @@ def test_linear_form_detected_lazily_from_tables():
     for n in range(1, 13):
         rn = make_dihedral(n)
         assert "linear_form" not in vars(rn)  # building never pays for detection
-        assert rn.linear_form == (n, 1 % n, 0, (n - 1) % n, 2 % n)
+        assert rn.linear_form == (n, ((1 % n,),), ((0,),), (((n - 1) % n,),), ((2 % n,),))
         untagged = parse_biquandle(serialize_biquandle(make_linear_biquandle(n, 1, 0, n - 1, 2)))
         assert untagged.linear_form == rn.linear_form
-    assert biquandle_z().linear_form == (4, 3, 0, 1, 2)
-    # every table linear mod its size keeps the scalar shape, whatever its size
+    assert biquandle_z().linear_form == (4, ((3,),), ((0,),), ((1,),), ((2,),))
+    # every table linear mod its size keeps r = 1, whatever its size
     for n in range(1, 6):
         for a, b, c, d in itertools.product(range(n), repeat=4):
             try:
@@ -651,8 +661,9 @@ def test_linear_form_detected_lazily_from_tables():
             except AxiomError:
                 continue
             assert "linear_form" not in vars(y)
-            assert y.linear_form == (n, a, b, c, d)
-    assert make_linear_biquandle(4, -1, 4, 5, -2).linear_form == (4, 3, 0, 1, 2)
+            assert y.linear_form == (n, ((a,),), ((b,),), ((c,),), ((d,),))
+    assert (make_linear_biquandle(4, -1, 4, 5, -2).linear_form
+            == (4, ((3,),), ((0,),), ((1,),), ((2,),)))
 
 
 def test_gf4_alexander_quandle_is_module_linear_and_counts_match_search():
