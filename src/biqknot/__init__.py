@@ -3,7 +3,6 @@
 from .algebra import (
     AxiomError,
     FiniteBiquandle,
-    Quandle,
     biquandle_z,
     column_permutation,
     enumerate_endos,
@@ -46,7 +45,7 @@ from .polynomial import ExponentPolynomial
 from .quiver import ColoringQuiver, build_quiver, in_degree_polynomial, quivers_isomorphic
 
 __all__ = [
-    "AxiomError", "FiniteBiquandle", "Quandle", "biquandle_z",
+    "AxiomError", "FiniteBiquandle", "biquandle_z",
     "column_permutation", "enumerate_endos", "enumerate_homs", "from_tables",
     "group_order", "make_conjugation_quandle", "make_dihedral", "make_linear_biquandle",
     "make_module_biquandle", "subquandle_closure", "validate_axioms",

@@ -105,52 +105,9 @@ class FiniteBiquandle:
     def _is_quandle(self) -> bool:  # one scan per algebra, not one per column or closure
         return all(self.over_table[x] == tuple([x + 1] * self.size) for x in range(self.size))
 
-    # Inverse column maps and the inverse of the sideways map S(x, y) = (y ." x, x .v y).
-    # These exist exactly when the axioms hold; they drive coloring propagation.
-
-    def over_col_inv(self, y: int, z: int) -> int:
-        """The x with x ." y = z."""
-        return self._over_inv[y - 1][z - 1]
-
-    def under_col_inv(self, y: int, z: int) -> int:
-        """The x with x .v y = z."""
-        return self._under_inv[y - 1][z - 1]
-
-    def sideways_inv(self, u: int, v: int) -> tuple[int, int]:
-        """The (x, y) with S(x, y) = (y ." x, x .v y) = (u, v)."""
-        return self._s_inv[(u, v)]
-
-    @cached_property
-    def _over_inv(self):
-        return _invert_columns(self.over_table, self.size)
-
-    @cached_property
-    def _under_inv(self):
-        return _invert_columns(self.under_table, self.size)
-
-    @cached_property
-    def _s_inv(self):
-        return {(self.over(y, x), self.under(x, y)): (x, y)
-                for x in self.elements() for y in self.elements()}
-
     def __str__(self) -> str:
         kind = "Quandle" if self.is_quandle() else "FiniteBiquandle"
         return f"{kind}(n={self.size})"
-
-
-class Quandle(FiniteBiquandle):
-    """A biquandle with trivial over operation; x |> y is the under table."""
-
-    def op(self, x: int, y: int) -> int:
-        return self.under(x, y)
-
-
-def _invert_columns(table: Table, n: int):
-    inv = [[0] * n for _ in range(n)]
-    for y in range(n):
-        for x in range(n):
-            inv[y][table[x][y] - 1] = x + 1
-    return tuple(tuple(r) for r in inv)
 
 
 def validate_axioms(over_table, under_table) -> list[AxiomViolation]:
@@ -215,20 +172,17 @@ def from_tables(over_table, under_table) -> FiniteBiquandle:
     if violations:
         raise AxiomError(f"not a biquandle: {violations[0]}" +
                          (f" (+{len(violations) - 1} more)" if len(violations) > 1 else ""))
-    over = _as_table(over_table, n, "over")
-    under = _as_table(under_table, n, "under")
-    biq = FiniteBiquandle(n, over, under)
-    return Quandle(n, over, under) if biq.is_quandle() else biq
+    return FiniteBiquandle(n, _as_table(over_table, n, "over"), _as_table(under_table, n, "under"))
 
 
-def make_dihedral(n: int) -> Quandle:
+def make_dihedral(n: int) -> FiniteBiquandle:
     """The dihedral quandle R_n on {1..n} with x |> y = 2y - x mod n."""
     if n < 1:
         raise ValueError(f"dihedral quandle needs n >= 1, got {n}")
     over = tuple(tuple([x] * n) for x in range(1, n + 1))
     under = tuple(tuple((2 * y - x - 1) % n + 1 for y in range(1, n + 1))
                   for x in range(1, n + 1))
-    return Quandle(n, over, under)
+    return FiniteBiquandle(n, over, under)
 
 
 def make_linear_biquandle(n: int, a: int, b: int, c: int, d: int) -> FiniteBiquandle:
@@ -301,7 +255,7 @@ def make_module_biquandle(n: int, A, B, C, D) -> FiniteBiquandle:
     return from_tables(*_module_tables(n, mats))
 
 
-def make_conjugation_quandle(perms) -> Quandle:
+def make_conjugation_quandle(perms) -> FiniteBiquandle:
     """The conjugation quandle x |> y = y^-1 x y on permutations closed under conjugation.
 
     perms are image tuples over {1..k} (see Permutation) multiplied left
@@ -372,7 +326,7 @@ def is_hom(X: FiniteBiquandle, Y: FiniteBiquandle, image) -> bool:
 Permutation = tuple[int, ...]  # image of i+1 at index i, over {1..n}
 
 
-def column_permutation(Q: Quandle, y: int) -> Permutation:
+def column_permutation(Q: FiniteBiquandle, y: int) -> Permutation:
     """The permutation x -> x |> y given by column y of the quandle table."""
     if not Q.is_quandle():
         raise ValueError("column permutations are defined for quandles only")
@@ -418,7 +372,7 @@ def group_order(gens, cap: int = DEFAULT_GROUP_CAP) -> int:
     return len(seen)
 
 
-def subquandle_closure(Q: Quandle, S) -> frozenset[int]:
+def subquandle_closure(Q: FiniteBiquandle, S) -> frozenset[int]:
     """Smallest subset containing S closed under |> and its column inverses.
 
     It is the orbit of S under the columns R_s (x -> x |> s) of s in S,

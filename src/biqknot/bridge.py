@@ -150,7 +150,7 @@ def _log_bound(size: int, count: int) -> int:
 def b1_lower(counts) -> int:
     """Bridge index lower bound from quandle counting invariants.
 
-    counts is a list of (Quandle, Col value) pairs; the bound is the max
+    counts is a list of (quandle, count) pairs; the bound is the max
     of ceil(log_|X| Col) over the battery. Quandle counts bound the
     overpass index b1; the same computation on general biquandles
     (b2_lower) bounds the height-function index b2.

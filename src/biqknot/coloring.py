@@ -23,10 +23,10 @@ the box of their multiples column by column, building each distinct
 column once (a quandle crossing's o_in and o_out always share one) and
 zipping the columns into rows. Every other algebra is listed, or
 counted leaf by leaf, by a worklist propagation search that branches
-only when no relation can determine a new value through the forward
-relations, the inverse column maps, or the inverse of the sideways map.
-The search and brute force stay as the references for both linear
-routes. Arithmetic is plain Python integers, so entries can never
+only when no crossing has a propagating pair of known values: any such
+pair names the whole quad of Y at that crossing, looked up in one table
+per pair. The search and brute force stay as the references for both
+linear routes. Arithmetic is plain Python integers, so entries can never
 overflow.
 """
 
@@ -52,44 +52,47 @@ def _oriented(d: SemiarcDiagram) -> list[tuple[int, int, int, int]]:
 def _search(m: int, oriented, Y: FiniteBiquandle):
     """Yield every x in Y^m satisfying each quad's relations, as lists, in search order.
 
-    A quad (p, q, r, s) asks x[r] = x[p] .v x[q] and x[s] = x[q] ." x[p].
-    Depth-first over an explicit stack, so no diagram size reaches the
-    recursion limit; memory is one assignment per open branch level.
+    A quad (p, q, r, s) asks x[r] = x[p] .v x[q] and x[s] = x[q] ." x[p],
+    that is, (x[p], x[q], x[r], x[s]) is one of Y's quads (x, y, x .v y,
+    y ." x). Any propagating pair of its slots names that quad, so a
+    crossing with such a pair known is looked up whole in that pair's
+    table and every slot is assigned or checked. Depth-first over an
+    explicit stack, so no diagram size reaches the recursion limit;
+    memory is one assignment per open branch level.
     """
     incident: list[list[int]] = [[] for _ in range(m)]
     for ci, quad in enumerate(oriented):
         for s in set(quad):
             incident[s].append(ci)
 
+    # propagating slot pairs within the oriented quad (p, q, r, s); by the
+    # axioms each pair's values name exactly one quad of Y, its table[a][b]
+    partner_pairs = ((0, 1), (0, 3), (1, 2), (2, 3))
+    y_quads = [(x, y, Y.under(x, y), Y.over(y, x)) for x in Y.elements() for y in Y.elements()]
+    lookups = []
+    for i, j in partner_pairs:
+        table = [[None] * (Y.size + 1) for _ in range(Y.size + 1)]
+        for full in y_quads:
+            table[full[i]][full[j]] = full
+        lookups.append((i, j, table))
+    # each crossing's propagating pairs of semiarcs, with the table that completes them
+    crossing_pairs = [[(quad[i], quad[j], table) for i, j, table in lookups] for quad in oriented]
+
     def propagate(assign: list[int], queue: list[int]) -> bool:
         while queue:
             ci = queue.pop()
-            p, q, r, s = oriented[ci]
-            vp, vq, vr, vs = assign[p], assign[q], assign[r], assign[s]
-            derived: list[tuple[int, int]] = []
-            if vp and vq:
-                derived = [(r, Y.under(vp, vq)), (s, Y.over(vq, vp))]
-            elif vp and vs:
-                vq = Y.over_col_inv(vp, vs)
-                derived = [(q, vq), (r, Y.under(vp, vq))]
-            elif vq and vr:
-                vp = Y.under_col_inv(vq, vr)
-                derived = [(p, vp), (s, Y.over(vq, vp))]
-            elif vr and vs:
-                vp, vq = Y.sideways_inv(vs, vr)
-                derived = [(p, vp), (q, vq)]
+            for a, b, table in crossing_pairs[ci]:
+                if assign[a] and assign[b]:
+                    break
             else:
                 continue
-            for sem, val in derived:
+            for sem, val in zip(oriented[ci], table[assign[a]][assign[b]]):
                 if assign[sem] == 0:
                     assign[sem] = val
                     queue.extend(incident[sem])
                 elif assign[sem] != val:
                     return False
         return True
-
-    # propagating slot pairs within the oriented quad (p, q, r, s)
-    partner_pairs = ((0, 1), (0, 3), (1, 2), (2, 3))
 
     def pick_branch(assign: list[int]) -> int:
         # prefer a semiarc that completes a propagating pair at some

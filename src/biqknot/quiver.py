@@ -121,8 +121,6 @@ def quivers_isomorphic(q1: ColoringQuiver, q2: ColoringQuiver) -> bool:
     a2 = _adjacency(q2, n2)
     col1 = _refine(a1, n1)
     col2 = _refine(a2, n2)
-    if sorted(Counter(col1).values()) != sorted(Counter(col2).values()):
-        return False
     if sorted(col1) != sorted(col2):
         return False
     return _backtrack(a1, a2, col1, col2, n1)

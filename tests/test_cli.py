@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,16 @@ def test_runtime_imports_only_the_standard_library():
     loaded = set(proc.stdout.split())
     assert "biqknot" in loaded
     assert loaded - {"biqknot"} <= sys.stdlib_module_names
+
+
+def test_all_lists_every_public_name_and_each_resolves():
+    public = {name for name, value in vars(biqknot).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(biqknot.__all__) == len(set(biqknot.__all__))
+    assert set(biqknot.__all__) == public
+    namespace: dict = {}
+    exec("from biqknot import *", namespace)
+    assert all(namespace[name] is getattr(biqknot, name) for name in biqknot.__all__)
 
 
 def test_enhance_colgroup(capsys):

@@ -84,7 +84,8 @@ def multiset_by_subquandle_columns(d, q):
             sub.add(x)
             for y in sub:
                 for z in (q.under(x, y), q.under(y, x),
-                          q.under_col_inv(y, x), q.under_col_inv(x, y)):
+                          [q.under(w, y) for w in q.elements()].index(x) + 1,
+                          [q.under(w, x) for w in q.elements()].index(y) + 1):
                     if z not in sub:
                         todo.add(z)
         gens = [column_permutation(q, y) for y in sorted(sub)]

@@ -7,6 +7,7 @@ whose cached linear_form is None.
 """
 
 import importlib.util
+import itertools
 import random
 from pathlib import Path
 
@@ -14,9 +15,11 @@ import pytest
 
 from biqknot.algebra import (
     FiniteBiquandle,
+    biquandle_z,
     enumerate_endos,
     enumerate_homs,
     from_tables,
+    make_conjugation_quandle,
     make_dihedral,
     make_module_biquandle,
 )
@@ -64,6 +67,12 @@ def searched_twin(y: FiniteBiquandle) -> FiniteBiquandle:
     twin = FiniteBiquandle(y.size, y.over_table, y.under_table)
     vars(twin)["linear_form"] = None
     return twin
+
+
+def gf9_non_quandle() -> FiniteBiquandle:
+    """x ." y = i x and x .v y = -x + (1 + i) y over GF(9) = (Z/3)^2, i^2 = -1."""
+    zero = ((0, 0), (0, 0))
+    return make_module_biquandle(3, ((0, 2), (1, 0)), zero, ((2, 0), (0, 2)), ((1, 2), (1, 1)))
 
 
 def moved(d, key: str):
@@ -134,9 +143,7 @@ def test_elimination_listing_matches_search_tuple_for_tuple(field):
 
 
 def test_non_quandle_module_biquandle_matches_search_and_brute_force():
-    # x ." y = i x and x .v y = -x + (1 + i) y over GF(9) = (Z/3)^2, i^2 = -1
-    zero = ((0, 0), (0, 0))
-    y = make_module_biquandle(3, ((0, 2), (1, 0)), zero, ((2, 0), (0, 2)), ((1, 2), (1, 1)))
+    y = gf9_non_quandle()
     twin = searched_twin(y)
     for d in (torus_2n(2), torus_2n(3), torus_2n(4), chain(3), VIRTUAL_TREFOIL,
               apply_r1(torus_2n(2), 1, -1), apply_r2(torus_2n(2), 0, 2, "antiparallel")):
@@ -158,3 +165,22 @@ def test_homs_quivers_and_enhancements_match_the_search():
         for d in (torus_2n(3), chain(3), DIAGRAMS["loops"], DIAGRAMS["virtual3_1.V"]):
             assert build_quiver(d, y, endos) == build_quiver(d, twin, endos)
             assert column_group_polynomial(d, y) == column_group_polynomial(d, twin)
+
+
+@pytest.mark.parametrize("quad", [(0, 1, 2, 3), (0, 2, 3, 1), (2, 0, 1, 3), (2, 3, 0, 1)])
+def test_search_completes_each_propagating_pair(quad):
+    # the search branches on semiarc 0, then on semiarc 1; placed this way
+    # they hold slots (p, q), (p, s), (q, r) and (r, s) of the one quad, so
+    # the second branch completes each propagating pair in turn
+    swaps = [tuple(p) for p in itertools.permutations(range(1, 5))
+             if sum(a != b for a, b in zip(p, range(1, 5))) == 2]
+    for y in (searched_twin(biquandle_z()), searched_twin(gf9_non_quandle()),
+              make_conjugation_quandle(swaps)):
+        assert y.linear_form is None
+        placed = []
+        for x, z in itertools.product(y.elements(), repeat=2):
+            coloring = [0] * 4
+            for sem, val in zip(quad, (x, z, y.under(x, z), y.over(z, x))):
+                coloring[sem] = val
+            placed.append(tuple(coloring))
+        assert [tuple(c) for c in _search(4, [quad], y)] == sorted(placed), (quad, y)
