@@ -14,7 +14,12 @@ Wire format, one crossing per line::
 
 Semiarcs are nonnegative integers; every id must occur exactly once as
 an input (u_in/o_in) and once as an output (u_out/o_out), so semiarcs
-chain into oriented closed components.
+chain into oriented closed components. A ``#`` starts a comment.
+
+parse_pd checks valid input in bulk, over flat lists of tags and ids;
+only input that fails a bulk check is scanned line by line, and that
+scan only names the first bad line. A Crossing is a named tuple, equal
+to its plain 5-tuple (sign, u_in, o_in, u_out, o_out).
 
 Crossing relation convention used throughout the library: a positive
 crossing imposes u_out = u_in .v o_in and o_out = o_in ." u_in; a
@@ -27,7 +32,9 @@ in 3 ways, torus2:1 in 1).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import NamedTuple, NoReturn
 
 
 class DiagramError(ValueError):
@@ -37,20 +44,16 @@ class DiagramError(ValueError):
 class ParseError(DiagramError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(f"line {line}: {message}" if line is not None else message)
+        self.message = message
         self.line = line
 
 
-@dataclass(frozen=True)
-class Crossing:
-    sign: int  # +1 or -1
+class Crossing(NamedTuple):
+    sign: int  # +1 or -1, checked by SemiarcDiagram
     u_in: int
     o_in: int
     u_out: int
     o_out: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise DiagramError(f"crossing sign must be +1 or -1, got {self.sign}")
 
     def inputs(self) -> tuple[int, int]:
         return (self.u_in, self.o_in)
@@ -66,6 +69,18 @@ class SemiarcDiagram:
     free_loops: int = 0
 
     def __post_init__(self):
+        signs, u_in, o_in, u_out, o_out = zip(*self.crossings) if self.crossings else ((),) * 5
+        if not set(signs) <= {1, -1}:
+            bad = next(s for s in signs if s not in (1, -1))
+            raise DiagramError(f"crossing sign must be +1 or -1, got {bad}")
+        every = list(range(self.semiarc_count))
+        if sorted(u_in + o_in) != every or sorted(u_out + o_out) != every:
+            self._raise_semiarc_error()
+        if self.free_loops < 0:
+            raise DiagramError("free loop count cannot be negative")
+
+    def _raise_semiarc_error(self):
+        """Name the first semiarc out of range, or not consumed or produced exactly once."""
         heads = [0] * self.semiarc_count
         tails = [0] * self.semiarc_count
         for c in self.crossings:
@@ -83,8 +98,6 @@ class SemiarcDiagram:
             if tails[s] != 1:
                 word = "no source" if tails[s] == 0 else "multiple sources"
                 raise DiagramError(f"semiarc {s} has {word} (must be produced exactly once)")
-        if self.free_loops < 0:
-            raise DiagramError("free loop count cannot be negative")
 
     def successor(self) -> list[int]:
         """next[s] = the semiarc continuing s through the crossing that consumes it."""
@@ -118,11 +131,73 @@ class SemiarcDiagram:
 # -- wire format ---------------------------------------------------------------
 
 
+_SIGNS = {"X+": 1, "X-": -1, "V": 0}  # 0: a virtual crossing
+
+
 def parse_pd(text: str) -> SemiarcDiagram:
     """Parse the wire format; validates and canonically renumbers semiarcs."""
-    crossings: list[tuple[int, int, int, int, int]] = []
-    virtuals: list[tuple[int, int, int, int]] = []
-    free_loops = 0
+    d = _parse_valid(text)
+    if d is None:
+        _raise_first_error(text)
+    return d
+
+
+def _parse_valid(text: str) -> SemiarcDiagram | None:
+    """The diagram of valid wire text, read in bulk; None if any check fails."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    records = list(filter(None, map(str.split, lines)))
+    loops = [r for r in records if r[0] == "L"]
+    if loops:
+        if not all(len(r) == 2 and r[1].isdecimal() for r in loops):
+            return None
+        records = [r for r in records if r[0] != "L"]
+    if not set(map(len, records)) <= {5}:
+        return None
+    tokens = list(itertools.chain.from_iterable(records))
+    del lines, records  # only the flat token list holds the text from here on
+    signs = list(map(_SIGNS.get, tokens[0::5]))
+    if None in signs:
+        return None
+    del tokens[0::5]
+    try:
+        ids = list(map(int, tokens))
+    except ValueError:
+        return None
+    del tokens
+    heads, tails = set(ids[0::4]), set(ids[2::4])
+    heads.update(ids[1::4])
+    tails.update(ids[3::4])
+    # no id consumed or produced twice, none dangling, none negative
+    if 2 * len(heads) != len(ids) or heads != tails or min(heads, default=0) < 0:
+        return None
+
+    free_loops = sum(int(r[1]) for r in loops)
+    if 0 in signs:
+        quads = list(zip(ids[0::4], ids[1::4], ids[2::4], ids[3::4]))
+        real = [(sign, *q) for sign, q in zip(signs, quads) if sign]
+        virtuals = [q for sign, q in zip(signs, quads) if not sign]
+        relabel, semiarcs, virtual_loops = _erase_virtuals(heads, real, virtuals)
+        free_loops += virtual_loops
+        signs = [sign for sign in signs if sign]
+        ids = [relabel[s] for c in real for s in c[1:]]
+    else:  # every id is a semiarc of a real crossing, numbered in increasing order
+        semiarcs = len(heads)
+        if max(heads, default=-1) != semiarcs - 1:
+            relabel = dict(zip(sorted(heads), range(semiarcs)))
+            ids = list(map(relabel.__getitem__, ids))
+    crossings = map(Crossing._make, zip(signs, ids[0::4], ids[1::4], ids[2::4], ids[3::4]))
+    return SemiarcDiagram(semiarcs, tuple(crossings), free_loops)
+
+
+def _raise_first_error(text: str) -> NoReturn:
+    """Raise the ParseError of the first bad line of text that failed a bulk check.
+
+    Reads line by line what _parse_valid reads in bulk, so such text
+    always has a bad line: a malformed record, or else a semiarc consumed
+    or produced twice, or else dangling semiarcs, reported together.
+    """
     head_line: dict[int, int] = {}
     tail_line: dict[int, int] = {}
 
@@ -133,9 +208,8 @@ def parse_pd(text: str) -> SemiarcDiagram:
         parts = line.split()
         tag = parts[0]
         if tag == "L":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise ParseError("L line takes one nonnegative count", lineno)
-            free_loops += int(parts[1])
             continue
         if tag not in ("X+", "X-", "V"):
             raise ParseError(f"unknown record {tag!r}", lineno)
@@ -156,29 +230,14 @@ def parse_pd(text: str) -> SemiarcDiagram:
             if s in tail_line:
                 raise ParseError(f"semiarc {s} produced twice (also line {tail_line[s]})", lineno)
             tail_line[s] = lineno
-        if tag == "V":
-            virtuals.append((a_in, b_in, a_out, b_out))
-        else:
-            crossings.append((1 if tag == "X+" else -1, a_in, b_in, a_out, b_out))
 
     dangling = []
     for s in sorted(set(head_line) - set(tail_line)):
         dangling.append((s, f"semiarc {s} has no source", head_line[s]))
     for s in sorted(set(tail_line) - set(head_line)):
         dangling.append((s, f"semiarc {s} has no destination", tail_line[s]))
-    if dangling:
-        dangling.sort()
-        raise ParseError("; ".join(msg for _, msg, _ in dangling), dangling[0][2])
-
-    if virtuals:
-        relabel, semiarcs, loops = _erase_virtuals(head_line, crossings, virtuals)
-        free_loops += loops
-    else:  # every id is a semiarc of a real crossing
-        relabel = {s: i for i, s in enumerate(sorted(head_line))}
-        semiarcs = len(relabel)
-    out = tuple(Crossing(sign, relabel[a], relabel[b], relabel[c], relabel[d])
-                for sign, a, b, c, d in crossings)
-    return SemiarcDiagram(semiarcs, out, free_loops)
+    dangling.sort()
+    raise ParseError("; ".join(msg for _, msg, _ in dangling), dangling[0][2])
 
 
 def _erase_virtuals(ids, crossings, virtuals) -> tuple[dict[int, int], int, int]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 
-from .diagram import SemiarcDiagram, parse_pd
+from .diagram import ParseError, SemiarcDiagram, parse_pd
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,11 @@ class KnotRecord:
 
 
 def parse_knot_table(text: str) -> dict[str, KnotRecord]:
-    """Parse a knot table file into an ordered name -> record map."""
+    """Parse a knot table file into an ordered name -> record map.
+
+    Errors name the table line; a bad crossing record also names its
+    place in the ``;``-separated list, counted from 1.
+    """
     records: dict[str, KnotRecord] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -42,8 +46,14 @@ def parse_knot_table(text: str) -> dict[str, KnotRecord]:
             raise ValueError(f"line {lineno}: duplicate knot {name!r}")
         det = None
         if len(parts) == 3 and parts[2]:
-            det = int(parts[2])
-        diagram = parse_pd("\n".join(inline.split(";")))
+            try:
+                det = int(parts[2])
+            except ValueError:
+                raise ValueError(f"line {lineno}: determinant must be an integer") from None
+        try:
+            diagram = parse_pd("\n".join(inline.split(";")))
+        except ParseError as e:
+            raise ValueError(f"line {lineno}: record {e.line}: {e.message}") from None
         records[name] = KnotRecord(name, diagram, det)
     return records
 

@@ -122,6 +122,16 @@ def test_diagram_validate_error(tmp_path, capsys):
     assert "invalid" in out
 
 
+def test_diagram_validate_rejects_non_decimal_loop_count(tmp_path, capsys):
+    f = tmp_path / "bad.pd"
+    f.write_text("L \u00b2\n", encoding="utf-8")
+    code, out, err = run(capsys, "diagram", "validate", str(f))
+    assert (code, out, err) == (1, "invalid: line 1: L line takes one nonnegative count\n", "")
+    code, out, err = run(capsys, "--format", "json", "diagram", "validate", str(f))
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"valid": False, "error": "line 1: L line takes one nonnegative count"}
+
+
 def test_diagram_sum(tmp_path, capsys):
     code, out, _ = run(capsys, "diagram", "gen", "torus2", "3")
     f = tmp_path / "t3.pd"

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from biqknot.diagram import (
     DiagramError,
     ParseError,
     SemiarcDiagram,
+    _erase_virtuals,
     apply_r1,
     apply_r2,
     chain,
@@ -97,6 +99,38 @@ def test_purely_virtual_component_becomes_free_loop():
 def test_validation_rejects_double_head():
     with pytest.raises(DiagramError):
         SemiarcDiagram(2, (Crossing(1, 0, 0, 1, 1),))
+
+
+@pytest.mark.parametrize("count, crossings, free_loops, message", [
+    (2, ((0, 0, 1, 1, 0),), 0, "crossing sign must be +1 or -1, got 0"),
+    (2, ((1, 0, 1, 1, 0), (2, 0, 1, 1, 0)), 0, "crossing sign must be +1 or -1, got 2"),
+    (2, ((1, 0, 2, 1, 0),), 0, "semiarc 2 out of range 0..1"),
+    (2, ((1, -1, 1, 1, 0),), 0, "semiarc -1 out of range 0..1"),
+    (3, ((1, 0, 1, 1, 0),), 0, "semiarc 2 has no head (must be consumed exactly once)"),
+    (2, ((1, 0, 0, 1, 1),), 0, "semiarc 0 has multiple heads (must be consumed exactly once)"),
+    (2, ((1, 0, 1, 1, 1),), 0, "semiarc 0 has no source (must be produced exactly once)"),
+    (2, ((1, 0, 1, 0, 0),), 0, "semiarc 0 has multiple sources (must be produced exactly once)"),
+    (0, (), -1, "free loop count cannot be negative"),
+])
+def test_validation_messages(count, crossings, free_loops, message):
+    with pytest.raises(DiagramError) as e:
+        SemiarcDiagram(count, tuple(Crossing(*c) for c in crossings), free_loops)
+    assert str(e.value) == message
+
+
+def test_crossing_is_a_named_tuple():
+    c = Crossing(1, 0, 1, 1, 0)
+    assert repr(c) == "Crossing(sign=1, u_in=0, o_in=1, u_out=1, o_out=0)"
+    assert c == (1, 0, 1, 1, 0) and hash(c) == hash((1, 0, 1, 1, 0))
+    assert (c.inputs(), c.outputs()) == ((0, 1), (1, 0))
+
+
+def test_parse_l_count_must_be_decimal():
+    # '²' is a digit to str.isdigit but not a decimal int() can read
+    for text in ("L \u00b2\n", "X+ 0 1 1 0\nL 1\u00b2\n"):
+        with pytest.raises(ParseError, match="L line takes one nonnegative count") as e:
+            parse_pd(text)
+        assert e.value.line == text.count("\n")
 
 
 def test_torus_structure():
@@ -282,3 +316,175 @@ def test_strand_order_follows_flow():
     over_next = {c.o_in: c.o_out for c in t.crossings}
     for path in dec.strands:
         assert over_next[path[0]] == path[1]
+
+
+# -- the line-by-line parser as the oracle of the bulk one -----------------------
+
+
+def reference_parse_pd(text):
+    """The line-by-line parser that parse_pd's bulk reading replaced (L counts
+    must be decimal), kept as the oracle for its results and first errors."""
+    crossings = []
+    virtuals = []
+    free_loops = 0
+    head_line = {}
+    tail_line = {}
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        tag = parts[0]
+        if tag == "L":
+            if len(parts) != 2 or not parts[1].isdecimal():
+                raise ParseError("L line takes one nonnegative count", lineno)
+            free_loops += int(parts[1])
+            continue
+        if tag not in ("X+", "X-", "V"):
+            raise ParseError(f"unknown record {tag!r}", lineno)
+        if len(parts) != 5:
+            raise ParseError(f"{tag} line takes four semiarc ids", lineno)
+        try:
+            ids = [int(p) for p in parts[1:]]
+        except ValueError:
+            raise ParseError("semiarc ids must be integers", lineno)
+        if any(i < 0 for i in ids):
+            raise ParseError("semiarc ids must be nonnegative", lineno)
+        a_in, b_in, a_out, b_out = ids
+        for s in (a_in, b_in):
+            if s in head_line:
+                raise ParseError(f"semiarc {s} consumed twice (also line {head_line[s]})", lineno)
+            head_line[s] = lineno
+        for s in (a_out, b_out):
+            if s in tail_line:
+                raise ParseError(f"semiarc {s} produced twice (also line {tail_line[s]})", lineno)
+            tail_line[s] = lineno
+        if tag == "V":
+            virtuals.append((a_in, b_in, a_out, b_out))
+        else:
+            crossings.append((1 if tag == "X+" else -1, a_in, b_in, a_out, b_out))
+
+    dangling = []
+    for s in sorted(set(head_line) - set(tail_line)):
+        dangling.append((s, f"semiarc {s} has no source", head_line[s]))
+    for s in sorted(set(tail_line) - set(head_line)):
+        dangling.append((s, f"semiarc {s} has no destination", tail_line[s]))
+    if dangling:
+        dangling.sort()
+        raise ParseError("; ".join(msg for _, msg, _ in dangling), dangling[0][2])
+
+    if virtuals:
+        relabel, semiarcs, loops = _erase_virtuals(head_line, crossings, virtuals)
+        free_loops += loops
+    else:
+        relabel = {s: i for i, s in enumerate(sorted(head_line))}
+        semiarcs = len(relabel)
+    out = tuple(Crossing(sign, relabel[a], relabel[b], relabel[c], relabel[d])
+                for sign, a, b, c, d in crossings)
+    return SemiarcDiagram(semiarcs, out, free_loops)
+
+
+def outcome(parse, text):
+    """What parse makes of text: the diagram, or the (type, message, line) it raises."""
+    try:
+        return parse(text)
+    except Exception as e:
+        return (type(e), str(e), getattr(e, "line", None))
+
+
+def oracle_diagrams():
+    bases = [torus_2n(n) for n in range(1, 7)] + [chain(3), chain(5)]
+    bases += [pretzel(t) for t in ([3, 3, 3], [2, -3, 5], [1, 0, 1], [0, 0], [-2, 4])]
+    bases += [unknot(k) for k in range(4)]
+    moved = [apply_r1(torus_2n(3), 2, -1), apply_r1(chain(3), 5, 1),
+             apply_r2(torus_2n(4), 0, 5), apply_r2(pretzel([3, 3, 3]), 1, 7, "antiparallel"),
+             apply_r2(apply_r1(torus_2n(2), 0, 1), 3, 4)]
+    return bases + moved
+
+
+def varied_text(d, rng):
+    """Wire text of d with shuffled lines, sparse labels, comments, blank and L lines
+    and, now and then, virtual detours and purely virtual loops."""
+    labels = rng.sample(range(d.semiarc_count + 10 ** rng.randint(1, 6)), d.semiarc_count + 4)
+    fresh = labels[d.semiarc_count:]
+    rows = [[f"X{'+' if c.sign > 0 else '-'}", *(labels[s] for s in c[1:])] for c in d.crossings]
+    lines = [" ".join(map(str, r)) for r in rows]
+    if rows and rng.random() < 0.6:  # detour two outputs through a virtual crossing
+        (i, p), (j, q) = rng.sample([(i, p) for i in range(len(rows)) for p in (3, 4)], 2)
+        s, t = rows[i][p], rows[j][q]
+        rows[i][p], rows[j][q] = fresh[0], fresh[1]
+        lines = [" ".join(map(str, r)) for r in rows] + [f"V {fresh[0]} {fresh[1]} {s} {t}"]
+    if rng.random() < 0.3:
+        lines.append(f"V {fresh[2]} {fresh[3]} {fresh[3]} {fresh[2]}")
+    lines += [f"L {rng.randint(0, 3)}" for _ in range(d.free_loops + rng.randint(0, 1))]
+    lines += ["", "   ", "# a comment", "\t# indented comment"][:rng.randint(0, 4)]
+    rng.shuffle(lines)
+    lines = [line + rng.choice(("", "  ", " # trailing", "#x")) for line in lines]
+    return "\n".join(lines) + rng.choice(("", "\n"))
+
+
+def test_parse_matches_line_parser_on_valid_texts():
+    rng = random.Random(17)
+    texts = [serialize_pd(d) for d in oracle_diagrams()]
+    texts += [varied_text(d, rng) for d in oracle_diagrams() for _ in range(12)]
+    texts += ["", "\n\n", "# only a comment\n", "L 0\n", "L 3\nL 2\n", "X+ +0 01 1_0 00\nX- 10 +2 2 01\n"]
+    for text in texts:
+        expected = outcome(reference_parse_pd, text)
+        assert isinstance(expected, SemiarcDiagram), (text, expected)
+        assert outcome(parse_pd, text) == expected, text
+
+
+def corruptions(text):
+    """Every single-record corruption of text: a bad tag, a wrong arity, a non-integer,
+    negative, duplicated or dangling id, a bad L count, a repeated record, a moved
+    line break; and each id made negative or non-integer wherever it occurs."""
+    lines = text.splitlines()
+    records = [i for i, line in enumerate(lines) if line.split("#")[0].split()]
+    heads = [t for i in records if lines[i].split()[0] != "L" for t in lines[i].split()[1:3]]
+    tails = [t for i in records if lines[i].split()[0] != "L" for t in lines[i].split()[3:5]]
+    for i in records:
+        parts = lines[i].split("#")[0].split()
+        if parts[0] == "L":
+            variants = [["L"], ["L", "1", "2"], ["L", "-1"], ["L", "x"], ["L", "\u00b2"], ["L", "1.0"]]
+        else:
+            variants = [[tag, *parts[1:]] for tag in ("Y+", "X", "x+", "L", "5")]
+            variants += [parts[:-1], parts + ["0"], parts[:1]]
+            for k in range(1, 5):
+                for bad in ("a", "1.5", "\u00b2", "-1", "-0", "999"):
+                    variants.append(parts[:k] + [bad] + parts[k + 1:])
+            for k in (1, 2):
+                variants += [parts[:k] + [h] + parts[k + 1:] for h in heads]
+            for k in (3, 4):
+                variants += [parts[:k] + [t] + parts[k + 1:] for t in tails]
+        for v in variants:
+            yield "\n".join(lines[:i] + [" ".join(v)] + lines[i + 1:]) + "\n"
+        yield "\n".join(lines[:i + 1] + lines[i:]) + "\n"  # the record repeated
+        # the line break after the record moved one token later or earlier
+        after = [j for j in records if j > i]
+        if after:
+            j = after[0]
+            rest = lines[j].split()
+            moved = [" ".join(parts + rest[:1]), " ".join(rest[1:])]
+            yield "\n".join(lines[:i] + moved + lines[i + 1:j] + lines[j + 1:]) + "\n"
+            moved = [" ".join(parts[:-1]), " ".join(parts[-1:] + rest)]
+            yield "\n".join(lines[:i] + moved + lines[i + 1:j] + lines[j + 1:]) + "\n"
+    # one id replaced by a bad one wherever it occurs, which keeps every id paired
+    for s in sorted(set(heads)):
+        for bad in ("-1", "-5", "x", "9" * 5000):
+            yield "\n".join(" ".join(bad if t == s else t for t in line.split()) for line in lines) + "\n"
+
+
+def test_parse_matches_line_parser_on_corrupted_texts():
+    texts = ["X+ 0 1 3 2\nX+ 2 3 5 4\nX+ 4 5 1 0\n",
+             "# T(2,4) with a virtual detour\nX+ 0 1 3 2\nX+ 2 3 5 4\n\nX+ 4 5 8 9  # out\n"
+             "V 8 9 7 6\nX+ 6 7 1 0\nL 2\n",
+             serialize_pd(apply_r2(chain(3), 0, 7, "antiparallel")) + "L 1\n"]
+    raised = 0
+    for base in texts:
+        assert isinstance(parse_pd(base), SemiarcDiagram)
+        for text in corruptions(base):
+            expected = outcome(reference_parse_pd, text)
+            assert outcome(parse_pd, text) == expected, text
+            raised += not isinstance(expected, SemiarcDiagram)
+    assert raised > 400

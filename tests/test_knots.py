@@ -52,6 +52,19 @@ def test_parse_knot_table_errors():
         parse_knot_table("a | X+ 0 1 1 0 | 1\na | X+ 0 1 1 0 | 1\n")
 
 
+def test_parse_knot_table_names_the_line_of_a_bad_determinant():
+    with pytest.raises(ValueError) as e:
+        parse_knot_table("a | X+ 0 1 1 0 | 1\n\nb | X+ 0 1 1 0 | three\n")
+    assert str(e.value) == "line 3: determinant must be an integer"
+
+
+def test_parse_knot_table_names_the_line_of_a_bad_record():
+    # the bad record is the second of the line's ';' list, on table line 3
+    with pytest.raises(ValueError) as e:
+        parse_knot_table("# table\na | X+ 0 1 1 0 | 1\nb | X+ 0 1 1 0; X+ 2 3 | 3\n")
+    assert str(e.value) == "line 3: record 2: X+ line takes four semiarc ids"
+
+
 def test_table_without_determinant():
     recs = parse_knot_table("kink | X+ 0 1 1 0\n")
     assert recs["kink"].determinant is None
