@@ -27,7 +27,7 @@ class AxiomError(ValueError):
     """Raised when a table fails the biquandle axioms."""
 
 
-class GroupOrderCapExceeded(RuntimeError):
+class GroupOrderCapExceeded(ValueError):
     """Raised when group closure would exceed the exploration cap."""
 
 
@@ -179,10 +179,7 @@ def make_dihedral(n: int) -> FiniteBiquandle:
     """The dihedral quandle R_n on {1..n} with x |> y = 2y - x mod n."""
     if n < 1:
         raise ValueError(f"dihedral quandle needs n >= 1, got {n}")
-    over = tuple(tuple([x] * n) for x in range(1, n + 1))
-    under = tuple(tuple((2 * y - x - 1) % n + 1 for y in range(1, n + 1))
-                  for x in range(1, n + 1))
-    return FiniteBiquandle(n, over, under)
+    return FiniteBiquandle(n, *_module_tables(n, [((1,),), ((0,),), ((n - 1,),), ((2 % n,),)]))
 
 
 def make_linear_biquandle(n: int, a: int, b: int, c: int, d: int) -> FiniteBiquandle:
@@ -339,13 +336,14 @@ def is_permutation(p) -> bool:
     return sorted(p) == list(range(1, len(p) + 1))
 
 
-def group_order(gens, cap: int = DEFAULT_GROUP_CAP) -> int:
+def group_order(gens) -> int:
     """Exact order of the permutation group generated by gens.
 
-    Breadth-first closure; raises GroupOrderCapExceeded rather than ever
-    returning a wrong number. Column groups in scope are tiny, so no
-    stabilizer-chain machinery is warranted. Each generator is kept as the
-    1-shifted tuple (0, *g), so g o h is one map over h.
+    Breadth-first closure; raises GroupOrderCapExceeded past
+    DEFAULT_GROUP_CAP elements rather than ever returning a wrong number.
+    Column groups in scope are tiny, so no stabilizer-chain machinery is
+    warranted. Each generator is kept as the 1-shifted tuple (0, *g), so
+    g o h is one map over h.
     """
     gens = [tuple(g) for g in gens]
     if not gens:
@@ -364,8 +362,9 @@ def group_order(gens, cap: int = DEFAULT_GROUP_CAP) -> int:
             for g in shifted:
                 hg = tuple(map(g.__getitem__, h))
                 if hg not in seen:
-                    if len(seen) >= cap:
-                        raise GroupOrderCapExceeded(f"group closure exceeded cap {cap}")
+                    if len(seen) >= DEFAULT_GROUP_CAP:
+                        raise GroupOrderCapExceeded(
+                            f"group closure exceeded cap {DEFAULT_GROUP_CAP}")
                     seen.add(hg)
                     nxt.append(hg)
         frontier = nxt

@@ -197,11 +197,6 @@ def cmd_color(args) -> int:
     return 0
 
 
-def quiver_edges(q) -> list[tuple[int, int, int]]:
-    """The (source, target, endo index) triples of a quiver, by source and then by endo."""
-    return [(s, t, k) for s, dsts in enumerate(zip(*q.targets)) for k, t in enumerate(dsts)]
-
-
 def cmd_quiver(args) -> int:
     if args.action == "iso":
         if args.endo or args.all_endos:
@@ -216,7 +211,8 @@ def cmd_quiver(args) -> int:
     Y = load_biquandle(args.alg)
     q = quiver.build_quiver(d, Y, endo_set(Y, args))
     if args.action == "build":
-        edges = quiver_edges(q)
+        # (source, target, endo index), by source and then by endo
+        edges = [(s, t, k) for s, dsts in enumerate(zip(*q.targets)) for k, t in enumerate(dsts)]
         emit(args, [f"vertices {len(q.vertices)}", f"edges {len(edges)}"]
              + [f"{s} -> {t} [{k}]" for s, t, k in edges],
              {"vertices": [list(v) for v in q.vertices], "edges": [list(e) for e in edges],
@@ -276,6 +272,8 @@ def cmd_bridge(args) -> int:
         emit(args, lines, {"found": True, "min_seeds": k, "witness": list(witness),
                            "sequence": [list(step) for step in report.sequence]})
         return 0
+    if not args.alg:
+        raise UsageError("bridge lower needs at least one --alg")
     pairs = []
     for spec in args.alg:
         Y = load_biquandle(spec)
@@ -415,8 +413,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (algebra.AxiomError, algebra.GroupOrderCapExceeded, diagram.DiagramError,
-            ValueError, KeyError) as e:
+    except (ValueError, KeyError) as e:
         # str() of a KeyError quotes its message
         print(f"error: {e.args[0] if isinstance(e, KeyError) and e.args else e}", file=sys.stderr)
         return 1

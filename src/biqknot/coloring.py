@@ -176,22 +176,18 @@ def brute_force_colorings(d: SemiarcDiagram, Y: FiniteBiquandle) -> list[Colorin
         raise ValueError(f"brute force over {Y.size}^{d.semiarc_count} assignments refused")
     out = []
     for cand in itertools.product(Y.elements(), repeat=d.semiarc_count):
-        if satisfies_relations(d, Y, cand):
+        for c in d.crossings:  # read here, not through _oriented, so the oracle stays independent
+            if c.sign > 0:
+                u, o = cand[c.u_in], cand[c.o_in]
+                if cand[c.u_out] != Y.under(u, o) or cand[c.o_out] != Y.over(o, u):
+                    break
+            else:
+                u, o = cand[c.u_out], cand[c.o_out]
+                if cand[c.u_in] != Y.under(u, o) or cand[c.o_in] != Y.over(o, u):
+                    break
+        else:
             out.append(cand)
     return out
-
-
-def satisfies_relations(d: SemiarcDiagram, Y: FiniteBiquandle, assign) -> bool:
-    for c in d.crossings:
-        if c.sign > 0:
-            u, o = assign[c.u_in], assign[c.o_in]
-            if assign[c.u_out] != Y.under(u, o) or assign[c.o_out] != Y.over(o, u):
-                return False
-        else:
-            u, o = assign[c.u_out], assign[c.o_out]
-            if assign[c.u_in] != Y.under(u, o) or assign[c.o_in] != Y.over(o, u):
-                return False
-    return True
 
 
 def colorings_with_loops(d: SemiarcDiagram, Y: FiniteBiquandle) -> list[Coloring]:

@@ -55,12 +55,6 @@ class Crossing(NamedTuple):
     u_out: int
     o_out: int
 
-    def inputs(self) -> tuple[int, int]:
-        return (self.u_in, self.o_in)
-
-    def outputs(self) -> tuple[int, int]:
-        return (self.u_out, self.o_out)
-
 
 @dataclass(frozen=True)
 class SemiarcDiagram:
@@ -84,7 +78,7 @@ class SemiarcDiagram:
         heads = [0] * self.semiarc_count
         tails = [0] * self.semiarc_count
         for c in self.crossings:
-            for s in (*c.inputs(), *c.outputs()):
+            for s in c[1:]:
                 if not 0 <= s < self.semiarc_count:
                     raise DiagramError(f"semiarc {s} out of range 0..{self.semiarc_count - 1}")
             heads[c.u_in] += 1
@@ -99,17 +93,12 @@ class SemiarcDiagram:
                 word = "no source" if tails[s] == 0 else "multiple sources"
                 raise DiagramError(f"semiarc {s} has {word} (must be produced exactly once)")
 
-    def successor(self) -> list[int]:
-        """next[s] = the semiarc continuing s through the crossing that consumes it."""
-        nxt = [-1] * self.semiarc_count
+    def components(self) -> list[tuple[int, ...]]:
+        """Oriented closed components with >= 1 crossing, as semiarc cycles."""
+        nxt = [-1] * self.semiarc_count  # nxt[s] continues s through the crossing consuming it
         for c in self.crossings:
             nxt[c.u_in] = c.u_out
             nxt[c.o_in] = c.o_out
-        return nxt
-
-    def components(self) -> list[tuple[int, ...]]:
-        """Oriented closed components with >= 1 crossing, as semiarc cycles."""
-        nxt = self.successor()
         seen = [False] * self.semiarc_count
         comps = []
         for start in range(self.semiarc_count):

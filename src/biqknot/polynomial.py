@@ -36,11 +36,6 @@ class ExponentPolynomial:
         """Sum of coefficient * exponent (for in-degrees: the edge count)."""
         return sum(c * e for e, c in self.coeffs.items())
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ExponentPolynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
@@ -57,23 +52,3 @@ class ExponentPolynomial:
             else:
                 terms.append(f"{c}u^{e}" if c != 1 else f"u^{e}")
         return " + ".join(terms)
-
-    @classmethod
-    def parse(cls, text: str) -> "ExponentPolynomial":
-        """Inverse of str(): e.g. '54u^18 + 18u^6 + 9u^2' or '12 + 4u^4'."""
-        coeffs: Counter = Counter()
-        text = text.strip()
-        if text in ("", "0"):
-            return cls({})
-        for term in text.split("+"):
-            term = term.strip().replace(" ", "")
-            if "u" not in term:
-                coeffs[0] += int(term)
-                continue
-            head, _, tail = term.partition("u")
-            c = int(head) if head else 1
-            e = int(tail[1:]) if tail.startswith("^") else (1 if tail == "" else None)
-            if e is None:
-                raise ValueError(f"bad term {term!r}")
-            coeffs[e] += c
-        return cls(dict(coeffs))

@@ -18,7 +18,9 @@ endomorphism first, so f o v is always a vertex.
 Isomorphism has two routes: with one endomorphism on both sides a
 quiver is a functional graph, compared by a linear-time canonical form
 at any size; any other |S| goes through degree refinement and
-backtracking, guarded to ISO_SIZE_GUARD vertices.
+backtracking. That route refuses more than ISO_SIZE_GUARD vertices, but
+the guard does not bound its time: backtracking can run for minutes far
+below it, as on two 27-vertex quivers with three endomorphisms each.
 
 Free loops contribute unconstrained coordinates; they are materialized
 here (appended after the semiarc coordinates) so the quiver is the full
@@ -105,8 +107,9 @@ def quivers_isomorphic(q1: ColoringQuiver, q2: ColoringQuiver) -> bool:
     functional graph and is compared by its canonical form (see
     _functional_form), in time linear in the vertices and at any size.
     Otherwise iterated in/out-degree neighborhood refinement is followed
-    by backtracking on the refined classes; only this route is guarded,
-    to ISO_SIZE_GUARD vertices.
+    by backtracking on the refined classes. Only this route is guarded,
+    to ISO_SIZE_GUARD vertices, and the guard does not bound its time:
+    backtracking can run for minutes far below it.
     """
     n1, n2 = len(q1.vertices), len(q2.vertices)
     if len(q1.endos) == len(q2.endos) == 1:
@@ -215,12 +218,10 @@ def _backtrack(a1, a2, col1, col2, n: int) -> bool:
     candidates = {c: [v for v in range(n) if col2[v] == c] for c in set(col2)}
     mapping = [-1] * n
     inverse = [-1] * n
-    used = [False] * n
 
     def assign(v: int, w: int, value: bool):
         mapping[v] = w if value else -1
         inverse[w] = v if value else -1
-        used[w] = value
 
     def fits(v: int, w: int) -> bool:
         for x, mult in out1[v].items():
@@ -252,7 +253,7 @@ def _backtrack(a1, a2, col1, col2, n: int) -> bool:
         if mapping[v] != -1:
             assign(v, mapping[v], False)
         for w in stack[-1]:
-            if not used[w] and fits(v, w):
+            if inverse[w] == -1 and fits(v, w):
                 assign(v, w, True)
                 break
         else:

@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass
 
 from .algebra import (
-    AxiomViolation,
     biquandle_z,
     enumerate_endos,
     make_dihedral,
@@ -102,8 +101,7 @@ def item_01_algebra_validation():
         i, j = rng.randrange(4), rng.randrange(4)
         old = under[i][j]
         under[i][j] = rng.choice([v for v in range(1, 5) if v != old])
-        report = validate_axioms(T_OVER, under)
-        if report and isinstance(report[0], AxiomViolation):
+        if validate_axioms(T_OVER, under):
             rejected += 1
     expected = "R_1..R_12, Z, 4-element example, T all valid; 50/50 mutations rejected"
     computed = (f"invalid: {', '.join(fails) if fails else 'none'}; "

@@ -1,12 +1,13 @@
 """Acceptance suite: one test per reference criterion, printed pass/fail lines.
 
-Two sub-criteria are implemented literally and fail by design, because
-the claims they transcribe cannot hold:
+Two sub-criteria are implemented literally and fail by design:
 
 * criterion 1 includes two four-element tables whose printed diagonals
-  disagree (x."x != x.vx at two points). Diagonal cells are fixed by
-  every reading of the encoding (transposing or swapping tables never
-  moves them), so no convention validates these tables.
+  differ (x."x != x.vx at two points). validate_axioms checks that
+  diagonal axiom, so it rejects both tables. The diagonal axiom is not
+  a move condition of the crossing convention the counts use: read as
+  printed, both tables pass all 12 Reidemeister move checks in that
+  convention (ROADMAP item 1).
 
 * criterion 9 requires a positive u^3 coefficient in an in-degree
   polynomial over R_9 at 81 vertices. Coloring sets over R_9 are
@@ -56,8 +57,8 @@ def test_criterion_01_constructors_validate_and_mutations_rejected():
 
 def test_criterion_01_printed_tables_validate():
     # literal reading: the printed four-element example table and the
-    # biquandle T pass validate_axioms; impossible as printed (diagonal
-    # mismatch is encoding-independent), kept faithful and red
+    # biquandle T pass validate_axioms; their printed diagonals differ and
+    # validate_axioms checks the diagonal axiom, so this stays red
     report_example = validate_axioms(repro.EXAMPLE4_OVER, repro.EXAMPLE4_UNDER)
     report_t = validate_axioms(repro.T_OVER, repro.T_UNDER)
     print("\ncriterion 01 (printed tables):",

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from biqknot import algebra
 from biqknot.algebra import (
     AxiomError,
     FiniteBiquandle,
@@ -77,6 +78,17 @@ def test_dihedral_r1_trivial():
 def test_dihedral_rejects_zero():
     with pytest.raises(ValueError):
         make_dihedral(0)
+
+
+def test_dihedral_tables_are_the_formula():
+    # x ." y = x and x |> y = 2y - x mod n on the labels 1..n, written out here
+    for n in range(1, 40):
+        q, elems = make_dihedral(n), range(1, n + 1)
+        assert q.over_table == tuple(tuple(x for _ in elems) for x in elems)
+        assert q.under_table == tuple(tuple((2 * y - x - 1) % n + 1 for y in elems) for x in elems)
+        assert q.linear_form == (n, ((1 % n,),), ((0,),), (((n - 1) % n,),), ((2 % n,),))
+    with pytest.raises(ValueError, match="dihedral quandle needs n >= 1, got -2"):
+        make_dihedral(-2)
 
 
 def test_dihedral_columns_are_involutions():
@@ -371,11 +383,12 @@ def test_group_order_single_matches_cycle_lcm():
         assert group_order([perm]) == lcm
 
 
-def test_group_order_cap():
+def test_group_order_cap(monkeypatch):
     cycle = tuple(list(range(2, 13)) + [1])
     swap = (2, 1) + tuple(range(3, 13))
-    with pytest.raises(GroupOrderCapExceeded):
-        group_order([cycle, swap], cap=1000)
+    monkeypatch.setattr(algebra, "DEFAULT_GROUP_CAP", 1000)
+    with pytest.raises(GroupOrderCapExceeded, match="exceeded cap 1000"):
+        group_order([cycle, swap])
 
 
 def test_subquandle_closure_r9():

@@ -330,6 +330,7 @@ BAD_INPUT_FILES = {
     (["quiver", "build", "torus2:3", "dihedral:3", "--all-endos", "--endo", "1,2,3"], 2),
     (["quiver", "indeg", "torus2:3", "dihedral:3", "--endo", "1,2,3", "--all-endos"], 2),
     (["bridge", "seeds", "torus2:3", "--kmax", "-1"], 2),
+    (["bridge", "lower", "torus2:3"], 2),
     (["quiver", "iso", "missing.json", "missing.json", "--endo", "1,2"], 2),
     (["quiver", "iso", "missing.json", "missing.json", "--all-endos"], 2),
     (["color", "count", "torus2:3", "dihedral:0"], 1),

@@ -122,7 +122,6 @@ def test_crossing_is_a_named_tuple():
     c = Crossing(1, 0, 1, 1, 0)
     assert repr(c) == "Crossing(sign=1, u_in=0, o_in=1, u_out=1, o_out=0)"
     assert c == (1, 0, 1, 1, 0) and hash(c) == hash((1, 0, 1, 1, 0))
-    assert (c.inputs(), c.outputs()) == ((0, 1), (1, 0))
 
 
 def test_parse_l_count_must_be_decimal():

