@@ -22,18 +22,22 @@ generator per free parameter off them by back-substitution, and lists
 the box of their multiples column by column, building each distinct
 column once (a quandle crossing's o_in and o_out always share one) and
 zipping the columns into rows. Every other algebra is listed, or
-counted leaf by leaf, by a worklist propagation search that branches
-only when no crossing has a propagating pair of known values: any such
-pair names the whole quad of Y at that crossing, looked up in one table
-per pair. The search and brute force stay as the references for both
-linear routes. Arithmetic is plain Python integers, so entries can never
-overflow.
+counted leaf by leaf, by a search that branches only when no crossing
+has a propagating pair of known values: any such pair names the whole
+quad of Y at that crossing, looked up in one table per pair. Which
+semiarcs a branch makes known does not depend on its value, so the
+search plans its branch order and each level's crossing checks once per
+diagram, then runs the plan. The search and brute force stay as the
+references for both linear routes. Arithmetic is plain Python integers,
+so entries can never overflow.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .algebra import FiniteBiquandle, _label
 from .diagram import SemiarcDiagram
@@ -54,11 +58,12 @@ def _search(m: int, oriented, Y: FiniteBiquandle):
 
     A quad (p, q, r, s) asks x[r] = x[p] .v x[q] and x[s] = x[q] ." x[p],
     that is, (x[p], x[q], x[r], x[s]) is one of Y's quads (x, y, x .v y,
-    y ." x). Any propagating pair of its slots names that quad, so a
-    crossing with such a pair known is looked up whole in that pair's
-    table and every slot is assigned or checked. Depth-first over an
-    explicit stack, so no diagram size reaches the recursion limit;
-    memory is one assignment per open branch level.
+    y ." x). A known propagating pair of its slots names that quad in the
+    pair's table, and every lookup succeeds, so which semiarcs are known
+    depends only on which were branched on: the plan (per level, the branch
+    semiarc and the crossings it completes) is built once, then run
+    depth-first over one assignment and an explicit stack, so no diagram
+    size reaches the recursion limit.
     """
     incident: list[list[int]] = [[] for _ in range(m)]
     for ci, quad in enumerate(oriented):
@@ -67,70 +72,69 @@ def _search(m: int, oriented, Y: FiniteBiquandle):
 
     # propagating slot pairs within the oriented quad (p, q, r, s); by the
     # axioms each pair's values name exactly one quad of Y, its table[a][b]
-    partner_pairs = ((0, 1), (0, 3), (1, 2), (2, 3))
     y_quads = [(x, y, Y.under(x, y), Y.over(y, x)) for x in Y.elements() for y in Y.elements()]
     lookups = []
-    for i, j in partner_pairs:
+    for i, j in ((0, 1), (0, 3), (1, 2), (2, 3)):
         table = [[None] * (Y.size + 1) for _ in range(Y.size + 1)]
         for full in y_quads:
             table[full[i]][full[j]] = full
         lookups.append((i, j, table))
-    # each crossing's propagating pairs of semiarcs, with the table that completes them
-    crossing_pairs = [[(quad[i], quad[j], table) for i, j, table in lookups] for quad in oriented]
 
-    def propagate(assign: list[int], queue: list[int]) -> bool:
-        while queue:
-            ci = queue.pop()
-            for a, b, table in crossing_pairs[ci]:
-                if assign[a] and assign[b]:
+    known = [False] * m
+    fired = [False] * len(oriented)
+    # branch on the least s completing a half-known pair, (0, s), else the least unknown, (1, s)
+    heap = [(1, s) for s in range(m)]
+    plan = []  # per level: (branch semiarc, [(a, b, table, quad reader, new (semiarc, slot))])
+    while heap:
+        _, free = heapq.heappop(heap)
+        if known[free]:
+            continue
+        known[free] = True
+        steps = []
+        news = [free]
+        while news:
+            for ci in incident[news.pop()]:
+                if fired[ci]:
+                    continue
+                quad = oriented[ci]
+                for i, j, table in lookups:
+                    if known[quad[i]] and known[quad[j]]:
+                        break
+                else:
+                    for i, j, _ in lookups:
+                        if known[quad[i]] != known[quad[j]]:
+                            heapq.heappush(heap, (0, quad[j] if known[quad[i]] else quad[i]))
+                    continue
+                fired[ci] = True
+                places = {sem: slot for slot, sem in enumerate(quad) if not known[sem]}
+                for sem in places:
+                    known[sem] = True
+                news += places
+                steps.append((quad[i], quad[j], table, itemgetter(*quad), tuple(places.items())))
+        plan.append((free, steps))
+
+    if not plan:
+        yield []
+        return
+    x = [0] * m
+    stack = [iter(Y.elements())]  # one value iterator per open level
+    while stack:
+        free, steps = plan[len(stack) - 1]
+        for v in stack[-1]:
+            x[free] = v
+            for a, b, table, read, places in steps:
+                full = table[x[a]][x[b]]
+                for sem, slot in places:
+                    x[sem] = full[slot]
+                if read(x) != full:
                     break
             else:
-                continue
-            for sem, val in zip(oriented[ci], table[assign[a]][assign[b]]):
-                if assign[sem] == 0:
-                    assign[sem] = val
-                    queue.extend(incident[sem])
-                elif assign[sem] != val:
-                    return False
-        return True
-
-    def pick_branch(assign: list[int]) -> int:
-        # prefer a semiarc that completes a propagating pair at some
-        # crossing, so the branch seeds a Wirtinger-style cascade
-        best = None
-        for quad in oriented:
-            for i, j in partner_pairs:
-                a, b = quad[i], quad[j]
-                if assign[a] and not assign[b]:
-                    best = b if best is None else min(best, b)
-                elif assign[b] and not assign[a]:
-                    best = a if best is None else min(best, a)
-        if best is not None:
-            return best
-        return assign.index(0)
-
-    root = [0] * m
-    if not propagate(root, list(range(len(oriented)))):
-        return
-    if 0 not in root:
-        yield root
-        return
-    # each frame: a partial assignment, its branch semiarc, the values left to try
-    stack = [(root, pick_branch(root), iter(Y.elements()))]
-    while stack:
-        assign, free, values = stack[-1]
-        v = next(values, None)
-        if v is None:
-            stack.pop()
-            continue
-        branch = assign.copy()
-        branch[free] = v
-        if not propagate(branch, list(incident[free])):
-            continue
-        if 0 in branch:
-            stack.append((branch, pick_branch(branch), iter(Y.elements())))
+                if len(stack) < len(plan):
+                    stack.append(iter(Y.elements()))
+                    break
+                yield x.copy()
         else:
-            yield branch
+            stack.pop()
 
 
 def list_solutions(m: int, oriented, Y: FiniteBiquandle) -> list[Coloring]:

@@ -28,14 +28,6 @@ class ExponentPolynomial:
     def coefficient(self, exponent: int) -> int:
         return self.coeffs.get(exponent, 0)
 
-    def total_mass(self) -> int:
-        """Sum of coefficients (the multiset cardinality)."""
-        return sum(self.coeffs.values())
-
-    def weighted_mass(self) -> int:
-        """Sum of coefficient * exponent (for in-degrees: the edge count)."""
-        return sum(c * e for e, c in self.coeffs.items())
-
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 

@@ -18,9 +18,10 @@ endomorphism first, so f o v is always a vertex.
 Isomorphism has two routes: with one endomorphism on both sides a
 quiver is a functional graph, compared by a linear-time canonical form
 at any size; any other |S| goes through degree refinement and
-backtracking. That route refuses more than ISO_SIZE_GUARD vertices, but
-the guard does not bound its time: backtracking can run for minutes far
-below it, as on two 27-vertex quivers with three endomorphisms each.
+backtracking. That route refuses a pair above ISO_SIZE_GUARD vertices
+only once its vertex and edge counts agree, and the guard does not bound
+its time: backtracking can run for minutes far below it, as on two
+27-vertex quivers with three endomorphisms each.
 
 Free loops contribute unconstrained coordinates; they are materialized
 here (appended after the semiarc coordinates) so the quiver is the full
@@ -107,19 +108,20 @@ def quivers_isomorphic(q1: ColoringQuiver, q2: ColoringQuiver) -> bool:
     functional graph and is compared by its canonical form (see
     _functional_form), in time linear in the vertices and at any size.
     Otherwise iterated in/out-degree neighborhood refinement is followed
-    by backtracking on the refined classes. Only this route is guarded,
-    to ISO_SIZE_GUARD vertices, and the guard does not bound its time:
-    backtracking can run for minutes far below it.
+    by backtracking on the refined classes. Only this route is guarded:
+    above ISO_SIZE_GUARD vertices it refuses a pair whose vertex and edge
+    counts agree (any other pair is not isomorphic), and the guard does
+    not bound its time: backtracking can run for minutes far below it.
     """
     n1, n2 = len(q1.vertices), len(q2.vertices)
     if len(q1.endos) == len(q2.endos) == 1:
         codes: dict[tuple[int, ...], int] = {}  # shared, so both forms use the same codes
         return n1 == n2 and (_functional_form(q1.targets[0], codes)
                              == _functional_form(q2.targets[0], codes))
-    if max(n1, n2) > ISO_SIZE_GUARD:
-        raise ValueError(f"quiver isomorphism guarded to {ISO_SIZE_GUARD} vertices")
     if n1 != n2 or n1 * len(q1.endos) != n2 * len(q2.endos):
         return False
+    if n1 > ISO_SIZE_GUARD:
+        raise ValueError(f"quiver isomorphism guarded to {ISO_SIZE_GUARD} vertices")
     a1 = _adjacency(q1, n1)
     a2 = _adjacency(q2, n2)
     col1 = _refine(a1, n1)

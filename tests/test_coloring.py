@@ -704,6 +704,16 @@ def test_long_kinked_unknot_counts():
         assert enumerate_colorings(d, y) == [(v,) * d.semiarc_count for v in y.elements()]
 
 
+def test_long_kink_chain_through_the_search():
+    # the non-linear twin of test_long_kinked_unknot_counts: each kink is one
+    # branch level of a plan built once, with no rescan of every crossing per level
+    d = unknot(20000)
+    q = transpositions_quandle()
+    assert q.linear_form is None  # so the search runs
+    assert count_colorings(d, q) == 6
+    assert enumerate_colorings(d, q) == [(v,) * d.semiarc_count for v in q.elements()]
+
+
 def test_search_depth_does_not_use_the_call_stack():
     # each kink costs one branch level, so a recursive search would need a
     # frame per kink; allow far fewer frames than kinks

@@ -3,7 +3,9 @@
 count_colorings and enumerate_colorings (both from the elimination for
 linear algebras, the search otherwise) are compared with the coloring
 search and, where it is quick, with brute force, over tori, chains and
-pretzels after random R1/R2 moves. Random sparse systems with planted
+pretzels after random R1/R2 moves. The search alone is compared with
+brute force on random virtual diagrams over algebras that are not
+linear. Random sparse systems with planted
 equality rows u*x_a - u*x_b, which the elimination merges first, are
 counted and listed against brute force.
 """
@@ -13,7 +15,8 @@ import math
 
 import pytest
 
-from biqknot.algebra import biquandle_z, make_dihedral, parse_biquandle, serialize_biquandle
+from biqknot.algebra import (biquandle_z, from_tables, make_conjugation_quandle, make_dihedral,
+                             parse_biquandle, serialize_biquandle)
 from biqknot.coloring import (
     BRUTE_FORCE_GUARD,
     RelationMatrix,
@@ -26,7 +29,7 @@ from biqknot.coloring import (
     count_solutions_snf,
     enumerate_colorings,
 )
-from biqknot.diagram import SemiarcDiagram, apply_r1, apply_r2, chain, pretzel, torus_2n
+from biqknot.diagram import Crossing, SemiarcDiagram, apply_r1, apply_r2, chain, pretzel, torus_2n
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -69,6 +72,41 @@ def test_elimination_count_matches_enumeration_and_brute_force(d, y):
     # brute force only where it is quick (well inside BRUTE_FORCE_GUARD)
     if y.size**d.semiarc_count <= min(BRUTE_FORCE_GUARD, 20000):
         assert listed == brute_force_colorings(d, y)
+
+
+def constant_action(sigma):
+    """x ." y = x .v y = sigma(x): a biquandle that is not a quandle when sigma moves a point."""
+    table = [[sigma[x - 1]] * len(sigma) for x in range(1, len(sigma) + 1)]
+    return from_tables(table, table)
+
+
+# algebras the search alone serves: the S_4 transpositions and two constant actions
+NON_LINEAR = [make_conjugation_quandle([p for p in itertools.permutations(range(1, 5))
+                                        if sum(a != b for a, b in zip(p, range(1, 5))) == 2]),
+              constant_action((2, 3, 1)), constant_action((2, 3, 1, 4))]
+
+
+@st.composite
+def virtual_diagrams(draw):
+    """Abstract Gauss data: 1-5 crossings reading their inputs and their outputs
+    off two random permutations of the semiarc ids, with random signs, so kinks,
+    a semiarc in two slots of one crossing and several components all occur."""
+    n = draw(st.integers(1, 5))
+    ins = draw(st.permutations(range(2 * n)))
+    outs = draw(st.permutations(range(2 * n)))
+    crossings = tuple(Crossing(draw(st.sampled_from((1, -1))), ins[2 * i], ins[2 * i + 1],
+                               outs[2 * i], outs[2 * i + 1]) for i in range(n))
+    return SemiarcDiagram(2 * n, crossings, draw(st.integers(0, 1)))
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(virtual_diagrams(), st.sampled_from(NON_LINEAR))
+def test_search_matches_brute_force_on_virtual_diagrams(d, y):
+    assert y.linear_form is None  # so count_colorings searches as well
+    searched = sorted(map(tuple, _search(d.semiarc_count, _oriented(d), y)))
+    assert count_colorings(d, y) == len(searched) * y.size**d.free_loops
+    if y.size**d.semiarc_count <= 20000:
+        assert searched == brute_force_colorings(d, y)
 
 
 @st.composite

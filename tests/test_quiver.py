@@ -77,8 +77,9 @@ def test_out_degree_equals_s_size():
     assert all(len(row) == len(q.vertices) for row in q.targets)
     assert all(0 <= w < len(q.vertices) for row in q.targets for w in row)
     poly = in_degree_polynomial(q)
-    assert poly.total_mass() == len(q.vertices)
-    assert poly.weighted_mass() == len(q.vertices) * len(endos)
+    # one term per vertex, and the in-degrees sum to the edge count
+    assert sum(poly.coeffs.values()) == len(q.vertices)
+    assert sum(c * e for e, c in poly.coeffs.items()) == len(q.vertices) * len(endos)
 
 
 def targets_by_full_index(q):
@@ -295,6 +296,16 @@ def test_iso_size_guard_only_on_the_backtrack_route():
     two = build_quiver(d, r4, [doubling(4), (1, 2, 3, 4)])
     with pytest.raises(ValueError, match="guarded"):
         quivers_isomorphic(two, two)
+
+
+def test_iso_size_guard_comes_after_the_count_checks():
+    # two endomorphisms each, so the guarded backtrack route: differing vertex
+    # counts answer False however far past the guard one side is
+    big = ColoringQuiver(tuple((v,) for v in range(ISO_SIZE_GUARD + 1)), ((1,), (1,)),
+                         (tuple(range(ISO_SIZE_GUARD + 1)),) * 2)
+    small = ColoringQuiver(tuple((v,) for v in range(5)), ((1,), (1,)), (tuple(range(5)),) * 2)
+    assert not quivers_isomorphic(big, small)
+    assert not quivers_isomorphic(small, big)
 
 
 def test_quiver_iso_rejects_different_edge_structure():
