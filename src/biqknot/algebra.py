@@ -37,7 +37,7 @@ class AxiomViolation:
     witness: tuple[int, ...]
 
     def __str__(self) -> str:
-        return f"{self.axiom} fails at {self.witness}"
+        return f"{self.axiom} fails at {self.witness}" if self.witness else self.axiom
 
 
 def _as_table(rows, n: int, name: str) -> Table:

@@ -220,6 +220,8 @@ class RelationMatrix:
     cols: int
 
     def __post_init__(self):
+        if self.modulus < 1:
+            raise ValueError("modulus must be >= 1")
         for row in self.rows:
             if row and (min(row) < 0 or max(row) >= self.cols):
                 raise ValueError(f"relation row {row} has a column outside 0..{self.cols - 1}")
@@ -463,8 +465,6 @@ def count_solutions_snf(M: RelationMatrix) -> int:
     no independent route; the coloring search and brute force are, and the
     tests also check it against integer Smith diagonals.
     """
-    if M.modulus < 1:
-        raise ValueError("modulus must be >= 1")
     return _count_kernel(M.rows, M.cols, M.modulus)
 
 

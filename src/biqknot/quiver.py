@@ -17,11 +17,12 @@ endomorphism first, so f o v is always a vertex.
 
 Isomorphism has two routes: with one endomorphism on both sides a
 quiver is a functional graph, compared by a linear-time canonical form
-at any size; any other |S| goes through degree refinement and
-backtracking. That route refuses a pair above ISO_SIZE_GUARD vertices
-only once its vertex and edge counts agree, and the guard does not bound
-its time: backtracking can run for minutes far below it, as on two
-27-vertex quivers with three endomorphisms each.
+at any size; any other |S| refines vertex classes by degree, then places
+vertices smallest class first, each only where every edge to a placed
+vertex, with its multiplicity, matches in both directions. That route
+refuses a pair above ISO_SIZE_GUARD vertices once its vertex and edge
+counts agree, and the guard does not bound its time: it can run for
+minutes on two 27-vertex quivers with |S| = 3 (ROADMAP item 5).
 
 Free loops contribute unconstrained coordinates; they are materialized
 here (appended after the semiarc coordinates) so the quiver is the full
@@ -107,11 +108,13 @@ def quivers_isomorphic(q1: ColoringQuiver, q2: ColoringQuiver) -> bool:
     Two routes. If both quivers have exactly one endomorphism, each is a
     functional graph and is compared by its canonical form (see
     _functional_form), in time linear in the vertices and at any size.
-    Otherwise iterated in/out-degree neighborhood refinement is followed
-    by backtracking on the refined classes. Only this route is guarded:
+    Otherwise iterated in/out-degree refinement is followed by
+    backtracking, which places vertices by (class size, class, vertex)
+    and maps v to w only if every edge to a placed vertex, with its
+    multiplicity, matches in both directions. Only this route is guarded:
     above ISO_SIZE_GUARD vertices it refuses a pair whose vertex and edge
     counts agree (any other pair is not isomorphic), and the guard does
-    not bound its time: backtracking can run for minutes far below it.
+    not bound its time: it can run for minutes far below it (ROADMAP item 5).
     """
     n1, n2 = len(q1.vertices), len(q2.vertices)
     if len(q1.endos) == len(q2.endos) == 1:
@@ -122,13 +125,9 @@ def quivers_isomorphic(q1: ColoringQuiver, q2: ColoringQuiver) -> bool:
         return False
     if n1 > ISO_SIZE_GUARD:
         raise ValueError(f"quiver isomorphism guarded to {ISO_SIZE_GUARD} vertices")
-    a1 = _adjacency(q1, n1)
-    a2 = _adjacency(q2, n2)
-    col1 = _refine(a1, n1)
-    col2 = _refine(a2, n2)
-    if sorted(col1) != sorted(col2):
-        return False
-    return _backtrack(a1, a2, col1, col2, n1)
+    a1, a2 = _adjacency(q1, n1), _adjacency(q2, n2)
+    col1, col2 = _refine(a1, n1), _refine(a2, n2)
+    return sorted(col1) == sorted(col2) and _backtrack(a1, a2, col1, col2, n1)
 
 
 def _functional_form(f, codes: dict) -> list[tuple[int, ...]]:
@@ -221,27 +220,14 @@ def _backtrack(a1, a2, col1, col2, n: int) -> bool:
     mapping = [-1] * n
     inverse = [-1] * n
 
-    def assign(v: int, w: int, value: bool):
-        mapping[v] = w if value else -1
-        inverse[w] = v if value else -1
-
     def fits(v: int, w: int) -> bool:
-        for x, mult in out1[v].items():
-            y = mapping[x]
-            if y != -1 and out2[w].get(y, 0) != mult:
-                return False
-        for x, mult in in1[v].items():
-            y = mapping[x]
-            if y != -1 and in2[w].get(y, 0) != mult:
-                return False
-        for y, mult in out2[w].items():
-            x = inverse[y]
-            if x != -1 and out1[v].get(x, 0) != mult:
-                return False
-        for y, mult in in2[w].items():
-            x = inverse[y]
-            if x != -1 and in1[v].get(x, 0) != mult:
-                return False
+        # out-, then in-edges: v's to placed vertices must be w's to their images, and back
+        for e1, e2 in ((out1[v], out2[w]), (in1[v], in2[w])):
+            for edges, other, image in ((e1, e2, mapping), (e2, e1, inverse)):
+                for x, mult in edges.items():
+                    y = image[x]
+                    if y != -1 and other.get(y, 0) != mult:
+                        return False
         return True
 
     if n == 0:
@@ -252,11 +238,11 @@ def _backtrack(a1, a2, col1, col2, n: int) -> bool:
     while stack:
         k = len(stack) - 1
         v = order[k]
-        if mapping[v] != -1:
-            assign(v, mapping[v], False)
+        if mapping[v] != -1:  # unplace v before trying its next candidate
+            inverse[mapping[v]] = mapping[v] = -1  # targets assign left to right
         for w in stack[-1]:
             if inverse[w] == -1 and fits(v, w):
-                assign(v, w, True)
+                mapping[v], inverse[w] = w, v
                 break
         else:
             stack.pop()

@@ -96,6 +96,18 @@ def test_algebra_validate_bad_table(tmp_path, capsys):
     assert "bijection" in out or "diagonal" in out
 
 
+def test_ragged_table_prints_its_shape_without_an_empty_witness(tmp_path, capsys):
+    f = tmp_path / "ragged.biq"
+    f.write_text("2\n1 1\n2 2 2\n\n1 2\n2 1\n")
+    shape = "shape: over table row 2 has 3 entries, expected 2"
+    assert run(capsys, "algebra", "validate", str(f)) == (1, shape + "\n", "")
+    code, out, _ = run(capsys, "--format", "json", "algebra", "validate", str(f))
+    assert code == 1
+    assert json.loads(out)["violations"] == [{"axiom": shape, "witness": []}]
+    assert run(capsys, "color", "count", "torus2:3", str(f)) == (
+        1, "", f"error: not a biquandle: {shape}\n")
+
+
 def test_algebra_endos_count(tmp_path, capsys):
     code, out, _ = run(capsys, "algebra", "dihedral", "6")
     f = tmp_path / "r6.biq"

@@ -546,6 +546,14 @@ def test_relation_matrix_rejects_columns_outside_cols():
     assert RelationMatrix(({0: -1, 2: 7},), 4, 3).dense() == ((3, 0, 3),)
 
 
+def test_relation_matrix_rejects_modulus_below_one():
+    # brute force used to count 0 here while the SNF count raised, and dense()
+    # divided by zero or printed negative entries
+    for modulus in (0, -3):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            RelationMatrix(({0: 1},), modulus, 2)
+
+
 def dense_coloring_matrix(d, y):
     """The relation rows written out in full mod n from d's crossings and y's matrices (oracle).
 

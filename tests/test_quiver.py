@@ -266,6 +266,59 @@ def test_functional_graph_iso_matches_networkx_and_backtracking():
         assert known in (None, expected)
 
 
+def test_multi_endo_iso_matches_networkx():
+    # |S| != 1 takes the refine/backtrack route; networkx's VF2 on the
+    # multidigraphs is the oracle, parallel edges and loops counted
+    nx = pytest.importorskip("networkx")
+
+    def multigraph(q):
+        g = nx.MultiDiGraph()
+        g.add_nodes_from(range(len(q.vertices)))
+        g.add_edges_from((v, w) for row in q.targets for v, w in enumerate(row))
+        return g
+
+    def arrays(n, targets):
+        return ColoringQuiver(tuple((v,) for v in range(n)),
+                              tuple((k,) for k in range(len(targets))), tuple(map(tuple, targets)))
+
+    rng = random.Random(20)
+    pairs = []
+    for _ in range(300):
+        n, s = rng.randrange(1, 10), rng.choice((0, 2, 3))
+        targets = [[rng.randrange(n) for _ in range(n)] for _ in range(s)]
+        p = list(range(n))
+        rng.shuffle(p)
+        moved = [[0] * n for _ in range(s)]
+        for k, row in enumerate(targets):
+            for v, w in enumerate(row):
+                moved[k][p[v]] = p[w]  # row k conjugated by p
+        rng.shuffle(moved)
+        other = [[rng.randrange(n) for _ in range(n)] for _ in range(s)]
+        q = arrays(n, targets)
+        pairs += [(q, arrays(n, moved), True), (q, arrays(n, other), None)]
+        if s:
+            near = [list(row) for row in moved]
+            near[rng.randrange(s)][rng.randrange(n)] = rng.randrange(n)
+            pairs.append((q, arrays(n, near), None))
+    r4, r6, z = make_dihedral(4), make_dihedral(6), biquandle_z()
+    for y, d in ((r4, torus_2n(4)), (r4, chain(3)), (r6, torus_2n(3)), (r6, pretzel([3, 3, 3])),
+                 (z, torus_2n(4)), (z, chain(3))):
+        endos = enumerate_endos(y)
+        q = build_quiver(d, y, endos)
+        for moved in (apply_r1(d, 0, -1), apply_r2(apply_r1(d, 0, 1), 1, 6, "parallel")):
+            pairs.append((q, build_quiver(moved, y, endos), True))
+    for q1, q2, known in pairs:
+        expected = nx.is_isomorphic(multigraph(q1), multigraph(q2))
+        assert quivers_isomorphic(q1, q2) == expected
+        assert known in (None, expected)
+    # 1024 vertices with |S| = 16: networkx takes seconds on this pair, so it is checked as known
+    d, endos = chain(9), enumerate_endos(r4)
+    moved = apply_r2(apply_r1(d, 0, -1), 1, 6, "parallel")
+    q1, q2 = build_quiver(d, r4, endos), build_quiver(moved, r4, endos)
+    assert len(q1.vertices) == 1024 and len(q1.endos) == 16
+    assert quivers_isomorphic(q1, q2)
+
+
 def test_relabeled_torus_copies_take_the_canonical_route(monkeypatch):
     # T(2,9) over R_9 with x -> 2x against R2-moved, relabeled copies: the
     # refine/backtrack route stalls on some of these, the canonical one never runs it
