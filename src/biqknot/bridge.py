@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 from .diagram import SemiarcDiagram, StrandDecomposition, strands
@@ -141,7 +142,9 @@ def _log_bound(size: int, count: int) -> int:
         raise ValueError("counting bounds need |X| >= 2")
     if count <= 0:
         raise ValueError(f"a coloring count of {count} gives no bridge bound")
-    b = 0
+    b = int(math.log(count, size))  # a float estimate, corrected by exact powers
+    while b > 0 and size ** (b - 1) >= count:
+        b -= 1
     while size**b < count:
         b += 1
     return b

@@ -149,10 +149,11 @@ def cmd_diagram(args) -> int:
         except diagram.DiagramError as e:
             emit(args, [f"invalid: {e}"], {"valid": False, "error": str(e)})
             return 1
+        components = d.component_count()
         emit(args, [f"valid: {len(d.crossings)} crossings, {d.semiarc_count} semiarcs, "
-                    f"{d.component_count()} components"],
+                    f"{components} components"],
              {"valid": True, "crossings": len(d.crossings),
-              "semiarcs": d.semiarc_count, "components": d.component_count()})
+              "semiarcs": d.semiarc_count, "components": components})
         return 0
     d = load_diagram(spec)
     dec = diagram.strands(d)
@@ -408,6 +409,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    # counts and wire ids may have any number of digits; in-process callers keep their limit
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except UsageError as e:
@@ -417,6 +422,9 @@ def main(argv=None) -> int:
         # str() of a KeyError quotes its message
         print(f"error: {e.args[0] if isinstance(e, KeyError) and e.args else e}", file=sys.stderr)
         return 1
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

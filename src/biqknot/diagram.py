@@ -16,10 +16,12 @@ Semiarcs are nonnegative integers; every id must occur exactly once as
 an input (u_in/o_in) and once as an output (u_out/o_out), so semiarcs
 chain into oriented closed components. A ``#`` starts a comment.
 
-parse_pd checks valid input in bulk, over flat lists of tags and ids;
-only input that fails a bulk check is scanned line by line, and that
-scan only names the first bad line. A Crossing is a named tuple, equal
-to its plain 5-tuple (sign, u_in, o_in, u_out, o_out).
+parse_pd reads the records in bulk and renumbers the ids 0..m-1 in
+increasing order; SemiarcDiagram alone checks the semiarc rule, on the
+raw records (V read as X+) before virtual crossings are erased; text
+that fails is rescanned by _raise_first_error to name its first bad
+line. A Crossing is a named tuple, equal to its plain 5-tuple
+(sign, u_in, o_in, u_out, o_out).
 
 Crossing relation convention used throughout the library: a positive
 crossing imposes u_out = u_in .v o_in and o_out = o_in ." u_in; a
@@ -86,12 +88,10 @@ class SemiarcDiagram:
             tails[c.u_out] += 1
             tails[c.o_out] += 1
         for s in range(self.semiarc_count):
-            if heads[s] != 1:
-                word = "no head" if heads[s] == 0 else "multiple heads"
-                raise DiagramError(f"semiarc {s} has {word} (must be consumed exactly once)")
-            if tails[s] != 1:
-                word = "no source" if tails[s] == 0 else "multiple sources"
-                raise DiagramError(f"semiarc {s} has {word} (must be produced exactly once)")
+            for count, end, verb in ((heads[s], "head", "consumed"), (tails[s], "source", "produced")):
+                if count != 1:
+                    word = f"no {end}" if count == 0 else f"multiple {end}s"
+                    raise DiagramError(f"semiarc {s} has {word} (must be {verb} exactly once)")
 
     def components(self) -> list[tuple[int, ...]]:
         """Oriented closed components with >= 1 crossing, as semiarc cycles."""
@@ -155,37 +155,37 @@ def _parse_valid(text: str) -> SemiarcDiagram | None:
     except ValueError:
         return None
     del tokens
-    heads, tails = set(ids[0::4]), set(ids[2::4])
-    heads.update(ids[1::4])
-    tails.update(ids[3::4])
-    # no id consumed or produced twice, none dangling, none negative
-    if 2 * len(heads) != len(ids) or heads != tails or min(heads, default=0) < 0:
+    if min(ids, default=0) < 0:
         return None
+    m = len(ids) // 2  # the semiarc count, if each id is consumed and produced once
+    if max(ids, default=-1) != m - 1:  # number the ids 0, 1, ... in increasing order
+        relabel = {s: i for i, s in enumerate(sorted(set(ids)))}
+        ids = list(map(relabel.__getitem__, ids))
 
     free_loops = sum(int(r[1]) for r in loops)
-    if 0 in signs:
-        quads = list(zip(ids[0::4], ids[1::4], ids[2::4], ids[3::4]))
-        real = [(sign, *q) for sign, q in zip(signs, quads) if sign]
-        virtuals = [q for sign, q in zip(signs, quads) if not sign]
-        relabel, semiarcs, virtual_loops = _erase_virtuals(heads, real, virtuals)
-        free_loops += virtual_loops
-        signs = [sign for sign in signs if sign]
-        ids = [relabel[s] for c in real for s in c[1:]]
-    else:  # every id is a semiarc of a real crossing, numbered in increasing order
-        semiarcs = len(heads)
-        if max(heads, default=-1) != semiarcs - 1:
-            relabel = dict(zip(sorted(heads), range(semiarcs)))
-            ids = list(map(relabel.__getitem__, ids))
-    crossings = map(Crossing._make, zip(signs, ids[0::4], ids[1::4], ids[2::4], ids[3::4]))
-    return SemiarcDiagram(semiarcs, tuple(crossings), free_loops)
+    virtual = 0 in signs
+    checked = [sign or 1 for sign in signs] if virtual else signs  # V reads as X+ here
+    try:
+        d = SemiarcDiagram(m, tuple(map(Crossing._make, zip(
+            checked, ids[0::4], ids[1::4], ids[2::4], ids[3::4]))), free_loops)
+    except DiagramError:
+        return None
+    if virtual:
+        real = [c for sign, c in zip(signs, d.crossings) if sign]
+        virtuals = [c[1:] for sign, c in zip(signs, d.crossings) if not sign]
+        relabel, semiarcs, virtual_loops = _erase_virtuals(range(m), real, virtuals)
+        d = SemiarcDiagram(semiarcs, tuple(Crossing(c.sign, *map(relabel.__getitem__, c[1:]))
+                                           for c in real), free_loops + virtual_loops)
+    return d
 
 
 def _raise_first_error(text: str) -> NoReturn:
     """Raise the ParseError of the first bad line of text that failed a bulk check.
 
-    Reads line by line what _parse_valid reads in bulk, so such text
-    always has a bad line: a malformed record, or else a semiarc consumed
-    or produced twice, or else dangling semiarcs, reported together.
+    Reads line by line what _parse_valid and SemiarcDiagram check in bulk,
+    so such text always has a bad line: a malformed record, or else a
+    semiarc consumed or produced twice, or else dangling semiarcs,
+    reported together.
     """
     head_line: dict[int, int] = {}
     tail_line: dict[int, int] = {}
@@ -210,22 +210,16 @@ def _raise_first_error(text: str) -> NoReturn:
             raise ParseError("semiarc ids must be integers", lineno)
         if any(i < 0 for i in ids):
             raise ParseError("semiarc ids must be nonnegative", lineno)
-        a_in, b_in, a_out, b_out = ids
-        for s in (a_in, b_in):
-            if s in head_line:
-                raise ParseError(f"semiarc {s} consumed twice (also line {head_line[s]})", lineno)
-            head_line[s] = lineno
-        for s in (a_out, b_out):
-            if s in tail_line:
-                raise ParseError(f"semiarc {s} produced twice (also line {tail_line[s]})", lineno)
-            tail_line[s] = lineno
+        for pair, seen, verb in ((ids[:2], head_line, "consumed"), (ids[2:], tail_line, "produced")):
+            for s in pair:
+                if s in seen:
+                    raise ParseError(f"semiarc {s} {verb} twice (also line {seen[s]})", lineno)
+                seen[s] = lineno
 
-    dangling = []
-    for s in sorted(set(head_line) - set(tail_line)):
-        dangling.append((s, f"semiarc {s} has no source", head_line[s]))
-    for s in sorted(set(tail_line) - set(head_line)):
-        dangling.append((s, f"semiarc {s} has no destination", tail_line[s]))
-    dangling.sort()
+    dangling = sorted((s, f"semiarc {s} has no {end}", seen[s])
+                      for seen, other, end in ((head_line, tail_line, "source"),
+                                               (tail_line, head_line, "destination"))
+                      for s in seen.keys() - other.keys())
     raise ParseError("; ".join(msg for _, msg, _ in dangling), dangling[0][2])
 
 
@@ -426,20 +420,11 @@ def chain(k: int) -> SemiarcDiagram:
 
 
 def _replace_head(crossings, target: int, replacement: int):
-    """Rewire the one input slot consuming `target` to read `replacement`."""
-    out = []
-    done = False
-    for c in crossings:
-        if not done and c.u_in == target:
-            c = Crossing(c.sign, replacement, c.o_in, c.u_out, c.o_out)
-            done = True
-        elif not done and c.o_in == target:
-            c = Crossing(c.sign, c.u_in, replacement, c.u_out, c.o_out)
-            done = True
-        out.append(c)
-    if not done:
-        raise DiagramError(f"semiarc {target} has no consumer")
-    return out
+    """Rewire the input slot consuming `target` to read `replacement`; a checked
+    diagram has exactly one, since each caller range-checks `target`."""
+    return [c._replace(u_in=replacement) if c.u_in == target
+            else c._replace(o_in=replacement) if c.o_in == target else c
+            for c in crossings]
 
 
 def connected_sum(d1: SemiarcDiagram, s1: int, d2: SemiarcDiagram, s2: int

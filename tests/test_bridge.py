@@ -13,6 +13,7 @@ from biqknot.algebra import (
     validate_axioms,
 )
 from biqknot.bridge import (
+    _log_bound,
     b1_lower,
     b2_lower,
     min_seed_size,
@@ -333,3 +334,31 @@ def test_zero_count_error_names_the_true_reason():
     assert count_colorings(torus_2n(3), X) == 0
     with pytest.raises(ValueError, match="^a coloring count of 0 gives no bridge bound$"):
         b2_lower([(X, 0)])
+
+
+def naive_log_bound(size, count):
+    b = 0
+    while size**b < count:
+        b += 1
+    return b
+
+
+def test_log_bound_matches_the_power_loop():
+    rng = random.Random(11)
+    cases = [(size, size**e + d) for size in (2, 3, 7, 10, 1024) for e in range(200) for d in (-1, 0, 1)]
+    cases += [(rng.randint(2, 40), rng.randint(1, 10 ** rng.randint(1, 80))) for _ in range(3000)]
+    for size, count in cases:
+        if count >= 1:
+            assert _log_bound(size, count) == naive_log_bound(size, count), (size, count)
+    # far past where the power loop takes seconds
+    assert _log_bound(3, 3**100000) == 100000
+    assert _log_bound(3, 3**100000 + 1) == 100001
+
+
+def test_bounds_need_a_pair_and_two_elements():
+    with pytest.raises(ValueError) as e:
+        b2_lower([])
+    assert str(e.value) == "need at least one (algebra, count) pair"
+    with pytest.raises(ValueError) as e:
+        b1_lower([(make_dihedral(1), 1)])
+    assert str(e.value) == "counting bounds need |X| >= 2"

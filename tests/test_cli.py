@@ -411,3 +411,90 @@ def test_cli_golden_bytes(tmp_path, monkeypatch, capsys, key):
         monkeypatch.chdir(tmp_path)
         code, out, _ = run(capsys, *g["argv"])
     assert (code, out) == (g["code"], g["stdout"])
+
+
+def test_diagram_validate_valid(tmp_path, capsys):
+    f = tmp_path / "t3_loops.pd"
+    f.write_text("X+ 0 1 3 2\nX+ 2 3 5 4\nX+ 4 5 1 0\nL 2\n")
+    code, out, err = run(capsys, "diagram", "validate", str(f))
+    assert (code, out, err) == (0, "valid: 3 crossings, 6 semiarcs, 3 components\n", "")
+    code, out, err = run(capsys, "--format", "json", "diagram", "validate", str(f))
+    assert (code, err) == (0, "")
+    assert out == '{"components": 3, "crossings": 3, "semiarcs": 6, "valid": true}\n'
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["color", "count", "/nonexistent", "dihedral:3"], 2,
+     "usage error: cannot read diagram '/nonexistent': [Errno 2] No such file or directory: "
+     "'/nonexistent'\n"),
+    (["diagram", "gen", "torus2", "0"], 1, "error: torus_2n needs n >= 1, got 0\n"),
+    (["diagram", "sum", "torus2:3", "0", "torus2:3", "9"], 1, "error: semiarc 9 not in second diagram\n"),
+    (["knots", "show"], 2, "usage error: knots show <name>\n"),
+    (["bridge", "lower", "torus2:3", "--alg", "dihedral:1"], 1,
+     "error: counting bounds need |X| >= 2\n"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_error_messages_and_exit_codes(capsys, argv, code, err):
+    assert run(capsys, *argv) == (code, "", err)
+
+
+def test_bridge_seeds_reports_no_set_within_kmax(capsys):
+    assert run(capsys, "bridge", "seeds", "chain:7") == (
+        0, "no saturating seed set of size <= 6\n", "")
+    code, out, _ = run(capsys, "--format", "json", "bridge", "seeds", "chain:7")
+    assert (code, json.loads(out)) == (0, {"found": False, "k_max": 6})
+
+
+def test_repro_timings(capsys):
+    code, out, _ = run(capsys, "--format", "json", "repro", "--item", "11-bridge-machinery",
+                       "--timings")
+    (row,) = json.loads(out)
+    assert code == 0 and row["passed"]
+    assert isinstance(row["seconds"], float) and row["seconds"] >= 0
+    code, out, _ = run(capsys, "repro", "--item", "11-bridge-machinery", "--timings")
+    assert code == 0
+    assert out.startswith("PASS 11-bridge-machinery [") and out.splitlines()[0].endswith("s)")
+
+
+def unlimited_str(n):
+    """str(n) with the interpreter's digit limit lifted just for the conversion."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_counts_over_4300_digits_print(tmp_path, capsys):
+    # 3 colorings of the kink times 3^10000 for the free loops
+    f = tmp_path / "kink_loops.pd"
+    f.write_text("X+ 0 1 1 0\nL 10000\n")
+    limit = sys.get_int_max_str_digits()
+    text = unlimited_str(3**10001)  # 4772 digits, beyond the interpreter's default limit
+    assert run(capsys, "color", "count", str(f), "dihedral:3") == (0, text + "\n", "")
+    assert sys.get_int_max_str_digits() == limit
+    assert run(capsys, "--format", "json", "color", "count", str(f), "dihedral:3") == (
+        0, '{"count": ' + text + "}\n", "")
+    code, out, err = run(capsys, "color", "matrix", str(f), "3", "2", "2", "1", "0")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "# solutions mod 3: " + text
+    code, out, err = run(capsys, "--format", "json", "color", "matrix", str(f), "3", "2", "2", "1", "0")
+    assert (code, err) == (0, "")
+    assert out.endswith('"solutions": ' + text + "}\n")
+    assert run(capsys, "bridge", "lower", str(f), "--alg", "dihedral:3") == (
+        0, f"b1 >= 10001\n  |X| = 3: Col = {text}\n", "")
+    assert run(capsys, "--format", "json", "bridge", "lower", str(f), "--alg", "dihedral:3") == (
+        0, '{"bound": 10001, "counts": [[3, ' + text + ']], "mode": "b1"}\n', "")
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_wire_ids_of_any_length(tmp_path, capsys):
+    big = "1" + "0" * 5000
+    f = tmp_path / "big_ids.pd"
+    f.write_text(f"X+ {big} {big[:-1]}1 {big[:-1]}1 {big}\n")
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, "diagram", "validate", str(f)) == (
+        0, "valid: 1 crossings, 2 semiarcs, 1 components\n", "")
+    assert sys.get_int_max_str_digits() == limit

@@ -487,3 +487,29 @@ def test_parse_matches_line_parser_on_corrupted_texts():
             assert outcome(parse_pd, text) == expected, text
             raised += not isinstance(expected, SemiarcDiagram)
     assert raised > 400
+
+
+@pytest.mark.parametrize("text, semiarc", [("X+ 0 1 1 0\nV 5 5 6 6\n", 5), ("X+ 0 1 1 0\nV 7 7 7 7\n", 7)])
+def test_parse_checks_virtual_records_before_erasing_them(text, semiarc):
+    # erasing the V record would leave a valid kink plus a free loop, so only a check
+    # of the raw records rejects these texts
+    with pytest.raises(ParseError) as e:
+        parse_pd(text)
+    assert e.value.line == 2
+    assert str(e.value) == f"line 2: semiarc {semiarc} consumed twice (also line 2)"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: torus_2n(0), "torus_2n needs n >= 1, got 0"),
+    (lambda: pretzel([]), "pretzel needs at least one band"),
+    (lambda: connected_sum(torus_2n(3), 0, torus_2n(3), 9), "semiarc 9 not in second diagram"),
+    (lambda: apply_r1(torus_2n(3), 6, 1), "semiarc 6 not in diagram"),
+    (lambda: apply_r1(torus_2n(3), 0, 0), "chirality must be +1 or -1"),
+    (lambda: apply_r2(torus_2n(3), 0, 6), "semiarc not in diagram"),
+    (lambda: apply_r2(torus_2n(3), -1, 2), "semiarc not in diagram"),
+    (lambda: apply_r2(torus_2n(3), 0, 2, "twisted"), "unknown r2 variant 'twisted'"),
+])
+def test_generator_and_surgery_errors(build, message):
+    with pytest.raises(ValueError) as e:
+        build()
+    assert str(e.value) == message

@@ -97,3 +97,9 @@ def test_builtin_table_is_a_copy():
     table["extra"] = table["4_1"]
     assert "3_1" in builtin_table() and "extra" not in builtin_table()
     assert builtin_knot("3_1").name == "3_1"
+
+
+def test_parse_knot_table_rejects_an_empty_name():
+    with pytest.raises(ValueError) as e:
+        parse_knot_table("a | X+ 0 1 1 0\n | X+ 0 1 1 0 | 1\n")
+    assert str(e.value) == "line 2: empty knot name"
