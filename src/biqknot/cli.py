@@ -409,22 +409,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    # counts and wire ids may have any number of digits; in-process callers keep their limit
-    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if digits is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        return args.fn(args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as e:
-        # str() of a KeyError quotes its message
-        print(f"error: {e.args[0] if isinstance(e, KeyError) and e.args else e}", file=sys.stderr)
-        return 1
-    finally:
-        if digits is not None:
-            sys.set_int_max_str_digits(digits)
+    with diagram.any_int_digits():  # counts, like wire ids, may have any number of digits
+        try:
+            return args.fn(args)
+        except UsageError as e:
+            print(f"usage error: {e}", file=sys.stderr)
+            return 2
+        except (ValueError, KeyError) as e:
+            # str() of a KeyError quotes its message
+            print(f"error: {e.args[0] if isinstance(e, KeyError) and e.args else e}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -469,12 +470,32 @@ def count_solutions_snf(M: RelationMatrix) -> int:
 
 
 def count_solutions_bruteforce(M: RelationMatrix) -> int:
-    """Count null vectors by direct enumeration (oracle for the SNF path)."""
+    """Count null vectors exhaustively, meeting in the middle (oracle for the SNF path).
+
+    x in (Z/n)^cols splits into x_L on the columns range(cols // 2) and
+    x_R on the rest, and Mx = 0 mod n exactly when M x_R = -M x_L. So a
+    Counter tallies -M x_L over every x_L, and each x_R adds the tally of
+    its M x_R: every x is still counted once, in about 2 n^(cols/2) steps
+    instead of n^cols. Each half's vectors are built column by column, a
+    partial sum extended by t * column for t in range(n), so none is
+    summed from scratch; the last column's are streamed, not stored. It
+    reads only M's rows and shares no code with the elimination.
+    """
     n = M.modulus
     if n**M.cols > BRUTE_FORCE_GUARD:
         raise ValueError(f"brute force over {n}^{M.cols} vectors refused")
-    count = 0
-    for vec in itertools.product(range(n), repeat=M.cols):
-        if all(sum(a * vec[j] for j, a in row.items()) % n == 0 for row in M.rows):
-            count += 1
-    return count
+
+    def extend(sums, col):
+        for s in sums:
+            for t in range(n):
+                yield tuple((a + t * c) % n for a, c in zip(s, col))
+
+    def residues(columns, sign):  # sign * M x mod n for every x on the columns
+        sums = [(0,) * len(M.rows)]
+        for j in columns:
+            sums = extend(list(sums), [sign * row.get(j, 0) for row in M.rows])
+        return sums
+
+    half = M.cols // 2
+    left = Counter(residues(range(half), -1))
+    return sum(map(left.__getitem__, residues(range(half, M.cols), 1)))

@@ -12,9 +12,10 @@ Wire format, one crossing per line::
     L <free_loops>                      (optional, crossingless components)
     V <s_in> <t_in> <s_out> <t_out>     (virtual crossing, erased on parse)
 
-Semiarcs are nonnegative integers; every id must occur exactly once as
-an input (u_in/o_in) and once as an output (u_out/o_out), so semiarcs
-chain into oriented closed components. A ``#`` starts a comment.
+Semiarcs are nonnegative integers of any length; every id must occur
+exactly once as an input (u_in/o_in) and once as an output
+(u_out/o_out), so semiarcs chain into oriented closed components. A
+``#`` starts a comment.
 
 parse_pd reads the records in bulk and renumbers the ids 0..m-1 in
 increasing order; SemiarcDiagram alone checks the semiarc rule, on the
@@ -35,6 +36,7 @@ in 3 ways, torus2:1 in 1).
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, NoReturn
 
@@ -123,11 +125,29 @@ class SemiarcDiagram:
 _SIGNS = {"X+": 1, "X-": -1, "V": 0}  # 0: a virtual crossing
 
 
+class any_int_digits:
+    """Lift the interpreter's int/str digit limit inside a with block.
+
+    Ids and counts may have any number of digits. The caller's limit is
+    restored on every exit, so in-process callers keep their own.
+    """
+
+    def __enter__(self):
+        self.limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        if self.limit:
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc):
+        if self.limit:
+            sys.set_int_max_str_digits(self.limit)
+
+
 def parse_pd(text: str) -> SemiarcDiagram:
     """Parse the wire format; validates and canonically renumbers semiarcs."""
-    d = _parse_valid(text)
-    if d is None:
-        _raise_first_error(text)
+    with any_int_digits():
+        d = _parse_valid(text)
+        if d is None:
+            _raise_first_error(text)
     return d
 
 

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from biqknot import repro
 from biqknot.algebra import (
     AxiomError,
     biquandle_z,
@@ -22,6 +23,7 @@ from biqknot.algebra import (
     serialize_biquandle,
 )
 from biqknot.coloring import (
+    BRUTE_FORCE_GUARD,
     RelationMatrix,
     _list_kernel,
     _oriented,
@@ -265,6 +267,73 @@ def test_snf_counts_match_brute_force_random():
         mat = tuple(tuple(rng.randrange(n) for _ in range(cols)) for _ in range(rows))
         m = RelationMatrix(sparse(mat), n, cols)
         assert count_solutions_snf(m) == count_solutions_bruteforce(m)
+
+
+def literal_null_count(m):
+    """#{x in (Z/n)^cols : Mx = 0 mod n}, one candidate x at a time."""
+    n = m.modulus
+    return sum(1 for x in itertools.product(range(n), repeat=m.cols)
+               if all(sum(a * x[j] for j, a in row.items()) % n == 0 for row in m.rows))
+
+
+@pytest.mark.parametrize("m, want", [
+    (RelationMatrix((), 5, 0), 1),  # no columns: the empty vector
+    (RelationMatrix(({}, {}), 5, 0), 1),
+    (RelationMatrix(({0: 2},), 4, 1), 2),  # one column: x in {0, 2}
+    (RelationMatrix(({0: 3},), 9, 1), 3),
+    (RelationMatrix(({0: 1, 1: 2, 2: 3},), 5, 3), 25),  # odd cols: the halves differ in size
+    (RelationMatrix(({0: 1, 1: 2, 2: 3}, {1: 6, 4: 3}), 9, 5), 2187),
+    (RelationMatrix((), 3, 4), 81),  # no rows
+    (RelationMatrix(({}, {}, {}), 4, 3), 64),  # empty rows
+    (RelationMatrix(({0: 1, 2: 3}, {}), 4, 3), 16),
+    (RelationMatrix(({0: 1, 1: 2},), 1, 2), 1),  # modulus 1: only the zero vector
+    (RelationMatrix(({0: 5},), 1, 9), 1),
+    (RelationMatrix(({0: -1, 1: 7, 2: 12}, {1: -9, 3: 5}), 4, 4), 16),  # negative and >= n
+    (RelationMatrix(({0: -3, 1: 9}, {0: 18, 2: -27}), 9, 3), 243),
+])
+def test_bruteforce_matches_literal_filter_on_edge_cases(m, want):
+    assert literal_null_count(m) == want
+    assert count_solutions_bruteforce(m) == want
+
+
+def test_bruteforce_matches_literal_filter_on_random_matrices():
+    rng = random.Random(3)
+    for _ in range(150):
+        n = rng.randrange(1, 7)
+        cols = rng.randrange(0, 7 if n < 4 else 5)
+        rows = tuple({j: rng.randrange(-2 * n, 2 * n) for j in range(cols) if rng.random() < 0.6}
+                     for _ in range(rng.randrange(0, 5)))
+        m = RelationMatrix(rows, n, cols)
+        assert count_solutions_bruteforce(m) == literal_null_count(m)
+
+
+def test_bruteforce_matches_literal_filter_on_item_03_matrices(monkeypatch):
+    drawn = []
+
+    def recording(m):
+        drawn.append(m)
+        return count_solutions_bruteforce(m)
+
+    monkeypatch.setattr(repro, "count_solutions_bruteforce", recording)
+    _, computed, ok = repro.item_03_snf_path()
+    assert ok and computed.endswith("200/200 random")
+    assert len(drawn) == 200  # the matrices item 03 draws from random.Random(1729)
+    assert [count_solutions_bruteforce(m) for m in drawn] == list(map(literal_null_count, drawn))
+
+
+def test_bruteforce_guards_refuse_before_enumerating():
+    # 3^100 assignments and 2^200 vectors: no enumeration could finish, only the guard answers
+    d = unknot(50)
+    assert 3**d.semiarc_count > BRUTE_FORCE_GUARD
+    with pytest.raises(ValueError, match=rf"^brute force over 3\^{d.semiarc_count} assignments refused$"):
+        brute_force_colorings(d, make_dihedral(3))
+    with pytest.raises(ValueError, match=r"^brute force over 2\^200 vectors refused$"):
+        count_solutions_bruteforce(RelationMatrix(({0: 1},), 2, 200))
+    # the bound itself is allowed: 10^7 vectors with no rows are all null
+    assert 10**7 == BRUTE_FORCE_GUARD
+    assert count_solutions_bruteforce(RelationMatrix((), 10, 7)) == BRUTE_FORCE_GUARD
+    with pytest.raises(ValueError, match=r"^brute force over 10\^8 vectors refused$"):
+        count_solutions_bruteforce(RelationMatrix((), 10, 8))
 
 
 def snf_diagonal(rows) -> list[int]:

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -12,6 +13,7 @@ from biqknot.diagram import (
     ParseError,
     SemiarcDiagram,
     _erase_virtuals,
+    any_int_digits,
     apply_r1,
     apply_r2,
     chain,
@@ -437,7 +439,8 @@ def test_parse_matches_line_parser_on_valid_texts():
 def corruptions(text):
     """Every single-record corruption of text: a bad tag, a wrong arity, a non-integer,
     negative, duplicated or dangling id, a bad L count, a repeated record, a moved
-    line break; and each id made negative or non-integer wherever it occurs."""
+    line break; and each id made negative, non-integer or 5000 digits long wherever
+    it occurs."""
     lines = text.splitlines()
     records = [i for i, line in enumerate(lines) if line.split("#")[0].split()]
     heads = [t for i in records if lines[i].split()[0] != "L" for t in lines[i].split()[1:3]]
@@ -468,7 +471,8 @@ def corruptions(text):
             yield "\n".join(lines[:i] + moved + lines[i + 1:j] + lines[j + 1:]) + "\n"
             moved = [" ".join(parts[:-1]), " ".join(parts[-1:] + rest)]
             yield "\n".join(lines[:i] + moved + lines[i + 1:j] + lines[j + 1:]) + "\n"
-    # one id replaced by a bad one wherever it occurs, which keeps every id paired
+    # one id replaced wherever it occurs, which keeps every id paired: by a bad one,
+    # or by a valid one of 5000 digits
     for s in sorted(set(heads)):
         for bad in ("-1", "-5", "x", "9" * 5000):
             yield "\n".join(" ".join(bad if t == s else t for t in line.split()) for line in lines) + "\n"
@@ -483,7 +487,8 @@ def test_parse_matches_line_parser_on_corrupted_texts():
     for base in texts:
         assert isinstance(parse_pd(base), SemiarcDiagram)
         for text in corruptions(base):
-            expected = outcome(reference_parse_pd, text)
+            with any_int_digits():  # ids of any length are valid, as in parse_pd
+                expected = outcome(reference_parse_pd, text)
             assert outcome(parse_pd, text) == expected, text
             raised += not isinstance(expected, SemiarcDiagram)
     assert raised > 400
@@ -513,3 +518,33 @@ def test_generator_and_surgery_errors(build, message):
     with pytest.raises(ValueError) as e:
         build()
     assert str(e.value) == message
+
+
+BIG = "1" + "0" * 5000  # 5001 digits, past the interpreter's default limit of 4300
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                       reason="no digit limit")
+
+
+@needs_digit_limit
+def test_parse_ids_over_4300_digits_in_process():
+    limit = sys.get_int_max_str_digits()
+    d = parse_pd(f"X+ {BIG} {BIG[:-1]}1 {BIG[:-1]}1 {BIG}\n")
+    assert (d.semiarc_count, d.crossings) == (2, (Crossing(1, 0, 1, 1, 0),))
+    assert sys.get_int_max_str_digits() == limit
+    # a bad line names the id in full, and the limit comes back on the raise too
+    with pytest.raises(ParseError) as e:
+        parse_pd(f"X+ {BIG} {BIG} 0 1\n")
+    assert str(e.value) == f"line 1: semiarc {BIG} consumed twice (also line 1)"
+    assert sys.get_int_max_str_digits() == limit
+
+
+@needs_digit_limit
+def test_parse_loop_count_over_4300_digits_in_process():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # a caller's own limit is the one restored
+    try:
+        d = parse_pd(f"X+ 0 1 1 0\nL {BIG}\n")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert d.free_loops == 10**5000 and d.semiarc_count == 2

@@ -397,3 +397,13 @@ def test_polynomial_str_and_parse():
     q = ExponentPolynomial({0: 12, 4: 4})
     assert str(q) == "4u^4 + 12"
     assert str(ExponentPolynomial({})) == "0"
+
+
+def test_polynomial_rejects_negative_terms_and_hashes_by_value():
+    for coeffs in ({-1: 2}, {3: -1}):
+        with pytest.raises(ValueError, match="^exponents and coefficients must be nonnegative$"):
+            ExponentPolynomial(coeffs)
+    p = ExponentPolynomial({2: 9, 6: 18, 0: 0})  # zero coefficients are dropped
+    q = ExponentPolynomial.from_multiset([6] * 18 + [2] * 9)
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q, ExponentPolynomial({2: 9})}) == 2
