@@ -105,6 +105,24 @@ class FiniteBiquandle:
     def _is_quandle(self) -> bool:  # one scan per algebra, not one per column or closure
         return all(self.over_table[x] == tuple([x + 1] * self.size) for x in range(self.size))
 
+    @cached_property
+    def checked_endos(self) -> set[tuple[int, ...]]:
+        """The image tuples is_hom has accepted as endomorphisms of this algebra.
+
+        Filled by quiver.build_quiver, which checks only maps not in it yet;
+        a rejected map is never added, so it is checked, and refused, each time.
+        """
+        return set()
+
+    @cached_property
+    def column_orders(self) -> tuple[dict[frozenset[int], int], dict[frozenset[int], int]]:
+        """(label set -> order, subquandle -> order) of the column groups met so far.
+
+        Filled by enhance.column_group_multiset. Both orders depend on this
+        quandle alone, so every diagram colored by it shares them.
+        """
+        return {frozenset(): 1}, {}  # empty diagram: no columns act
+
     def __str__(self) -> str:
         kind = "Quandle" if self.is_quandle() else "FiniteBiquandle"
         return f"{kind}(n={self.size})"

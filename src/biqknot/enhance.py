@@ -10,7 +10,9 @@ multiplicities as coefficients).
 The columns of the labels alone generate that group: the subquandle is
 their orbit under it (see subquandle_closure), and the column of g(s) is
 g R_s g^-1. So the order is closed over the labels' columns, once per
-subquandle, which many label sets share; each label set is closed once.
+subquandle, which many label sets share. Both orders are kept on Q (see
+FiniteBiquandle.column_orders), so each label set is closed once per
+algebra object, however many diagrams it colors.
 
 Only defined for quandles: for a general biquandle it is ambiguous
 which table's columns should act, so anything else is rejected.
@@ -28,8 +30,7 @@ def column_group_multiset(d: SemiarcDiagram, Q: FiniteBiquandle) -> list[int]:
     """One subgroup order per coloring of d by the quandle Q."""
     if not Q.is_quandle():
         raise ValueError("column group enhancement is defined for quandles only")
-    order_of_subquandle: dict[frozenset[int], int] = {}
-    order_of_labels: dict[frozenset[int], int] = {frozenset(): 1}  # empty diagram: no columns act
+    order_of_labels, order_of_subquandle = Q.column_orders
     out = []
     for coloring in colorings_with_loops(d, Q):
         labels = frozenset(coloring)

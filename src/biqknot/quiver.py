@@ -13,7 +13,8 @@ Targets are read off a few generators: one greedy pass picks coordinate
 columns on which the colorings are pairwise distinct (for T(2,9) over
 R_9, 2 of 18), the vertices are indexed by those columns, and each f maps
 only them. This is sound because every f is checked to be an
-endomorphism first, so f o v is always a vertex.
+endomorphism, once per algebra object on first use, so f o v is always
+a vertex.
 
 Isomorphism has two routes: with one endomorphism on both sides a
 quiver is a functional graph, compared by a linear-time canonical form
@@ -51,11 +52,18 @@ class ColoringQuiver:
 
 
 def build_quiver(d: SemiarcDiagram, Y: FiniteBiquandle, S) -> ColoringQuiver:
-    """The coloring quiver of d over Y with edge set S (endomorphisms of Y)."""
+    """The coloring quiver of d over Y with edge set S (endomorphisms of Y).
+
+    Each f in S is checked to be an endomorphism once per algebra object,
+    on first use: Y.checked_endos keeps the maps already accepted.
+    """
     endos = tuple(tuple(f) for f in S)
+    checked = Y.checked_endos
     for f in endos:
-        if not is_hom(Y, Y, f):
-            raise ValueError(f"{f} is not an endomorphism of the target biquandle")
+        if f not in checked:
+            if not is_hom(Y, Y, f):
+                raise ValueError(f"{f} is not an endomorphism of the target biquandle")
+            checked.add(f)
     vertices = tuple(colorings_with_loops(d, Y))
     columns = _separating_columns(vertices, Y.size)
     if not columns:  # one vertex (or none): every f fixes it

@@ -23,6 +23,7 @@ import time
 
 from biqknot import repro
 from biqknot.algebra import validate_axioms
+from biqknot.diagram import SemiarcDiagram
 from biqknot.polynomial import ExponentPolynomial
 from biqknot.quiver import build_quiver, in_degree_polynomial
 from biqknot.enhance import column_group_polynomial
@@ -118,6 +119,14 @@ def test_criterion_09_column_enhancement_polynomials():
     assert elapsed < BUDGET_SECONDS
 
 
+def test_criterion_09_repro_item_column_polynomials():
+    # the repro item itself, in process: its column-polynomial half holds
+    # for both knots, while its u^3 half keeps the item red
+    item = run_item("09-column-enhancement")
+    assert "6_1 54u^18 + 18u^6 + 9u^2;" in item.computed
+    assert "9_24 54u^18 + 18u^6 + 9u^2;" in item.computed
+
+
 def test_criterion_09_u3_distinction():
     # literal reading: the 9_24 in-degree polynomial over f(x) = 3x has a
     # positive u^3 coefficient; unattainable (in-degree exponents over
@@ -144,3 +153,16 @@ def test_criterion_11_bridge_machinery():
 
 def test_criterion_12_move_invariance():
     assert run_item("12-move-invariance").passed
+
+
+def test_criterion_12_compares_each_moved_diagram_with_its_family(monkeypatch):
+    # a "move" that adds a free loop multiplies every count by |Y|, so all
+    # 30 trials must fail on all 4 targets against the stored baselines
+    def add_loop(d, *args):
+        return SemiarcDiagram(d.semiarc_count, d.crossings, d.free_loops + 1)
+
+    monkeypatch.setattr(repro, "apply_r1", add_loop)
+    monkeypatch.setattr(repro, "apply_r2", add_loop)
+    _, computed, passed = repro.item_12_move_invariance()
+    assert computed == "failures: 120"
+    assert not passed

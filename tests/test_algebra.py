@@ -238,6 +238,20 @@ def test_homs_match_is_hom_filter():
             assert enumerate_homs(X, Y) == want, (X, Y)
 
 
+def test_is_hom_refuses_images_of_the_wrong_shape():
+    r3 = make_dihedral(3)
+    assert is_hom(r3, r3, (1, 2, 3))
+    assert not is_hom(r3, r3, (1, 2))
+    assert not is_hom(r3, r3, (1, 2, 3, 1))
+    assert not is_hom(r3, r3, (1, 2, 4))
+    assert not is_hom(r3, r3, (0, 2, 3))
+
+
+def test_str_names_quandles_and_biquandles():
+    assert str(make_dihedral(3)) == "Quandle(n=3)"
+    assert str(biquandle_z()) == "FiniteBiquandle(n=4)"
+
+
 def test_module_biquandle_builds_the_tables_its_linear_form_reads():
     gf4 = make_module_biquandle(2, IDENTITY, ZERO, W, ONE_PLUS_W)
     assert "linear_form" not in vars(gf4)  # building never pays for detection

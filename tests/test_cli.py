@@ -164,6 +164,14 @@ def test_quiver_indeg(capsys):
     assert out.strip() == "9u^9 + 72"
 
 
+def test_quiver_indeg_defaults_to_the_identity(capsys):
+    # neither --endo nor --all-endos: S is the identity, so each of the
+    # Col_{R_3}(T(2,3)) = 9 colorings has in-degree 1
+    code, out, _ = run(capsys, "quiver", "indeg", "torus2:3", "dihedral:3")
+    assert code == 0
+    assert out.strip() == "9u"
+
+
 def test_quiver_iso_via_dumps(tmp_path, capsys):
     for name, d in (("a", "torus2:4"), ("b", "chain:3")):
         code, out, _ = run(capsys, "--format", "json", "quiver", "build", d,

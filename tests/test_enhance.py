@@ -12,7 +12,7 @@ from biqknot.coloring import colorings_with_loops, count_colorings
 from biqknot.diagram import (SemiarcDiagram, apply_r1, apply_r2, chain, pretzel, torus_2n,
                              unknot)
 from biqknot.enhance import column_group_multiset, column_group_polynomial
-from biqknot.knots import builtin_knot
+from biqknot.knots import builtin_knot, builtin_table
 from biqknot.polynomial import ExponentPolynomial
 
 
@@ -113,3 +113,11 @@ def test_column_group_multiset_matches_the_subquandle_columns():
     for d, q in cases:
         assert q.is_quandle()
         assert column_group_multiset(d, q) == multiset_by_subquandle_columns(d, q)
+
+
+def test_orders_kept_on_a_shared_algebra_match_a_fresh_one():
+    for n in (9, 6):
+        shared = make_dihedral(n)
+        for name, rec in builtin_table().items():
+            assert (column_group_polynomial(rec.diagram, shared)
+                    == column_group_polynomial(rec.diagram, make_dihedral(n))), (n, name)

@@ -64,8 +64,35 @@ def test_quiver_empty_s():
 
 
 def test_quiver_rejects_non_endomorphism():
-    with pytest.raises(ValueError):
-        build_quiver(torus_2n(3), make_dihedral(3), [(2, 1, 1)])
+    # a rejection is never remembered: the same map is refused on every call,
+    # also after the algebra has accepted other maps
+    r3, bad = make_dihedral(3), (2, 1, 1)
+    message = r"\(2, 1, 1\) is not an endomorphism of the target biquandle"
+    with pytest.raises(ValueError, match=message):
+        build_quiver(torus_2n(3), r3, [bad])
+    with pytest.raises(ValueError, match=message):
+        build_quiver(torus_2n(3), r3, [bad])
+    build_quiver(torus_2n(3), r3, enumerate_endos(r3))
+    with pytest.raises(ValueError, match=message):
+        build_quiver(torus_2n(3), r3, [(1, 2, 3), bad])
+    assert bad not in r3.checked_endos
+
+
+def test_build_quiver_checks_each_endo_once_per_algebra(monkeypatch):
+    calls = []
+    real = quiver.is_hom
+    monkeypatch.setattr(quiver, "is_hom", lambda X, Y, f: calls.append(f) or real(X, Y, f))
+    r9, d = make_dihedral(9), torus_2n(3)
+    endos = enumerate_endos(r9)
+    first = build_quiver(d, r9, endos)
+    assert sorted(calls) == sorted(endos)
+    calls.clear()
+    assert build_quiver(d, r9, endos) == first
+    assert calls == []
+    fresh = make_dihedral(9)  # equal, but a new object: its maps are checked again
+    assert fresh == r9
+    assert build_quiver(d, fresh, endos) == first
+    assert sorted(calls) == sorted(endos)
 
 
 def test_out_degree_equals_s_size():
@@ -359,6 +386,12 @@ def test_iso_size_guard_comes_after_the_count_checks():
     small = ColoringQuiver(tuple((v,) for v in range(5)), ((1,), (1,)), (tuple(range(5)),) * 2)
     assert not quivers_isomorphic(big, small)
     assert not quivers_isomorphic(small, big)
+
+
+def test_iso_of_two_empty_quivers_with_two_endos():
+    endos = ((1, 2, 3), (1, 1, 1))
+    q = ColoringQuiver((), endos, ((), ()))
+    assert quivers_isomorphic(q, ColoringQuiver((), endos, ((), ())))
 
 
 def test_quiver_iso_rejects_different_edge_structure():
