@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import algebra, bridge, coloring, diagram, enhance, knots, quiver, repro
@@ -167,6 +168,8 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_color(args) -> int:
+    if args.table and args.action != "list":
+        raise UsageError(f"color {args.action} takes no --table; it applies to color list")
     if args.action == "matrix":
         pd, *coeffs = _params(args, "pd", *ALGEBRAS["linear"][1])
         d = load_diagram(pd)
@@ -257,12 +260,15 @@ def _load_quiver_dump(path: str) -> quiver.ColoringQuiver:
 def cmd_bridge(args) -> int:
     d = load_diagram(args.pd)
     if args.action == "seeds":
-        if args.kmax < 0:
-            raise UsageError(f"--kmax must be >= 0, got {args.kmax}")
-        found = bridge.min_seed_size(d, args.kmax)
+        if args.alg or args.mode:
+            raise UsageError("bridge seeds takes no --alg or --mode; they apply to bridge lower")
+        k_max = 6 if args.kmax is None else args.kmax
+        if k_max < 0:
+            raise UsageError(f"--kmax must be >= 0, got {k_max}")
+        found = bridge.min_seed_size(d, k_max)
         if found is None:
-            emit(args, [f"no saturating seed set of size <= {args.kmax}"],
-                 {"found": False, "k_max": args.kmax})
+            emit(args, [f"no saturating seed set of size <= {k_max}"],
+                 {"found": False, "k_max": k_max})
             return 0
         k, witness = found
         report = bridge.wirtinger_saturate(d, witness)
@@ -273,17 +279,20 @@ def cmd_bridge(args) -> int:
         emit(args, lines, {"found": True, "min_seeds": k, "witness": list(witness),
                            "sequence": [list(step) for step in report.sequence]})
         return 0
+    if args.kmax is not None:
+        raise UsageError("bridge lower takes no --kmax; it applies to bridge seeds")
     if not args.alg:
         raise UsageError("bridge lower needs at least one --alg")
+    mode = args.mode or "b1"
     pairs = []
     for spec in args.alg:
         Y = load_biquandle(spec)
         pairs.append((Y, coloring.count_colorings(d, Y)))
-    fn = bridge.b1_lower if args.mode == "b1" else bridge.b2_lower
+    fn = bridge.b1_lower if mode == "b1" else bridge.b2_lower
     bound = fn(pairs)
-    lines = [f"{args.mode} >= {bound}"]
+    lines = [f"{mode} >= {bound}"]
     lines += [f"  |X| = {Y.size}: Col = {col}" for Y, col in pairs]
-    emit(args, lines, {"mode": args.mode, "bound": bound,
+    emit(args, lines, {"mode": mode, "bound": bound,
                        "counts": [[Y.size, col] for Y, col in pairs]})
     return 0
 
@@ -379,9 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bridge", help="Wirtinger seeds and counting bounds")
     p.add_argument("action", choices=("seeds", "lower"))
     p.add_argument("pd")
-    p.add_argument("--kmax", type=int, default=6)
+    p.add_argument("--kmax", type=int, help="seeds: largest seed set tried (default 6)")
     p.add_argument("--alg", action="append", default=[])
-    p.add_argument("--mode", choices=("b1", "b2"), default="b1")
+    p.add_argument("--mode", choices=("b1", "b2"), help="lower: bound to report (default b1)")
     p.set_defaults(fn=cmd_bridge)
 
     p = sub.add_parser("enhance", help="column group enhancement")
@@ -411,7 +420,14 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     with diagram.any_int_digits():  # counts, like wire ids, may have any number of digits
         try:
-            return args.fn(args)
+            code = args.fn(args)
+            sys.stdout.flush()  # so a reader that left early is caught here, not at exit
+            return code
+        except BrokenPipeError:
+            # the reader closed the pipe: send the rest to devnull so that the exit-time
+            # flush cannot fail again (the SIGPIPE recipe in Python's signal docs)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         except UsageError as e:
             print(f"usage error: {e}", file=sys.stderr)
             return 2

@@ -16,14 +16,14 @@ only them. This is sound because every f is checked to be an
 endomorphism, once per algebra object on first use, so f o v is always
 a vertex.
 
-Isomorphism has two routes: with one endomorphism on both sides a
-quiver is a functional graph, compared by a linear-time canonical form
-at any size; any other |S| refines vertex classes by degree, then places
-vertices smallest class first, each only where every edge to a placed
-vertex, with its multiplicity, matches in both directions. That route
-refuses a pair above ISO_SIZE_GUARD vertices once its vertex and edge
-counts agree, and the guard does not bound its time: it can run for
-minutes on two 27-vertex quivers with |S| = 3 (ROADMAP item 5).
+Isomorphism has one contract at every size: differing vertex or edge
+counts answer no; with one endomorphism on both sides each quiver is a
+functional graph, compared by a linear-time canonical form; any other |S|
+refines vertex classes by degree, then places vertices smallest class
+first, each only where every edge to a placed vertex, with its
+multiplicity, matches in both directions. That route's time follows the
+structure, not the size: it can run for minutes on two 27-vertex quivers
+with |S| = 3 (ROADMAP item 5).
 
 Free loops contribute unconstrained coordinates; they are materialized
 here (appended after the semiarc coordinates) so the quiver is the full
@@ -40,9 +40,6 @@ from .algebra import FiniteBiquandle, is_hom
 from .coloring import Coloring, colorings_with_loops
 from .diagram import SemiarcDiagram
 from .polynomial import ExponentPolynomial
-
-ISO_SIZE_GUARD = 2000
-
 
 @dataclass(frozen=True)
 class ColoringQuiver:
@@ -113,26 +110,22 @@ def in_degree_polynomial(q: ColoringQuiver) -> ExponentPolynomial:
 def quivers_isomorphic(q1: ColoringQuiver, q2: ColoringQuiver) -> bool:
     """Directed-multigraph isomorphism, ignoring edge labels.
 
-    Two routes. If both quivers have exactly one endomorphism, each is a
-    functional graph and is compared by its canonical form (see
-    _functional_form), in time linear in the vertices and at any size.
-    Otherwise iterated in/out-degree refinement is followed by
-    backtracking, which places vertices by (class size, class, vertex)
-    and maps v to w only if every edge to a placed vertex, with its
-    multiplicity, matches in both directions. Only this route is guarded:
-    above ISO_SIZE_GUARD vertices it refuses a pair whose vertex and edge
-    counts agree (any other pair is not isomorphic), and the guard does
-    not bound its time: it can run for minutes far below it (ROADMAP item 5).
+    Differing vertex or edge counts answer False. Otherwise, if both
+    quivers have exactly one endomorphism, each is a functional graph and
+    is compared by its canonical form (see _functional_form), in time
+    linear in the vertices. Every other pair goes through iterated
+    in/out-degree refinement and then backtracking, which places vertices
+    by (class size, class, vertex) and maps v to w only if every edge to a
+    placed vertex, with its multiplicity, matches in both directions. No
+    size is refused on either route, and nothing bounds the backtracking's
+    time: it can run for minutes on 27 vertices (ROADMAP item 5).
     """
     n1, n2 = len(q1.vertices), len(q2.vertices)
-    if len(q1.endos) == len(q2.endos) == 1:
-        codes: dict[tuple[int, ...], int] = {}  # shared, so both forms use the same codes
-        return n1 == n2 and (_functional_form(q1.targets[0], codes)
-                             == _functional_form(q2.targets[0], codes))
     if n1 != n2 or n1 * len(q1.endos) != n2 * len(q2.endos):
         return False
-    if n1 > ISO_SIZE_GUARD:
-        raise ValueError(f"quiver isomorphism guarded to {ISO_SIZE_GUARD} vertices")
+    if len(q1.endos) == len(q2.endos) == 1:
+        codes: dict[tuple[int, ...], int] = {}  # shared, so both forms use the same codes
+        return _functional_form(q1.targets[0], codes) == _functional_form(q2.targets[0], codes)
     a1, a2 = _adjacency(q1, n1), _adjacency(q2, n2)
     col1, col2 = _refine(a1, n1), _refine(a2, n2)
     return sorted(col1) == sorted(col2) and _backtrack(a1, a2, col1, col2, n1)
@@ -172,23 +165,27 @@ def _functional_form(f, codes: dict) -> list[tuple[int, ...]]:
 
 
 def _least_rotation(seq) -> tuple:
-    """The lexicographically least rotation of seq, by Booth's failure function (1980)."""
-    s = list(seq) * 2
-    fail = [-1] * len(s)
-    k = 0  # start of the least rotation found so far
-    for j in range(1, len(s)):
-        i = fail[j - k - 1]
-        while i != -1 and s[j] != s[k + i + 1]:
-            if s[j] < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if s[j] != s[k + i + 1]:  # here i == -1
-            if s[j] < s[k]:
-                k = j
-            fail[j - k] = -1
+    """The lexicographically least rotation of seq, by a linear two-candidate scan.
+
+    Rotations i and j agree on k symbols; on a mismatch the larger loses,
+    with every rotation starting within its next k symbols.
+    """
+    n, s = len(seq), list(seq) * 2
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
         else:
-            fail[j - k] = i + 1
-    return tuple(s[k:k + len(seq)])
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    i = min(i, j)
+    return tuple(s[i:i + n])
 
 
 def _adjacency(q: ColoringQuiver, n: int):

@@ -170,6 +170,11 @@ def test_random_mutations_of_valid_quandles_rejected():
             assert report[0].witness is not None
 
 
+def test_from_tables_refuses_an_empty_table():
+    with pytest.raises(AxiomError, match="^empty table$"):
+        from_tables([], [])
+
+
 def test_validate_reports_shape_error():
     r3 = make_dihedral(3)
     truncated = r3.under_table[:2]
@@ -365,8 +370,19 @@ def test_column_permutation_out_of_range():
         column_permutation(make_dihedral(3), 4)
 
 
+def test_column_permutation_refuses_a_non_quandle():
+    with pytest.raises(ValueError, match="^column permutations are defined for quandles only$"):
+        column_permutation(biquandle_z(), 1)
+
+
 def test_group_order_identity():
     assert group_order([(1, 2, 3)]) == 1
+    assert group_order([]) == 1  # no generators: the trivial group
+
+
+def test_group_order_refuses_a_non_permutation():
+    with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.3: \(1, 1, 2\)$"):
+        group_order([(1, 2, 3), (1, 1, 2)])
 
 
 def test_group_order_r9_columns():

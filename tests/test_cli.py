@@ -44,6 +44,30 @@ def test_color_list_table(capsys):
     assert lines[1:] == ["1\t1", "2\t2", "3\t3"]
 
 
+def test_color_list_names_the_free_loop_factor(tmp_path, capsys):
+    f = tmp_path / "t23_loop.pd"
+    f.write_text("X+ 0 1 3 2\nX+ 2 3 5 4\nX+ 4 5 1 0\nL 1\n")
+    code, out, _ = run(capsys, "color", "list", str(f), "dihedral:3")
+    assert code == 0
+    assert out.endswith("\n# free loops contribute a factor 3^1\n")
+    code, out, _ = run(capsys, "--format", "json", "color", "list", str(f), "dihedral:3")
+    assert code == 0
+    assert json.loads(out)["free_loops"] == 1
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    # the listing is 73 728 bytes, more than a pipe holds, so the writer is still
+    # writing when the reader takes one line and closes its end
+    env = dict(os.environ, PYTHONPATH=str(Path(biqknot.__file__).parents[1]))
+    argv = [sys.executable, "-m", "biqknot.cli", "color", "list", "chain:9", "dihedral:4"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+                          env=env) as proc:
+        assert proc.stdout.readline() == b" ".join([b"1"] * 36) + b"\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, b"")
+
+
 def test_color_matrix(capsys):
     code, out, _ = run(capsys, "--format", "json", "color", "matrix", "torus2:4",
                        "4", "3", "0", "1", "2")
@@ -94,6 +118,13 @@ def test_algebra_validate_bad_table(tmp_path, capsys):
     code, out, _ = run(capsys, "algebra", "validate", str(f))
     assert code == 1
     assert "bijection" in out or "diagonal" in out
+
+
+def test_algebra_validate_out_of_range_entry(tmp_path, capsys):
+    f = tmp_path / "range.biq"
+    f.write_text("2\n1 3\n2 2\n\n1 1\n2 2\n")
+    shape = "shape: over table entry 3 at row 1 out of range 1..2"
+    assert run(capsys, "algebra", "validate", str(f)) == (1, shape + "\n", "")
 
 
 def test_ragged_table_prints_its_shape_without_an_empty_witness(tmp_path, capsys):
@@ -440,6 +471,18 @@ def test_diagram_validate_valid(tmp_path, capsys):
     (["knots", "show"], 2, "usage error: knots show <name>\n"),
     (["bridge", "lower", "torus2:3", "--alg", "dihedral:1"], 1,
      "error: counting bounds need |X| >= 2\n"),
+    (["repro", "--item", "nope"], 1, "error: unknown repro items: ['nope']\n"),
+    # an option the action would ignore is refused
+    (["bridge", "seeds", "torus2:3", "--alg", "dihedral:3"], 2,
+     "usage error: bridge seeds takes no --alg or --mode; they apply to bridge lower\n"),
+    (["bridge", "seeds", "torus2:3", "--mode", "b2"], 2,
+     "usage error: bridge seeds takes no --alg or --mode; they apply to bridge lower\n"),
+    (["bridge", "lower", "torus2:3", "--alg", "dihedral:3", "--kmax", "6"], 2,
+     "usage error: bridge lower takes no --kmax; it applies to bridge seeds\n"),
+    (["color", "count", "torus2:3", "dihedral:3", "--table"], 2,
+     "usage error: color count takes no --table; it applies to color list\n"),
+    (["color", "matrix", "torus2:4", "4", "3", "0", "1", "2", "--table"], 2,
+     "usage error: color matrix takes no --table; it applies to color list\n"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_error_messages_and_exit_codes(capsys, argv, code, err):
     assert run(capsys, *argv) == (code, "", err)

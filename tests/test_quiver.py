@@ -14,8 +14,7 @@ from biqknot.diagram import (Crossing, SemiarcDiagram, apply_r1, apply_r2, chain
                              pretzel, torus_2n, unknot)
 from biqknot.knots import builtin_knot
 from biqknot.polynomial import ExponentPolynomial
-from biqknot.quiver import (ISO_SIZE_GUARD, ColoringQuiver, build_quiver, in_degree_polynomial,
-                            quivers_isomorphic)
+from biqknot.quiver import ColoringQuiver, build_quiver, in_degree_polynomial, quivers_isomorphic
 
 
 def doubling(n):
@@ -368,21 +367,22 @@ def test_iso_size_guard_only_on_the_backtrack_route():
     r4 = make_dihedral(4)
     d = chain(11)
     q = build_quiver(d, r4, [doubling(4)])
-    assert len(q.vertices) == 4096 > ISO_SIZE_GUARD
+    assert len(q.vertices) == 4096
     assert quivers_isomorphic(q, build_quiver(apply_r1(d, 0, 1), r4, [doubling(4)]))
     sums = build_quiver(iterated_sum(torus_2n(4), 5), r4, [doubling(4)])
     assert len(sums.vertices) == 4096
     assert not quivers_isomorphic(q, sums)
+    # |S| = 2 takes the refine/backtrack route, at this size as at any other
     two = build_quiver(d, r4, [doubling(4), (1, 2, 3, 4)])
-    with pytest.raises(ValueError, match="guarded"):
-        quivers_isomorphic(two, two)
+    assert quivers_isomorphic(two, build_quiver(apply_r1(d, 0, 1), r4, [doubling(4), (1, 2, 3, 4)]))
+    assert not quivers_isomorphic(
+        two, build_quiver(iterated_sum(torus_2n(4), 5), r4, [doubling(4), (1, 2, 3, 4)]))
 
 
 def test_iso_size_guard_comes_after_the_count_checks():
-    # two endomorphisms each, so the guarded backtrack route: differing vertex
-    # counts answer False however far past the guard one side is
-    big = ColoringQuiver(tuple((v,) for v in range(ISO_SIZE_GUARD + 1)), ((1,), (1,)),
-                         (tuple(range(ISO_SIZE_GUARD + 1)),) * 2)
+    # two endomorphisms each, so the backtrack route: differing vertex
+    # counts answer False before any refinement, however large one side is
+    big = ColoringQuiver(tuple((v,) for v in range(2001)), ((1,), (1,)), (tuple(range(2001)),) * 2)
     small = ColoringQuiver(tuple((v,) for v in range(5)), ((1,), (1,)), (tuple(range(5)),) * 2)
     assert not quivers_isomorphic(big, small)
     assert not quivers_isomorphic(small, big)
