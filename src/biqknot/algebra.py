@@ -118,8 +118,8 @@ class FiniteBiquandle:
     def column_orders(self) -> tuple[dict[frozenset[int], int], dict[frozenset[int], int]]:
         """(label set -> order, subquandle -> order) of the column groups met so far.
 
-        Filled by enhance.column_group_multiset. Both orders depend on this
-        quandle alone, so every diagram colored by it shares them.
+        Filled by enhance.column_group_multiset from the colorings it is given.
+        Both orders depend on this quandle alone, so every listing by it shares them.
         """
         return {frozenset(): 1}, {}  # empty diagram: no columns act
 

@@ -5,7 +5,8 @@ subquandle, each of whose elements names a column of the quandle table,
 hence a permutation. Recording the order of the permutation group
 generated by these columns, one entry per coloring, gives a multiset of
 cardinality Col_Q(d), packaged as a polynomial (orders as exponents,
-multiplicities as coefficients).
+multiplicities as coefficients). The multiset takes colorings listed
+once (a quiver's vertices serve); the polynomial lists d's own.
 
 The columns of the labels alone generate that group: the subquandle is
 their orbit under it (see subquandle_closure), and the column of g(s) is
@@ -15,24 +16,26 @@ FiniteBiquandle.column_orders), so each label set is closed once per
 algebra object, however many diagrams it colors.
 
 Only defined for quandles: for a general biquandle it is ambiguous
-which table's columns should act, so anything else is rejected.
+which table's columns should act, so anything else is refused first.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .algebra import FiniteBiquandle, column_permutation, group_order, subquandle_closure
-from .coloring import colorings_with_loops
+from .coloring import Coloring, colorings_with_loops
 from .diagram import SemiarcDiagram
 from .polynomial import ExponentPolynomial
 
 
-def column_group_multiset(d: SemiarcDiagram, Q: FiniteBiquandle) -> list[int]:
-    """One subgroup order per coloring of d by the quandle Q."""
+def column_group_multiset(colorings: Iterable[Coloring], Q: FiniteBiquandle) -> list[int]:
+    """One column group order per given coloring by the quandle Q, in their order."""
     if not Q.is_quandle():
         raise ValueError("column group enhancement is defined for quandles only")
     order_of_labels, order_of_subquandle = Q.column_orders
     out = []
-    for coloring in colorings_with_loops(d, Q):
+    for coloring in colorings:
         labels = frozenset(coloring)
         if labels not in order_of_labels:
             sub = subquandle_closure(Q, labels)
@@ -45,5 +48,7 @@ def column_group_multiset(d: SemiarcDiagram, Q: FiniteBiquandle) -> list[int]:
 
 
 def column_group_polynomial(d: SemiarcDiagram, Q: FiniteBiquandle) -> ExponentPolynomial:
-    """The column group enhancement as a polynomial in u."""
-    return ExponentPolynomial.from_multiset(column_group_multiset(d, Q))
+    """The column group enhancement of d over Q as a polynomial in u."""
+    # a non-quandle is refused by the multiset before anything is listed
+    colorings = colorings_with_loops(d, Q) if Q.is_quandle() else ()
+    return ExponentPolynomial.from_multiset(column_group_multiset(colorings, Q))

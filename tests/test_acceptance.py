@@ -166,3 +166,25 @@ def test_criterion_12_compares_each_moved_diagram_with_its_family(monkeypatch):
     _, computed, passed = repro.item_12_move_invariance()
     assert computed == "failures: 120"
     assert not passed
+
+
+def test_criterion_10_pins_its_pair_count():
+    # quivers grouped by vertex count are the knots grouped by Col_{R_6}
+    _, computed, passed = repro.item_10_taniguchi_spot_check()
+    assert computed == "21 pairs checked, all isomorphic: True"
+    assert passed
+
+
+def test_separation_items_fail_when_the_quivers_are_isomorphic(monkeypatch):
+    monkeypatch.setattr(repro, "quivers_isomorphic", lambda a, b: True)
+    for item in (repro.item_05_quiver_separation_a, repro.item_07_quiver_separation_b):
+        _, computed, passed = item()
+        assert "iso True" in computed
+        assert passed is False
+
+
+def test_criterion_10_fails_when_a_pair_is_not_isomorphic(monkeypatch):
+    monkeypatch.setattr(repro, "quivers_isomorphic", lambda a, b: False)
+    _, computed, passed = repro.item_10_taniguchi_spot_check()
+    assert computed == "21 pairs checked, all isomorphic: False"
+    assert passed is False

@@ -344,6 +344,12 @@ def test_repro_json_is_stable(capsys):
     assert out1 == out2
 
 
+def test_repro_json_matches_the_golden_bytes(capsys):
+    # all 12 items, no --timings: a refactor must keep these bytes
+    golden = (Path(__file__).parent / "data" / "repro_golden.json").read_text()
+    assert run(capsys, "--format", "json", "repro") == (1, golden, "")
+
+
 def test_repro_known_failure_exits_1(capsys):
     code, out, _ = run(capsys, "repro", "--item", "01-algebra-validation")
     assert code == 1

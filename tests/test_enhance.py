@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from biqknot.algebra import (FiniteBiquandle, biquandle_z, column_permutation,
+from biqknot import enhance
+from biqknot.algebra import (FiniteBiquandle, biquandle_z, column_permutation, enumerate_endos,
                              make_conjugation_quandle, make_dihedral, make_linear_biquandle,
                              make_module_biquandle)
 from biqknot.coloring import colorings_with_loops, count_colorings
@@ -14,6 +15,7 @@ from biqknot.diagram import (SemiarcDiagram, apply_r1, apply_r2, chain, pretzel,
 from biqknot.enhance import column_group_multiset, column_group_polynomial
 from biqknot.knots import builtin_knot, builtin_table
 from biqknot.polynomial import ExponentPolynomial
+from biqknot.quiver import build_quiver
 
 
 def test_multiset_packaging_example():
@@ -25,6 +27,18 @@ def test_multiset_packaging_example():
 def test_rejects_general_biquandle():
     with pytest.raises(ValueError, match="quandle"):
         column_group_polynomial(torus_2n(4), biquandle_z())
+
+
+def test_refuses_a_non_quandle_before_listing_any_coloring(monkeypatch):
+    def no_listing(d, y):
+        raise AssertionError("colorings listed for a non-quandle")
+
+    monkeypatch.setattr(enhance, "colorings_with_loops", no_listing)
+    z = make_linear_biquandle(4, 3, 0, 1, 2)
+    with pytest.raises(ValueError, match="quandles only"):
+        column_group_polynomial(torus_2n(3), z)
+    with pytest.raises(ValueError, match="quandles only"):
+        column_group_multiset([(1, 1, 1, 1, 1, 1)], z)
 
 
 def test_constant_colorings_give_single_column_order():
@@ -58,7 +72,7 @@ def test_published_values_for_6_1_and_9_24():
 def test_same_subquandle_same_exponent():
     r9 = make_dihedral(9)
     d = builtin_knot("9_24").diagram
-    multiset = column_group_multiset(d, r9)
+    multiset = column_group_multiset(colorings_with_loops(d, r9), r9)
     assert sorted(set(multiset)) == [2, 6, 18]
 
 
@@ -112,7 +126,8 @@ def test_column_group_multiset_matches_the_subquandle_columns():
               (SemiarcDiagram(0, (), 0), make_dihedral(3))]
     for d, q in cases:
         assert q.is_quandle()
-        assert column_group_multiset(d, q) == multiset_by_subquandle_columns(d, q)
+        listed = colorings_with_loops(d, q)
+        assert column_group_multiset(listed, q) == multiset_by_subquandle_columns(d, q)
 
 
 def test_orders_kept_on_a_shared_algebra_match_a_fresh_one():
@@ -121,3 +136,28 @@ def test_orders_kept_on_a_shared_algebra_match_a_fresh_one():
         for name, rec in builtin_table().items():
             assert (column_group_polynomial(rec.diagram, shared)
                     == column_group_polynomial(rec.diagram, make_dihedral(n))), (n, name)
+
+
+def test_one_quiver_gives_the_count_and_the_column_multiset():
+    # repro item 12 reads all three invariants off one quiver: its 7 families,
+    # one seeded R1 and one seeded R2 move of each, over its 4 targets
+    def times(a, n):
+        return tuple((a * x - 1) % n + 1 for x in range(1, n + 1))
+
+    z = biquandle_z()
+    targets = [(make_dihedral(3), [times(2, 3)]), (make_dihedral(4), [times(2, 4)]),
+               (make_dihedral(9), [times(3, 9)]), (z, enumerate_endos(z))]
+    rng = random.Random(12)
+    for d in (torus_2n(3), torus_2n(4), chain(3), chain(5),
+              pretzel([3, 3, 3]), pretzel([2, 1, 1]), pretzel([3, 1, 1])):
+        a, b = rng.sample(range(d.semiarc_count), 2)
+        for moved in (d, apply_r1(d, a, rng.choice((1, -1))),
+                      apply_r2(d, a, b, rng.choice(("parallel", "antiparallel")))):
+            for y, s in targets:
+                q = build_quiver(moved, y, s)
+                assert len(q.vertices) == count_colorings(moved, y)
+                if y.is_quandle():
+                    orders = column_group_multiset(q.vertices, y)
+                    assert orders == column_group_multiset(colorings_with_loops(moved, y), y)
+                    assert (ExponentPolynomial.from_multiset(orders)
+                            == column_group_polynomial(moved, y))
