@@ -143,6 +143,8 @@ def _log_bound(size: int, count: int) -> int:
     if count <= 0:
         raise ValueError(f"a coloring count of {count} gives no bridge bound")
     b = int(math.log(count, size))  # a float estimate, corrected by exact powers
+    # Not reached in practice: math.log errs by a few ulps, so the estimate tops the answer
+    # only when log_size(count) is near 2**50, a count of some 10**15 bits. Kept for exactness.
     while b > 0 and size ** (b - 1) >= count:
         b -= 1
     while size**b < count:

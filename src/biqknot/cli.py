@@ -1,4 +1,4 @@
-"""Command line interface wiring all modules together.
+"""Command line interface: each subcommand handler imports the modules it runs.
 
 Diagram arguments accept a file path (wire format), a bundled knot as
 ``knot:NAME``, or a generator spec: ``torus2:N``, ``pretzel:T1,T2,...``,
@@ -8,8 +8,9 @@ one reader below, the one place that rejects its malformed input.
 
 Exit status: 0 on success (and on an all-pass repro run), 1 on a
 computational failure (a value or file the library rejects, a failed
-repro item), 2 on usage errors (an unreadable file, a malformed spec or
-argument). Output is byte-stable across runs; timings are opt-in.
+repro item, an input too large for memory), 2 on usage errors (an
+unreadable file, a malformed spec or argument). Output is byte-stable
+across runs; timings are opt-in.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import os
 import sys
 
-from . import algebra, bridge, coloring, diagram, enhance, knots, quiver, repro
+from . import diagram
 
 
 class UsageError(ValueError):
@@ -64,16 +65,17 @@ GENERATORS = {
     "chain": lambda arg: diagram.chain(_int(arg)),
 }
 
-# algebra spec kind -> (constructor, names of its integer parameters)
+# algebra spec kind -> (name of its constructor in `algebra`, names of its integer parameters)
 ALGEBRAS = {
-    "dihedral": (algebra.make_dihedral, ("n",)),
-    "linear": (algebra.make_linear_biquandle, ("n", "a", "b", "c", "d")),
+    "dihedral": ("make_dihedral", ("n",)),
+    "linear": ("make_linear_biquandle", ("n", "a", "b", "c", "d")),
 }
 
 
 def load_diagram(spec: str) -> diagram.SemiarcDiagram:
     kind, _, rest = spec.partition(":")
     if kind == "knot":
+        from . import knots
         return knots.builtin_knot(rest).diagram
     if kind in GENERATORS:
         return GENERATORS[kind](rest)
@@ -81,14 +83,16 @@ def load_diagram(spec: str) -> diagram.SemiarcDiagram:
 
 
 def load_biquandle(spec: str) -> algebra.FiniteBiquandle:
+    from . import algebra
     kind, _, rest = spec.partition(":")
     if kind in ALGEBRAS:
         make, names = ALGEBRAS[kind]
-        return make(*_ints(rest, len(names)))
+        return getattr(algebra, make)(*_ints(rest, len(names)))
     return algebra.parse_biquandle(_read(spec, "biquandle"))
 
 
 def endo_set(Y, args) -> list[tuple[int, ...]]:
+    from . import algebra
     if args.all_endos:
         if args.endo:
             raise UsageError("--all-endos and --endo exclude each other")
@@ -111,6 +115,7 @@ def emit(args, human_lines, payload) -> None:
 
 
 def cmd_algebra(args) -> int:
+    from . import algebra
     if args.action in ALGEBRAS:
         values = ",".join(_params(args, *ALGEBRAS[args.action][1]))
         print(algebra.serialize_biquandle(load_biquandle(f"{args.action}:{values}")), end="")
@@ -168,6 +173,7 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_color(args) -> int:
+    from . import coloring
     if args.table and args.action != "list":
         raise UsageError(f"color {args.action} takes no --table; it applies to color list")
     if args.action == "matrix":
@@ -202,6 +208,7 @@ def cmd_color(args) -> int:
 
 
 def cmd_quiver(args) -> int:
+    from . import quiver
     if args.action == "iso":
         if args.endo or args.all_endos:
             raise UsageError("quiver iso reads its endomorphisms from the dumps; "
@@ -230,6 +237,7 @@ def cmd_quiver(args) -> int:
 
 def _load_quiver_dump(path: str) -> quiver.ColoringQuiver:
     """The quiver in a `quiver build --format json` dump, checked before it is used."""
+    from . import quiver
     try:
         data = json.loads(_read(path, "quiver dump"))
     except json.JSONDecodeError as e:
@@ -258,6 +266,7 @@ def _load_quiver_dump(path: str) -> quiver.ColoringQuiver:
 
 
 def cmd_bridge(args) -> int:
+    from . import bridge, coloring
     d = load_diagram(args.pd)
     if args.action == "seeds":
         if args.alg or args.mode:
@@ -298,6 +307,7 @@ def cmd_bridge(args) -> int:
 
 
 def cmd_enhance(args) -> int:
+    from . import enhance
     d = load_diagram(args.pd)
     Q = load_biquandle(args.alg)
     poly = enhance.column_group_polynomial(d, Q)
@@ -307,6 +317,7 @@ def cmd_enhance(args) -> int:
 
 
 def cmd_knots(args) -> int:
+    from . import knots
     if args.action == "show":
         if not args.name:
             raise UsageError("knots show <name>")
@@ -322,6 +333,7 @@ def cmd_knots(args) -> int:
 
 
 def cmd_repro(args) -> int:
+    from . import repro
     names = None if args.item is None else set(args.item)
     items = repro.run_items(names)
     if args.format == "json":
@@ -434,6 +446,9 @@ def main(argv=None) -> int:
         except (ValueError, KeyError) as e:
             # str() of a KeyError quotes its message
             print(f"error: {e.args[0] if isinstance(e, KeyError) and e.args else e}", file=sys.stderr)
+            return 1
+        except MemoryError:
+            print("error: out of memory; the input is too large for this machine", file=sys.stderr)
             return 1
 
 

@@ -35,7 +35,6 @@ so entries can never overflow.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
@@ -151,10 +150,9 @@ def enumerate_colorings(d: SemiarcDiagram, Y: FiniteBiquandle) -> list[Coloring]
     """All colorings of d's semiarcs by Y, lexicographically sorted.
 
     A linear Y is listed from the kernel lattice of the elimination that
-    count_colorings also runs, any other Y by the coloring search; the
-    search and brute_force_colorings are the references. Free loops are
-    not materialized; count_colorings folds them in as a factor of |Y|
-    each.
+    count_colorings also runs, any other Y by the coloring search, which
+    is the reference. Free loops are not materialized; count_colorings
+    folds them in as a factor of |Y| each.
     """
     return list_solutions(d.semiarc_count, _oriented(d), Y)
 
@@ -173,26 +171,6 @@ def count_colorings(d: SemiarcDiagram, Y: FiniteBiquandle) -> int:
         base = _count_kernel(_relation_rows(_oriented(d), form), d.semiarc_count * len(form[1]),
                              form[0])
     return base * Y.size**d.free_loops
-
-
-def brute_force_colorings(d: SemiarcDiagram, Y: FiniteBiquandle) -> list[Coloring]:
-    """Direct filter over all |Y|^semiarcs assignments (test oracle)."""
-    if Y.size**d.semiarc_count > BRUTE_FORCE_GUARD:
-        raise ValueError(f"brute force over {Y.size}^{d.semiarc_count} assignments refused")
-    out = []
-    for cand in itertools.product(Y.elements(), repeat=d.semiarc_count):
-        for c in d.crossings:  # read here, not through _oriented, so the oracle stays independent
-            if c.sign > 0:
-                u, o = cand[c.u_in], cand[c.o_in]
-                if cand[c.u_out] != Y.under(u, o) or cand[c.o_out] != Y.over(o, u):
-                    break
-            else:
-                u, o = cand[c.u_out], cand[c.o_out]
-                if cand[c.u_in] != Y.under(u, o) or cand[c.o_in] != Y.over(o, u):
-                    break
-        else:
-            out.append(cand)
-    return out
 
 
 def colorings_with_loops(d: SemiarcDiagram, Y: FiniteBiquandle) -> list[Coloring]:

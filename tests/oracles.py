@@ -1,0 +1,28 @@
+"""Reference implementations that only the tests run."""
+
+import itertools
+
+from biqknot.algebra import FiniteBiquandle
+from biqknot.coloring import BRUTE_FORCE_GUARD, Coloring
+from biqknot.diagram import SemiarcDiagram
+
+
+def brute_force_colorings(d: SemiarcDiagram, Y: FiniteBiquandle) -> list[Coloring]:
+    """Direct filter over all |Y|^semiarcs assignments (test oracle)."""
+    if Y.size**d.semiarc_count > BRUTE_FORCE_GUARD:
+        raise ValueError(f"brute force over {Y.size}^{d.semiarc_count} assignments refused")
+    out = []
+    for cand in itertools.product(Y.elements(), repeat=d.semiarc_count):
+        # read here, not through coloring._oriented, so the oracle stays independent
+        for c in d.crossings:
+            if c.sign > 0:
+                u, o = cand[c.u_in], cand[c.o_in]
+                if cand[c.u_out] != Y.under(u, o) or cand[c.o_out] != Y.over(o, u):
+                    break
+            else:
+                u, o = cand[c.u_out], cand[c.o_out]
+                if cand[c.u_in] != Y.under(u, o) or cand[c.o_in] != Y.over(o, u):
+                    break
+        else:
+            out.append(cand)
+    return out

@@ -21,6 +21,8 @@ its 15 second budget.
 
 import time
 
+import pytest
+
 from biqknot import repro
 from biqknot.algebra import validate_axioms
 from biqknot.diagram import SemiarcDiagram
@@ -187,4 +189,38 @@ def test_criterion_10_fails_when_a_pair_is_not_isomorphic(monkeypatch):
     monkeypatch.setattr(repro, "quivers_isomorphic", lambda a, b: False)
     _, computed, passed = repro.item_10_taniguchi_spot_check()
     assert computed == "21 pairs checked, all isomorphic: False"
+    assert passed is False
+
+
+def test_criterion_01_names_every_algebra_it_rejects(monkeypatch):
+    # a validator that rejects everything: each table is named, each mutation rejected
+    monkeypatch.setattr(repro, "validate_axioms", lambda over, under: ["rejected"])
+    _, computed, passed = repro.item_01_algebra_validation()
+    named = ", ".join([*(f"R_{n}" for n in range(1, 13)), "Z", "4-element example table",
+                       "biquandle T"])
+    assert computed == f"invalid: {named}; 50/50 mutations rejected"
+    assert passed is False
+
+
+@pytest.mark.parametrize("quandles", [True, False], ids=["linear-families", "z-family"])
+def test_criterion_03_fails_when_the_search_disagrees(monkeypatch, quandles):
+    # one extra solution from the search, over the R_n families or over Z only
+    real = repro._search
+
+    def one_more(m, oriented, y):
+        yield from real(m, oriented, y)
+        if y.is_quandle() == quandles:
+            yield ()
+
+    monkeypatch.setattr(repro, "_search", one_more)
+    _, computed, passed = repro.item_03_snf_path()
+    assert computed == "T(2,4): 16; families MISMATCH; 200/200 random"
+    assert passed is False
+
+
+def test_criterion_08_lists_each_mismatch(monkeypatch):
+    real = repro.count_colorings
+    monkeypatch.setattr(repro, "count_colorings", lambda d, y: real(d, y) + (y.size == 12))
+    _, computed, passed = repro.item_08_determinant_battery()
+    assert computed == "mismatches: [(3, 12, 37), (5, 12, 13), (7, 12, 13)]"
     assert passed is False

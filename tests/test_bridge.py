@@ -1,6 +1,7 @@
 """Tests for Wirtinger saturation, seed search, and counting bounds."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -353,6 +354,24 @@ def test_log_bound_matches_the_power_loop():
     # far past where the power loop takes seconds
     assert _log_bound(3, 3**100000) == 100000
     assert _log_bound(3, 3**100000 + 1) == 100001
+
+
+def exact_log_bound(size, count):
+    """Smallest b with size**b >= count, by walking the powers."""
+    b, power = 0, 1
+    while power < count:
+        b, power = b + 1, power * size
+    return b
+
+
+def test_log_bound_is_exact_on_powers_and_their_neighbours():
+    for size in (2, 3, 10, 1009, 2**61 - 1):
+        for e in (1, 2, 64, 1000, 4000):  # up to 4000 digits at size 10 and 75 000 at 2**61 - 1
+            for count in (size**e - 1, size**e, size**e + 1):
+                want = exact_log_bound(size, count)
+                assert _log_bound(size, count) == want, (size, e, count - size**e)
+                # the float estimate never tops the answer, so the b -= 1 loop stays idle
+                assert int(math.log(count, size)) <= want
 
 
 def test_bounds_need_a_pair_and_two_elements():

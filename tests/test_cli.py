@@ -1,7 +1,9 @@
 """End-to-end tests for the command line interface."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import types
@@ -269,25 +271,85 @@ def test_bridge_lower_zero_count_exits_1(tmp_path, capsys):
     assert err == "error: a coloring count of 0 gives no bridge bound\n"
 
 
-def test_runtime_imports_only_the_standard_library():
-    probe = ("import sys; before = set(sys.modules); import biqknot, biqknot.cli; "
-             "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))")
+def _fresh_interpreter(code: str, *args: str) -> str:
+    """Stdout of `python -c code args...` with this checkout's package on the path."""
     env = dict(os.environ, PYTHONPATH=str(Path(biqknot.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=env, check=True)
-    loaded = set(proc.stdout.split())
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
+def test_runtime_imports_only_the_standard_library():
+    # every module, since the package itself imports none of them
+    probe = ("import sys, pkgutil; before = set(sys.modules); import biqknot; "
+             "[getattr(biqknot, m.name) for m in pkgutil.iter_modules(biqknot.__path__)]; "
+             "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))")
+    loaded = set(_fresh_interpreter(probe).split())
     assert "biqknot" in loaded
     assert loaded - {"biqknot"} <= sys.stdlib_module_names
 
 
+def test_bare_import_loads_no_submodule():
+    probe = "import sys, biqknot; print(*sorted(m for m in sys.modules if m.startswith('biqknot')))"
+    assert _fresh_interpreter(probe).split() == ["biqknot"]
+
+
+@pytest.mark.parametrize("argv, left_out", [
+    (["color", "count", "torus2:3", "dihedral:3"],
+     {"repro", "quiver", "enhance", "bridge", "knots", "polynomial"}),
+    (["diagram", "gen", "torus2", "3"],
+     {"repro", "quiver", "enhance", "bridge", "knots", "polynomial", "algebra", "coloring"}),
+    (["knots", "list"],
+     {"repro", "quiver", "enhance", "bridge", "polynomial", "algebra", "coloring"}),
+], ids=["color-count", "diagram-gen", "knots-list"])
+def test_a_subcommand_loads_only_the_modules_it_runs(argv, left_out):
+    probe = ("import sys; from biqknot.cli import main; code = main(sys.argv[1:]); "
+             "print(code, *sorted(m for m in sys.modules if m.startswith('biqknot.')))")
+    code, *loaded = _fresh_interpreter(probe, *argv).splitlines()[-1].split()
+    assert code == "0"
+    assert "biqknot.diagram" in loaded
+    assert not {f"biqknot.{m}" for m in left_out} & set(loaded)
+
+
+# public name -> home module, pinned here so that a name cannot leave the API unnoticed
+PUBLIC_API = {name: module for module, names in {
+    "algebra": ["AxiomError", "FiniteBiquandle", "biquandle_z", "column_permutation",
+                "enumerate_endos", "enumerate_homs", "from_tables", "group_order",
+                "make_conjugation_quandle", "make_dihedral", "make_linear_biquandle",
+                "make_module_biquandle", "subquandle_closure", "validate_axioms"],
+    "bridge": ["b1_lower", "b2_lower", "min_seed_size", "wirtinger_saturate"],
+    "coloring": ["coloring_matrix", "count_colorings", "count_solutions_snf",
+                 "enumerate_colorings"],
+    "diagram": ["Crossing", "DiagramError", "SemiarcDiagram", "apply_r1", "apply_r2", "chain",
+                "connected_sum", "parse_pd", "pretzel", "serialize_pd", "strands", "torus_2n",
+                "unknot"],
+    "enhance": ["column_group_polynomial"],
+    "knots": ["KnotRecord", "builtin_knot", "builtin_table"],
+    "polynomial": ["ExponentPolynomial"],
+    "quiver": ["ColoringQuiver", "build_quiver", "in_degree_polynomial", "quivers_isomorphic"],
+}.items() for name in names}
+
+
 def test_all_lists_every_public_name_and_each_resolves():
-    public = {name for name, value in vars(biqknot).items()
-              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert len(biqknot.__all__) == len(set(biqknot.__all__))
-    assert set(biqknot.__all__) == public
+    assert set(biqknot.__all__) == set(PUBLIC_API)
     namespace: dict = {}
     exec("from biqknot import *", namespace)
-    assert all(namespace[name] is getattr(biqknot, name) for name in biqknot.__all__)
+    for name, module in PUBLIC_API.items():
+        assert namespace[name] is getattr(importlib.import_module(f"biqknot.{module}"), name)
+    # once resolved, the names sit in the package namespace; nothing public beside them
+    public = {name for name, value in vars(biqknot).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(PUBLIC_API)
+    for m in pkgutil.iter_modules(biqknot.__path__):  # submodules resolve by name too
+        assert getattr(biqknot, m.name) is importlib.import_module(f"biqknot.{m.name}")
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        biqknot.nope
+
+
+def test_lazy_names_are_listed_before_first_use():
+    probe = ("import biqknot; names = set(dir(biqknot)); "
+             "print(set(biqknot.__all__) <= names, 'make_dihedral' in vars(biqknot))")
+    assert _fresh_interpreter(probe).split() == ["True", "False"]
 
 
 def test_enhance_colgroup(capsys):
@@ -412,6 +474,17 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, code):
     assert err.startswith(prefix) and len(err.splitlines()) == 1
     if argv[:2] == ["quiver", "iso"] and code == 1:  # the first dump is bad; the error names it
         assert repr(argv[2]) in err
+
+
+def test_out_of_memory_exits_1_without_a_traceback(monkeypatch, capsys):
+    def exhausted(n):  # stands in for a table too large to allocate, such as dihedral:20000
+        raise MemoryError
+
+    # a small order, so that a patch that did not take allocates nothing large either
+    monkeypatch.setattr(biqknot.algebra, "make_dihedral", exhausted)
+    code, out, err = run(capsys, "color", "count", "torus2:3", "dihedral:3")
+    assert (code, out) == (1, "")
+    assert err == "error: out of memory; the input is too large for this machine\n"
 
 
 def test_group_order_cap_exits_1(monkeypatch, capsys):

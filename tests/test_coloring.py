@@ -29,7 +29,6 @@ from biqknot.coloring import (
     _oriented,
     _pivots,
     _search,
-    brute_force_colorings,
     coloring_matrix,
     colorings_with_loops,
     count_colorings,
@@ -50,6 +49,8 @@ from biqknot.diagram import (
     unknot,
 )
 from biqknot.knots import builtin_table
+
+from oracles import brute_force_colorings
 
 # the published null space of the T(2,4) relation matrix over the linear
 # biquandle Z (residues mod 4); my semiarc k corresponds to coordinate

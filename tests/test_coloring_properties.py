@@ -23,13 +23,14 @@ from biqknot.coloring import (
     _list_kernel,
     _oriented,
     _search,
-    brute_force_colorings,
     count_colorings,
     count_solutions_bruteforce,
     count_solutions_snf,
     enumerate_colorings,
 )
 from biqknot.diagram import Crossing, SemiarcDiagram, apply_r1, apply_r2, chain, pretzel, torus_2n
+
+from oracles import brute_force_colorings
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")

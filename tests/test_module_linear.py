@@ -25,7 +25,6 @@ from biqknot.algebra import (
 )
 from biqknot.coloring import (
     _search,
-    brute_force_colorings,
     colorings_with_loops,
     count_colorings,
     enumerate_colorings,
@@ -44,6 +43,8 @@ from biqknot.diagram import (
 from biqknot.enhance import column_group_polynomial
 from biqknot.knots import builtin_table
 from biqknot.quiver import build_quiver
+
+from oracles import brute_force_colorings
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_verify", Path(__file__).parents[1] / "perfbench" / "verify.py")
