@@ -1,10 +1,13 @@
-"""Finite biquandles and quandles as validated operation tables.
+"""Finite biquandles and quandles as operation tables.
 
-A finite biquandle on {1..n} is stored as two n x n tables: the over
-table records x ." y at row x, column y, and the under table records
-x .v y the same way (rows are the first argument, everything 1-based).
-A quandle is the special case where the over operation is trivial,
-x ." y = x; its under operation is then written x |> y.
+A finite biquandle on {1..n} is two n x n tables: the over table records
+x ." y at row x, column y, and the under table records x .v y the same
+way (rows are the first argument, everything 1-based). A quandle is the
+special case where the over operation is trivial, x ." y = x; its under
+operation is then written x |> y. A linear algebra on Z/n built by
+make_linear_biquandle or make_dihedral is checked by its coefficients
+and carries them instead, building its tables only when a route reads
+them.
 
 Alongside the structures themselves this module provides homomorphism
 enumeration, column permutations, subquandle closure, and a small
@@ -15,6 +18,7 @@ quiver and enhancement layers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,13 +59,35 @@ def _as_table(rows, n: int, name: str) -> Table:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class FiniteBiquandle:
-    """A finite biquandle given by its over and under operation tables."""
+    """A finite biquandle given by its over and under operation tables.
 
-    size: int
-    over_table: Table
-    under_table: Table
+    make_linear_biquandle gives form = (n, A, B, C, D) in place of the
+    tables: it is linear_form, and each table is built from it on first
+    use. == and hash compare the tables however they were given.
+    """
+
+    def __init__(self, size: int, over_table: Table = None, under_table: Table = None, *,
+                 form=None):
+        self.size = size
+        if form is None:
+            self.over_table, self.under_table = over_table, under_table
+        else:
+            self.linear_form = form  # fills the cache, so linear_form never reads a table
+
+    over_table = cached_property(lambda self: self._tables[0])
+    under_table = cached_property(lambda self: self._tables[1])
+
+    @cached_property
+    def _tables(self) -> tuple[Table, Table]:
+        return _module_tables(self.linear_form[0], self.linear_form[1:])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FiniteBiquandle) and self.size == other.size and (
+            self.over_table, self.under_table) == (other.over_table, other.under_table)
+
+    def __hash__(self) -> int:
+        return hash((self.size, self.over_table, self.under_table))
 
     def over(self, x: int, y: int) -> int:
         return self.over_table[x - 1][y - 1]
@@ -75,8 +101,8 @@ class FiniteBiquandle:
         as _label says. Each such r is tried, smallest first, so a table
         linear mod N has r = 1. The matrices are read off the unit vectors'
         images, then every entry of both tables is checked against them, so
-        no constructor can mislabel an algebra. Computed on first use and
-        cached, so building an algebra never pays for it.
+        no table can be mislabelled. make_linear_biquandle gives it; for
+        tables it is computed on first use and cached, never on building.
         """
         size = self.size
         for r in range(1, max(size.bit_length(), 2)):
@@ -103,6 +129,9 @@ class FiniteBiquandle:
 
     @cached_property
     def _is_quandle(self) -> bool:  # one scan per algebra, not one per column or closure
+        if "over_table" not in vars(self):  # a constructor's form: x ." y = x iff A = 1, B = 0
+            n, A, B = self.linear_form[:3]
+            return A == ((1 % n,),) and B == ((0,),)
         return all(self.over_table[x] == tuple([x + 1] * self.size) for x in range(self.size))
 
     @cached_property
@@ -132,8 +161,8 @@ def validate_axioms(over_table, under_table) -> list[AxiomViolation]:
     """Check the biquandle axioms; return every violation with a witness.
 
     Shape problems are reported rather than raised. The scan is
-    exhaustive (O(n^3) for the exchange laws), which is fine at the
-    table sizes this library targets (n <= 16).
+    exhaustive, O(n^3) for the exchange laws; make_linear_biquandle and
+    make_dihedral run it only to name the failure of a rejected spec.
     """
     size = len(over_table)
     try:
@@ -197,17 +226,30 @@ def make_dihedral(n: int) -> FiniteBiquandle:
     """The dihedral quandle R_n on {1..n} with x |> y = 2y - x mod n."""
     if n < 1:
         raise ValueError(f"dihedral quandle needs n >= 1, got {n}")
-    return FiniteBiquandle(n, *_module_tables(n, [((1,),), ((0,),), ((n - 1,),), ((2 % n,),)]))
+    return make_linear_biquandle(n, 1, 0, n - 1, 2)
 
 
 def make_linear_biquandle(n: int, a: int, b: int, c: int, d: int) -> FiniteBiquandle:
     """Biquandle on Z_n with x ." y = ax + by and x .v y = cx + dy, if valid.
 
-    The r = 1 case of make_module_biquandle: elements are 1-based labels
-    for the residues 1..n (n standing for 0). Raises AxiomError with the
-    first failing axiom and witness otherwise.
+    Elements are 1-based labels for the residues 1..n (n standing for 0),
+    as in make_module_biquandle's r = 1 case. Each axiom validate_axioms
+    checks is linear in x, y and z, so it holds iff its coefficients agree
+    mod n (Nelson-Rische, "On bilinear biquandles", 2008). The columns
+    need units a and c, the diagonal a + b = c + d, and the exchange laws
+    bd = 0, ab + b^2 = bc and cd + d^2 = ad; given the diagonal the last two
+    are bd = 0 as well, being b(a + b - c) = bd and d(c + d - a) = db. S's
+    determinant bd - ac = -ac is then a unit. The tables are built on first
+    use, or at once for a rejected spec, whose AxiomError names
+    validate_axioms' first failure.
     """
-    return make_module_biquandle(n, [[a]], [[b]], [[c]], [[d]])
+    if n < 1:
+        raise ValueError(f"modulus must be >= 1, got {n}")
+    a, b, c, d = (int(v) % n for v in (a, b, c, d))
+    mats = [((v,),) for v in (a, b, c, d)]
+    if math.gcd(a * c, n) == 1 and (a + b - c - d) % n == 0 and b * d % n == 0:
+        return FiniteBiquandle(n, form=(n, *mats))
+    return from_tables(*_module_tables(n, mats))
 
 
 def _label(index: int, n: int, r: int) -> int:
@@ -433,7 +475,7 @@ def parse_tables(text: str) -> tuple[list[list[int]], list[list[int]]]:
     if not lines:
         raise ValueError("empty biquandle file")
     try:
-        n = int(lines[0])
+        n = _decimal(lines[0])
     except ValueError:
         raise ValueError(f"first line must be the size, got {lines[0]!r}")
     if n < 1:
@@ -442,11 +484,19 @@ def parse_tables(text: str) -> tuple[list[list[int]], list[list[int]]]:
     if len(rows) != 2 * n:
         raise ValueError(f"expected {2 * n} table rows, found {len(rows)}")
     try:
-        over = [[int(v) for v in ln.split()] for ln in rows[:n]]
-        under = [[int(v) for v in ln.split()] for ln in rows[n:]]
+        over = [[_decimal(v) for v in ln.split()] for ln in rows[:n]]
+        under = [[_decimal(v) for v in ln.split()] for ln in rows[n:]]
     except ValueError as e:
         raise ValueError(f"bad table entry: {e}")
     return over, under
+
+
+def _decimal(text: str) -> int:
+    """int(text) for an optional '-' and ASCII digits only: no '_', spaces or other digits."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
 
 
 def parse_biquandle(text: str) -> FiniteBiquandle:

@@ -28,10 +28,11 @@ class UsageError(ValueError):
 
 
 def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
+    """An optional '-' and ASCII digits; int() alone would take '_', spaces and other digits."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
         raise UsageError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 def _ints(text: str, count: int | None = None) -> list[int]:
@@ -271,7 +272,7 @@ def cmd_bridge(args) -> int:
     if args.action == "seeds":
         if args.alg or args.mode:
             raise UsageError("bridge seeds takes no --alg or --mode; they apply to bridge lower")
-        k_max = 6 if args.kmax is None else args.kmax
+        k_max = 6 if args.kmax is None else _int(args.kmax)
         if k_max < 0:
             raise UsageError(f"--kmax must be >= 0, got {k_max}")
         found = bridge.min_seed_size(d, k_max)
@@ -400,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bridge", help="Wirtinger seeds and counting bounds")
     p.add_argument("action", choices=("seeds", "lower"))
     p.add_argument("pd")
-    p.add_argument("--kmax", type=int, help="seeds: largest seed set tried (default 6)")
+    p.add_argument("--kmax", help="seeds: largest seed set tried (default 6)")
     p.add_argument("--alg", action="append", default=[])
     p.add_argument("--mode", choices=("b1", "b2"), help="lower: bound to report (default b1)")
     p.set_defaults(fn=cmd_bridge)

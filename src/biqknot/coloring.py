@@ -7,11 +7,12 @@ relations, read over the quads (x, y, x .v y, y ." x) of a biquandle X,
 say that a map X -> Y is a homomorphism, so one solver serves both.
 
 Over a linear biquandle the relations form a sparse system mod n whose
-solutions are a Z/n-module. FiniteBiquandle.linear_form reads one shape
-off the tables: x ." y = Ax + By and x .v y = Cx + Dy with r x r
-matrices on (Z/n)^r, |Y| = n^r, labelled by algebra._label (r = 1 for
-make_linear_biquandle's algebras and the dihedral R_n, r = 2 for
-Alexander quandles over GF(4) or GF(9)). Each semiarc has r unknowns,
+solutions are a Z/n-module. FiniteBiquandle.linear_form names one shape,
+given by a linear constructor or read off the tables: x ." y = Ax + By
+and x .v y = Cx + Dy with r x r matrices on (Z/n)^r, |Y| = n^r,
+labelled by algebra._label (r = 1 for make_linear_biquandle's algebras
+and the dihedral R_n, r = 2 for Alexander quandles over GF(4) or
+GF(9)). Each semiarc has r unknowns,
 semiarc s's coordinate i being unknown s*r + i. coloring_matrix hands
 out that system as a RelationMatrix of sparse rows, the form the
 elimination reads; dense() is for printing. One elimination over each

@@ -64,7 +64,8 @@ def test_parse_tables_is_the_reader_of_parse_biquandle():
     # rows of the wrong length are left to validate_axioms, which reports their shape
     over, under = parse_tables("2\n1 1 1\n2 2\n\n1 2\n2 1\n")
     assert validate_axioms(over, under)[0].axiom.startswith("shape:")
-    for bad in ("", "# only a comment\n", "x\n", "2\n1 1\n2 2\n", "1\n1\nx\n"):
+    for bad in ("", "# only a comment\n", "x\n", "2\n1 1\n2 2\n", "1\n1\nx\n",
+                "1\n1\n1_0\n", "1\n+1\n1\n", "1\n\u0661\n1\n", "\u0661\n1\n1\n"):
         with pytest.raises(ValueError):
             parse_tables(bad)
 
@@ -130,6 +131,71 @@ def test_linear_rejects_noninvertible_over():
     over = [[(2 * x - 1) % 4 + 1 for _ in range(1, 5)] for x in range(1, 5)]
     under = [[(x + 2 * y - 1) % 4 + 1 for y in range(1, 5)] for x in range(1, 5)]
     assert any("bijection" in v.axiom for v in validate_axioms(over, under))
+
+
+def linear_tables(n, a, b, c, d, build=algebra._module_tables):  # bound before any patch
+    return build(n, [((v,),) for v in (a, b, c, d)])
+
+
+def test_linear_specs_are_accepted_exactly_when_their_tables_validate(monkeypatch):
+    """make_linear_biquandle's coefficient identities against validate_axioms' table scan.
+
+    The cases: every (a, b, c, d) mod n <= 5; mod 6 and 8, every one with
+    a and c units (columns bijective); mod 7, a seeded 300 of those 1764.
+    All 3436 column-bijective ones mod 2..8 would take about 5 s.
+    """
+
+    class Rejected(Exception):
+        pass
+
+    def rejected(n, mats):  # a rejected spec builds its tables, for the message
+        raise Rejected
+
+    rng = random.Random(7)
+    units = {n: [a for a in range(n) if math.gcd(a, n) == 1] for n in (6, 7, 8)}
+    cases = [(n, *v) for n in range(1, 6) for v in itertools.product(range(n), repeat=4)]
+    cases += [(n, a, b, c, d) for n in (6, 8) for a in units[n] for c in units[n]
+              for b in range(n) for d in range(n)]
+    cases += rng.sample([(7, a, b, c, d) for a in units[7] for c in units[7]
+                         for b in range(7) for d in range(7)], 300)
+    monkeypatch.setattr(algebra, "_module_tables", rejected)
+    accepted = {}
+    for case in cases:
+        try:
+            accepted[case] = make_linear_biquandle(*case)
+        except Rejected:
+            pass
+        assert (case in accepted) == (not validate_axioms(*linear_tables(*case))), case
+    monkeypatch.undo()
+    assert len(accepted) == 109
+    for (n, *coeffs), y in accepted.items():
+        plain = FiniteBiquandle(n, *linear_tables(n, *coeffs))
+        assert y.linear_form == plain.linear_form == (n, *(((v,),) for v in coeffs))
+        assert y == plain and hash(y) == hash(plain)
+
+
+def test_a_rejected_linear_spec_names_what_validate_axioms_finds():
+    for n in range(1, 6):
+        for coeffs in itertools.product(range(n), repeat=4):
+            tables = linear_tables(n, *coeffs)
+            if not validate_axioms(*tables):
+                continue
+            with pytest.raises(AxiomError) as got:
+                make_linear_biquandle(n, *coeffs)
+            with pytest.raises(AxiomError) as want:
+                from_tables(*tables)
+            assert str(got.value) == str(want.value)
+
+
+def test_z2_squared_modules_linear_mod_4_keep_their_r1_form():
+    # 4 of the 42 module biquandles on (Z/2)^2 are linear on Z/4 too; linear_form,
+    # which tries r = 1 first, names them so, not by the matrices they were built from
+    i, z, u, n = IDENTITY, ZERO, ((1, 0), (1, 1)), ((0, 0), (1, 0))
+    for mats, coeffs in [((i, z, i, z), (1, 0, 1, 0)), ((i, z, u, n), (1, 0, 3, 2)),
+                         ((u, n, i, z), (3, 2, 1, 0)), ((u, n, u, n), (3, 2, 3, 2))]:
+        y = make_module_biquandle(2, *mats)
+        assert y.linear_form == make_linear_biquandle(4, *coeffs).linear_form
+        assert y == make_linear_biquandle(4, *coeffs)
 
 
 def test_printed_four_element_tables_fail_diagonal():

@@ -477,7 +477,7 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, code):
 
 
 def test_out_of_memory_exits_1_without_a_traceback(monkeypatch, capsys):
-    def exhausted(n):  # stands in for a table too large to allocate, such as dihedral:20000
+    def exhausted(n):  # stands in for tables too large to allocate: `algebra dihedral 100000`
         raise MemoryError
 
     # a small order, so that a patch that did not take allocates nothing large either
@@ -485,6 +485,31 @@ def test_out_of_memory_exits_1_without_a_traceback(monkeypatch, capsys):
     code, out, err = run(capsys, "color", "count", "torus2:3", "dihedral:3")
     assert (code, out) == (1, "")
     assert err == "error: out of memory; the input is too large for this machine\n"
+
+
+def test_count_over_a_huge_dihedral_builds_no_table(monkeypatch, capsys):
+    def refuse(n, mats):
+        raise AssertionError(f"built the {n}-element tables")
+
+    monkeypatch.setattr(biqknot.algebra, "_module_tables", refuse)
+    assert run(capsys, "color", "count", "torus2:3", "dihedral:1000000") == (0, "1000000\n", "")
+
+
+def test_integers_are_ascii_digits_only(tmp_path, capsys):
+    # int() alone would read other scripts' digits, '_' separators and spaces
+    for arg in ("\u0663", " 3 ", "3 ", "1_1", "+3"):
+        code, out, err = run(capsys, "color", "count", f"torus2:{arg}", "dihedral:3")
+        assert (code, out, err) == (2, "", f"usage error: expected an integer, got {arg!r}\n")
+    code, out, err = run(capsys, "color", "count", "torus2:3", "dihedral:1_0")
+    assert (code, out, err) == (2, "", "usage error: expected an integer, got '1_0'\n")
+    code, out, err = run(capsys, "bridge", "seeds", "torus2:3", "--kmax", "\u0663")
+    assert (code, out, err) == (2, "", "usage error: expected an integer, got '\u0663'\n")
+    assert run(capsys, "color", "count", "torus2:3", "dihedral:-3")[0] == 1  # a number, refused
+    assert run(capsys, "color", "count", "torus2:3", "dihedral:010") == (0, "10\n", "")
+    table = tmp_path / "r1.txt"
+    table.write_text("1\n1\n\n1_0\n")  # a table entry is a bad file, exit 1
+    assert run(capsys, "algebra", "endos", str(table)) == (
+        1, "", "error: bad table entry: invalid literal for int() with base 10: '1_0'\n")
 
 
 def test_group_order_cap_exits_1(monkeypatch, capsys):

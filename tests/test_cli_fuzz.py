@@ -20,7 +20,8 @@ TABLE = "3\n1 1 1\n2 2 2\n3 3 3\n\n1 3 2\n3 2 1\n2 1 3\n"  # R_3
 DUMP = ('{"edges": [[0, 0, 0], [1, 2, 0], [2, 1, 0]], "endos": [[1, 3, 2]], '
         '"vertices": [[1, 1], [1, 2], [2, 1]]}')
 # not integers, or integers that no construction accepts
-BAD_NUMBERS = ["x", "", "-1", "0", "1.5", "3,", "0x3", "²", "1e2", " ", "--"]
+BAD_NUMBERS = ["x", "", "-1", "0", "1.5", "3,", "0x3", "²", "1e2", " ", "--", "\u0663", "1_0",
+               " 3", "3 ", "+3"]
 KNOTS = ["3_1", "4_1", "6_1", "9_24", "nope", ""]
 ITEMS = ["04-chain-counts", "08-determinant-battery", "nope"]
 

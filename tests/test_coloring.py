@@ -9,9 +9,10 @@ import time
 
 import pytest
 
-from biqknot import repro
+from biqknot import algebra, repro
 from biqknot.algebra import (
     AxiomError,
+    FiniteBiquandle,
     biquandle_z,
     enumerate_endos,
     from_tables,
@@ -686,6 +687,20 @@ def test_snf_count_never_densifies(monkeypatch):
     assert count_solutions_snf(m) == 9  # n * gcd(p, n) for T(2, p) over R_n
 
 
+def test_linear_specs_count_without_building_a_table(monkeypatch):
+    def refuse(n, mats):
+        raise AssertionError(f"built the {n}-element tables")
+
+    monkeypatch.setattr(algebra, "_module_tables", refuse)
+    huge = make_dihedral(10**6)
+    assert count_colorings(torus_2n(3), huge) == 10**6  # n gcd(3, n) over R_n
+    assert count_colorings(torus_2n(3), make_dihedral(999999)) == 3 * 999999
+    assert huge.is_quandle() and str(huge) == "Quandle(n=1000000)"
+    r1009 = make_linear_biquandle(1009, 1, 0, 1008, 2)  # R_1009 as a linear spec
+    assert count_colorings(torus_2n(1009), r1009) == 1009**2  # det T(2, 1009) = 1009
+    assert count_solutions_snf(coloring_matrix(chain(3), r1009)) == 1009
+
+
 # -- which algebras count by elimination ---------------------------------------
 
 
@@ -727,8 +742,9 @@ def test_colorings_with_loops_appends_every_free_loop_value():
 def test_linear_form_detected_lazily_from_tables():
     for n in range(1, 13):
         rn = make_dihedral(n)
-        assert "linear_form" not in vars(rn)  # building never pays for detection
+        assert "over_table" not in vars(rn)  # a constructor's form: building pays for no table
         assert rn.linear_form == (n, ((1 % n,),), ((0,),), (((n - 1) % n,),), ((2 % n,),))
+        assert FiniteBiquandle(n, rn.over_table, rn.under_table).linear_form == rn.linear_form
         untagged = parse_biquandle(serialize_biquandle(make_linear_biquandle(n, 1, 0, n - 1, 2)))
         assert untagged.linear_form == rn.linear_form
     assert biquandle_z().linear_form == (4, ((3,),), ((0,),), ((1,),), ((2,),))
@@ -739,7 +755,7 @@ def test_linear_form_detected_lazily_from_tables():
                 y = make_linear_biquandle(n, a, b, c, d)
             except AxiomError:
                 continue
-            assert "linear_form" not in vars(y)
+            assert "over_table" not in vars(y)
             assert y.linear_form == (n, ((a,),), ((b,),), ((c,),), ((d,),))
     assert (make_linear_biquandle(4, -1, 4, 5, -2).linear_form
             == (4, ((3,),), ((0,),), ((1,),), ((2,),)))
