@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+from .diagram import _decimal, any_int_digits
+
 Table = tuple[tuple[int, ...], ...]
 
 DEFAULT_GROUP_CAP = 10**6
@@ -161,35 +163,41 @@ def validate_axioms(over_table, under_table) -> list[AxiomViolation]:
     """Check the biquandle axioms; return every violation with a witness.
 
     Shape problems are reported rather than raised. The scan is
-    exhaustive, O(n^3) for the exchange laws; make_linear_biquandle and
-    make_dihedral run it only to name the failure of a rejected spec.
+    exhaustive, O(n^3) for the exchange laws; from_tables runs the same
+    scan but stops at its first violation.
     """
+    return list(_violations(over_table, under_table))
+
+
+def _violations(over_table, under_table):
+    """validate_axioms' violations in its order, one at a time; returns the checked tables."""
     size = len(over_table)
     try:
-        over = _as_table(over_table, size, "over")
-        under = _as_table(under_table, size, "under")
+        with any_int_digits():  # so a message can name an entry of any length
+            over = _as_table(over_table, size, "over")
+            under = _as_table(under_table, size, "under")
     except AxiomError as e:
-        return [AxiomViolation(f"shape: {e}", ())]
-    bad: list[AxiomViolation] = []
+        yield AxiomViolation(f"shape: {e}", ())
+        return
 
     for x in range(1, size + 1):
         if over[x - 1][x - 1] != under[x - 1][x - 1]:
-            bad.append(AxiomViolation("diagonal x.\"x = x.vx", (x,)))
+            yield AxiomViolation("diagonal x.\"x = x.vx", (x,))
 
     for y in range(1, size + 1):
         col = {over[x - 1][y - 1] for x in range(1, size + 1)}
         if len(col) != size:
-            bad.append(AxiomViolation("over column not a bijection", (y,)))
+            yield AxiomViolation("over column not a bijection", (y,))
         col = {under[x - 1][y - 1] for x in range(1, size + 1)}
         if len(col) != size:
-            bad.append(AxiomViolation("under column not a bijection", (y,)))
+            yield AxiomViolation("under column not a bijection", (y,))
 
     seen: dict[tuple[int, int], tuple[int, int]] = {}
     for x in range(1, size + 1):
         for y in range(1, size + 1):
             img = (over[y - 1][x - 1], under[x - 1][y - 1])
             if img in seen:
-                bad.append(AxiomViolation("sideways map S not a bijection", (*seen[img], x, y)))
+                yield AxiomViolation("sideways map S not a bijection", (*seen[img], x, y))
             else:
                 seen[img] = (x, y)
 
@@ -202,24 +210,25 @@ def validate_axioms(over_table, under_table) -> list[AxiomViolation]:
     rng = range(1, size + 1)
     for x, y, z in itertools.product(rng, rng, rng):
         if O(O(x, y), O(z, y)) != O(O(x, z), U(y, z)):
-            bad.append(AxiomViolation("exchange law (over/over)", (x, y, z)))
+            yield AxiomViolation("exchange law (over/over)", (x, y, z))
         if O(U(x, y), U(z, y)) != U(O(x, z), O(y, z)):
-            bad.append(AxiomViolation("exchange law (mixed)", (x, y, z)))
+            yield AxiomViolation("exchange law (mixed)", (x, y, z))
         if U(U(x, y), U(z, y)) != U(U(x, z), O(y, z)):
-            bad.append(AxiomViolation("exchange law (under/under)", (x, y, z)))
-    return bad
+            yield AxiomViolation("exchange law (under/under)", (x, y, z))
+    return over, under
 
 
 def from_tables(over_table, under_table) -> FiniteBiquandle:
-    """Build a validated biquandle from two n x n tables (1-based entries)."""
+    """Build a validated biquandle from two n x n tables (1-based entries); raises
+    AxiomError at validate_axioms' first violation, where the scan stops."""
     n = len(over_table)
     if n == 0:
         raise AxiomError("empty table")
-    violations = validate_axioms(over_table, under_table)
-    if violations:
-        raise AxiomError(f"not a biquandle: {violations[0]}" +
-                         (f" (+{len(violations) - 1} more)" if len(violations) > 1 else ""))
-    return FiniteBiquandle(n, _as_table(over_table, n, "over"), _as_table(under_table, n, "under"))
+    try:
+        first = next(_violations(over_table, under_table))
+    except StopIteration as done:
+        return FiniteBiquandle(n, *done.value)
+    raise AxiomError(f"not a biquandle: {first}")
 
 
 def make_dihedral(n: int) -> FiniteBiquandle:
@@ -470,33 +479,26 @@ def parse_tables(text: str) -> tuple[list[list[int]], list[list[int]]]:
     Raises ValueError unless the text has that layout; the axioms, and
     the length of each row, are left to validate_axioms.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("empty biquandle file")
-    try:
-        n = _decimal(lines[0])
-    except ValueError:
-        raise ValueError(f"first line must be the size, got {lines[0]!r}")
-    if n < 1:
-        raise ValueError(f"size must be at least 1, got {n}")
-    rows = lines[1:]
-    if len(rows) != 2 * n:
-        raise ValueError(f"expected {2 * n} table rows, found {len(rows)}")
-    try:
-        over = [[_decimal(v) for v in ln.split()] for ln in rows[:n]]
-        under = [[_decimal(v) for v in ln.split()] for ln in rows[n:]]
-    except ValueError as e:
-        raise ValueError(f"bad table entry: {e}")
-    return over, under
-
-
-def _decimal(text: str) -> int:
-    """int(text) for an optional '-' and ASCII digits only: no '_', spaces or other digits."""
-    digits = text.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-    return int(text)
+    with any_int_digits():
+        lines = [ln.strip() for ln in text.splitlines()]
+        lines = [ln for ln in lines if ln and not ln.startswith("#")]
+        if not lines:
+            raise ValueError("empty biquandle file")
+        try:
+            n = _decimal(lines[0])
+        except ValueError:
+            raise ValueError(f"first line must be the size, got {lines[0]!r}")
+        if n < 1:
+            raise ValueError(f"size must be at least 1, got {n}")
+        rows = lines[1:]
+        if len(rows) != 2 * n:
+            raise ValueError(f"expected {2 * n} table rows, found {len(rows)}")
+        try:
+            over = [[_decimal(v) for v in ln.split()] for ln in rows[:n]]
+            under = [[_decimal(v) for v in ln.split()] for ln in rows[n:]]
+        except ValueError as e:
+            raise ValueError(f"bad table entry: {e}")
+        return over, under
 
 
 def parse_biquandle(text: str) -> FiniteBiquandle:

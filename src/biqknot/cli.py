@@ -28,11 +28,11 @@ class UsageError(ValueError):
 
 
 def _int(text: str) -> int:
-    """An optional '-' and ASCII digits; int() alone would take '_', spaces and other digits."""
-    digits = text.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        raise UsageError(f"expected an integer, got {text!r}")
-    return int(text)
+    """The integer diagram._decimal reads in text; a usage error if it reads none."""
+    try:
+        return diagram._decimal(text)
+    except ValueError:
+        raise UsageError(f"expected an integer, got {text!r}") from None
 
 
 def _ints(text: str, count: int | None = None) -> list[int]:
@@ -71,6 +71,10 @@ ALGEBRAS = {
     "dihedral": ("make_dihedral", ("n",)),
     "linear": ("make_linear_biquandle", ("n", "a", "b", "c", "d")),
 }
+
+# the actions whose output has only a text form, so they refuse --format json
+TEXT_ONLY = ("algebra dihedral", "algebra linear", "algebra endos", "diagram gen", "diagram sum",
+             "knots show")
 
 
 def load_diagram(spec: str) -> diagram.SemiarcDiagram:
@@ -177,6 +181,8 @@ def cmd_color(args) -> int:
     from . import coloring
     if args.table and args.action != "list":
         raise UsageError(f"color {args.action} takes no --table; it applies to color list")
+    if args.table and args.format == "json":
+        raise UsageError("color list --table prints text only; it takes no --format json")
     if args.action == "matrix":
         pd, *coeffs = _params(args, "pd", *ALGEBRAS["linear"][1])
         d = load_diagram(pd)
@@ -433,6 +439,9 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     with diagram.any_int_digits():  # counts, like wire ids, may have any number of digits
         try:
+            action = f"{args.command} {getattr(args, 'action', '')}"
+            if args.format == "json" and action in TEXT_ONLY:
+                raise UsageError(f"{action} prints text only; it takes no --format json")
             code = args.fn(args)
             sys.stdout.flush()  # so a reader that left early is caught here, not at exit
             return code

@@ -387,8 +387,9 @@ def _list_kernel(rows, cols: int, n: int, width: int = 1) -> list[Coloring]:
     box of their multiples. The box is built column by column: an
     unknown's values depend only on its coefficients across the
     generators, so entries with equal coefficients (a quandle crossing's
-    o_in and o_out) share one list. Labels are linear_form's, given by
-    algebra._label for r = width.
+    o_in and o_out) share one list, grown by t * a mod n per generator:
+    one addition per listed value, so the cost follows the listing, not
+    n^2. Labels are linear_form's, given by algebra._label for r = width.
     """
     if cols == 0:
         return [()]
@@ -406,18 +407,11 @@ def _list_kernel(rows, cols: int, n: int, width: int = 1) -> list[Coloring]:
             for j, v, inv, rest in reversed(pivots):
                 g[j] = (g[j] - inv * (sum(a * g[c] for c, a in rest.items()) // p**v)) % q
             gens.append((order, [x * e % n for x in g]))
-    shifts = [[(r + s) % n for r in range(n)] for s in range(n)]  # n^2, as Y's own tables
 
     def residues(key) -> list[int]:  # an unknown's values over the box
         col = [0]
         for (order, _), a in zip(gens, key):
-            if not a:
-                col = col * order
-                continue
-            grown: list[int] = []
-            for t in range(order):
-                grown += map(shifts[t * a % n].__getitem__, col)
-            col = grown
+            col = col * order if not a else [(v + t * a) % n for t in range(order) for v in col]
         return col
 
     labels = [_label(i, n, width) for i in range(n**width)]

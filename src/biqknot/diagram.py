@@ -12,10 +12,10 @@ Wire format, one crossing per line::
     L <free_loops>                      (optional, crossingless components)
     V <s_in> <t_in> <s_out> <t_out>     (virtual crossing, erased on parse)
 
-Semiarcs are nonnegative integers of any length; every id must occur
-exactly once as an input (u_in/o_in) and once as an output
-(u_out/o_out), so semiarcs chain into oriented closed components. A
-``#`` starts a comment.
+Semiarcs are nonnegative integers of any length, read, like L counts,
+by _decimal; every id must occur exactly once as an input (u_in/o_in)
+and once as an output (u_out/o_out), so semiarcs chain into oriented
+closed components. A ``#`` starts a comment.
 
 parse_pd reads the records in bulk and renumbers the ids 0..m-1 in
 increasing order; SemiarcDiagram alone checks the semiarc rule, on the
@@ -142,6 +142,15 @@ class any_int_digits:
             sys.set_int_max_str_digits(self.limit)
 
 
+def _decimal(text: str) -> int:
+    """int(text) for an optional '-' and ASCII digits only, the rule of every integer reader:
+    int() alone would take '+', '_', spaces and other scripts' digits."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def parse_pd(text: str) -> SemiarcDiagram:
     """Parse the wire format; validates and canonically renumbers semiarcs."""
     with any_int_digits():
@@ -159,7 +168,7 @@ def _parse_valid(text: str) -> SemiarcDiagram | None:
     records = list(filter(None, map(str.split, lines)))
     loops = [r for r in records if r[0] == "L"]
     if loops:
-        if not all(len(r) == 2 and r[1].isdecimal() for r in loops):
+        if not all(len(r) == 2 for r in loops):
             return None
         records = [r for r in records if r[0] != "L"]
     if not set(map(len, records)) <= {5}:
@@ -170,19 +179,25 @@ def _parse_valid(text: str) -> SemiarcDiagram | None:
     if None in signs:
         return None
     del tokens[0::5]
+    tokens += [count for _, count in loops]  # the L counts, after the ids
+    # _decimal in one pass: int() reads split ASCII text with no '_' or '+' as _decimal does
+    joined = "".join(tokens)
+    if not joined.isascii() or "_" in joined or "+" in joined:
+        return None
     try:
         ids = list(map(int, tokens))
     except ValueError:
         return None
-    del tokens
+    del tokens, joined
     if min(ids, default=0) < 0:
         return None
+    free_loops = sum(ids[4 * len(signs):])
+    del ids[4 * len(signs):]
     m = len(ids) // 2  # the semiarc count, if each id is consumed and produced once
     if max(ids, default=-1) != m - 1:  # number the ids 0, 1, ... in increasing order
         relabel = {s: i for i, s in enumerate(sorted(set(ids)))}
         ids = list(map(relabel.__getitem__, ids))
 
-    free_loops = sum(int(r[1]) for r in loops)
     virtual = 0 in signs
     checked = [sign or 1 for sign in signs] if virtual else signs  # V reads as X+ here
     try:
@@ -217,15 +232,18 @@ def _raise_first_error(text: str) -> NoReturn:
         parts = line.split()
         tag = parts[0]
         if tag == "L":
-            if len(parts) != 2 or not parts[1].isdecimal():
-                raise ParseError("L line takes one nonnegative count", lineno)
-            continue
+            try:
+                if len(parts) == 2 and _decimal(parts[1]) >= 0:
+                    continue
+            except ValueError:
+                pass
+            raise ParseError("L line takes one nonnegative count", lineno)
         if tag not in ("X+", "X-", "V"):
             raise ParseError(f"unknown record {tag!r}", lineno)
         if len(parts) != 5:
             raise ParseError(f"{tag} line takes four semiarc ids", lineno)
         try:
-            ids = [int(p) for p in parts[1:]]
+            ids = [_decimal(p) for p in parts[1:]]
         except ValueError:
             raise ParseError("semiarc ids must be integers", lineno)
         if any(i < 0 for i in ids):

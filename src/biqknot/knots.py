@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 
-from .diagram import ParseError, SemiarcDiagram, parse_pd
+from .diagram import ParseError, SemiarcDiagram, _decimal, any_int_digits, parse_pd
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,8 @@ def parse_knot_table(text: str) -> dict[str, KnotRecord]:
         det = None
         if len(parts) == 3 and parts[2]:
             try:
-                det = int(parts[2])
+                with any_int_digits():
+                    det = _decimal(parts[2])
             except ValueError:
                 raise ValueError(f"line {lineno}: determinant must be an integer") from None
         try:

@@ -187,6 +187,29 @@ def test_a_rejected_linear_spec_names_what_validate_axioms_finds():
             assert str(got.value) == str(want.value)
 
 
+def test_a_rejected_spec_raises_at_the_first_violation_with_no_count():
+    for n in range(1, 6):
+        for coeffs in itertools.product(range(n), repeat=4):
+            report = validate_axioms(*linear_tables(n, *coeffs))
+            if report:
+                with pytest.raises(AxiomError) as got:
+                    make_linear_biquandle(n, *coeffs)
+                assert str(got.value) == f"not a biquandle: {report[0]}"
+
+
+def test_a_large_rejected_spec_stops_at_its_first_violation():
+    # x ." y = x .v y = x + y: the sideways map S sends (1, 2) and (2, 1) alike, a
+    # violation found within n^2 steps, where the full list has millions
+    message = "not a biquandle: sideways map S not a bijection fails at (1, 2, 2, 1)"
+    with pytest.raises(AxiomError) as got:
+        make_linear_biquandle(200, 1, 1, 1, 1)
+    assert str(got.value) == message
+    text = serialize_biquandle(FiniteBiquandle(200, *linear_tables(200, 1, 1, 1, 1)))
+    with pytest.raises(AxiomError) as got:
+        parse_biquandle(text)
+    assert str(got.value) == message
+
+
 def test_z2_squared_modules_linear_mod_4_keep_their_r1_form():
     # 4 of the 42 module biquandles on (Z/2)^2 are linear on Z/4 too; linear_form,
     # which tries r = 1 first, names them so, not by the matrices they were built from

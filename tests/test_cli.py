@@ -13,8 +13,17 @@ import pytest
 
 import biqknot
 from biqknot import cli, enhance
-from biqknot.algebra import GroupOrderCapExceeded, enumerate_endos
+from biqknot.algebra import (
+    AxiomError,
+    GroupOrderCapExceeded,
+    enumerate_endos,
+    parse_biquandle,
+    parse_tables,
+    validate_axioms,
+)
 from biqknot.cli import main
+from biqknot.diagram import ParseError, parse_pd
+from biqknot.knots import parse_knot_table
 from biqknot.quiver import build_quiver
 
 GOLDEN = json.loads((Path(__file__).parents[1] / "perfbench" / "cli_golden.json").read_text())
@@ -512,6 +521,42 @@ def test_integers_are_ascii_digits_only(tmp_path, capsys):
         1, "", "error: bad table entry: invalid literal for int() with base 10: '1_0'\n")
 
 
+@pytest.mark.parametrize("spelling", ["\u0663", "\u0661", "1_0", "+3", "\u00b2"])
+def test_every_reader_refuses_an_integer_int_alone_would_read(capsys, spelling):
+    # each is a number to int() or str.isdigit(); no reader of outside text takes it
+    wire = f"X+ 0 1 {spelling} 2\nX+ 2 {spelling} 5 4\nX+ 4 5 1 0\n"  # T(2,3), ids 3 respelled
+    with pytest.raises(ParseError, match="^line 1: semiarc ids must be integers$"):
+        parse_pd(wire)
+    with pytest.raises(ParseError, match="^line 2: L line takes one nonnegative count$"):
+        parse_pd(f"X+ 0 1 1 0\nL {spelling}\n")
+    with pytest.raises(ValueError, match="^line 1: determinant must be an integer$"):
+        parse_knot_table(f"k | X+ 0 1 1 0 | {spelling}\n")
+    with pytest.raises(ValueError, match="^first line must be the size, got "):
+        parse_tables(f"{spelling}\n1\n\n1\n")
+    with pytest.raises(ValueError) as e:
+        parse_tables(f"1\n{spelling}\n\n1\n")
+    assert str(e.value) == f"bad table entry: invalid literal for int() with base 10: {spelling!r}"
+    assert run(capsys, "color", "count", f"torus2:{spelling}", "dihedral:3") == (
+        2, "", f"usage error: expected an integer, got {spelling!r}\n")
+
+
+def test_long_integers_read_alike_in_process_and_on_the_command_line(tmp_path, capsys):
+    # the text readers and the axiom check lift the interpreter's digit limit themselves,
+    # as main does for the command line
+    big = "9" * 5000
+    text = f"1\n{big}\n\n1\n"
+    (tmp_path / "big.txt").write_text(text)
+    with pytest.raises(AxiomError) as e:
+        parse_biquandle(text)
+    assert str(e.value) == f"not a biquandle: shape: over table entry {big} at row 1 out of range 1..1"
+    code, out, err = run(capsys, "algebra", "endos", str(tmp_path / "big.txt"))
+    assert (code, out, err) == (1, "", f"error: {e.value}\n")
+    assert parse_tables(text)[0] == [[10**5000 - 1]]
+    shape = str(e.value).removeprefix("not a biquandle: ")
+    assert [str(v) for v in validate_axioms(*parse_tables(text))] == [shape]
+    assert parse_knot_table(f"k | X+ 0 1 1 0 | {big}\n")["k"].determinant == 10**5000 - 1
+
+
 def test_group_order_cap_exits_1(monkeypatch, capsys):
     def capped(gens, cap=None):
         raise GroupOrderCapExceeded("group closure exceeded cap 1")
@@ -587,6 +632,20 @@ def test_diagram_validate_valid(tmp_path, capsys):
      "usage error: color count takes no --table; it applies to color list\n"),
     (["color", "matrix", "torus2:4", "4", "3", "0", "1", "2", "--table"], 2,
      "usage error: color matrix takes no --table; it applies to color list\n"),
+    (["color", "list", "torus2:3", "dihedral:3", "--table", "--format", "json"], 2,
+     "usage error: color list --table prints text only; it takes no --format json\n"),
+    (["--format", "json", "knots", "show", "3_1"], 2,
+     "usage error: knots show prints text only; it takes no --format json\n"),
+    (["diagram", "gen", "torus2", "3", "--format", "json"], 2,
+     "usage error: diagram gen prints text only; it takes no --format json\n"),
+    (["--format", "json", "diagram", "sum", "torus2:3", "0", "torus2:3", "0"], 2,
+     "usage error: diagram sum prints text only; it takes no --format json\n"),
+    (["--format", "json", "algebra", "dihedral", "3"], 2,
+     "usage error: algebra dihedral prints text only; it takes no --format json\n"),
+    (["algebra", "linear", "4", "3", "0", "1", "2", "--format", "json"], 2,
+     "usage error: algebra linear prints text only; it takes no --format json\n"),
+    (["--format", "json", "algebra", "endos", "dihedral:3"], 2,
+     "usage error: algebra endos prints text only; it takes no --format json\n"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_error_messages_and_exit_codes(capsys, argv, code, err):
     assert run(capsys, *argv) == (code, "", err)

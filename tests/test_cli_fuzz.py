@@ -4,7 +4,8 @@ Argument lists are drawn from a grammar over every subcommand and action,
 with malformed numbers, specs, wire texts, biquandle tables and quiver
 dumps mixed in. Every one must exit 0, 1 or 2 with no exception escaping
 `main`, and a nonzero exit may leave on stderr only one `usage error:` or
-`error:` line, or argparse's usage text. A handler that lost the import
+`error:` line, or argparse's usage text. An argv whose file holds a
+number spelled as no integer must not exit 0. A handler that lost the import
 of a module it runs would raise `NameError` here. Sizes stay small, so no
 case allocates much or runs long.
 """
@@ -22,6 +23,10 @@ DUMP = ('{"edges": [[0, 0, 0], [1, 2, 0], [2, 1, 0]], "endos": [[1, 3, 2]], '
 # not integers, or integers that no construction accepts
 BAD_NUMBERS = ["x", "", "-1", "0", "1.5", "3,", "0x3", "²", "1e2", " ", "--", "\u0663", "1_0",
                " 3", "3 ", "+3"]
+# the BAD_NUMBERS that stay one non-integer token in a file; the whitespace ones split
+# back into integers there
+NOT_INTEGERS = ["x", "1.5", "3,", "0x3", "\u00b2", "1e2", "--", "\u0663", "1_0", "+3"]
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
 KNOTS = ["3_1", "4_1", "6_1", "9_24", "nope", ""]
 ITEMS = ["04-chain-counts", "08-determinant-battery", "nope"]
 
@@ -31,6 +36,7 @@ class Grammar:
         self.rng = rng
         self.tmp_path = tmp_path
         self.files = 0
+        self.non_integer = False  # whether a file of the last argv spells a number as no integer
 
     def pick(self, *options):
         return self.rng.choice(options)
@@ -52,8 +58,14 @@ class Grammar:
         roll = self.rng.random()
         if roll < 0.25:
             tokens = text.split(" ")
-            junk = self.pick(*BAD_NUMBERS, "9", "[", "}", "L", "V")
-            tokens[self.rng.randrange(len(tokens))] = junk
+            i = self.rng.randrange(len(tokens))
+            if tokens[i].isdecimal() and self.rng.random() < 0.3:
+                # the same number spelled as int() reads it, so only the integer rule refuses it
+                tokens[i] = self.pick("+" + tokens[i], tokens[i].translate(ARABIC_INDIC))
+                self.non_integer = True
+            else:
+                tokens[i] = self.pick(*BAD_NUMBERS, "9", "[", "}", "L", "V")
+                self.non_integer |= tokens[i] in NOT_INTEGERS
             text = " ".join(tokens)
         elif roll < 0.35:
             lines = text.splitlines()
@@ -89,6 +101,7 @@ class Grammar:
         return self.pick("dihedral", "linear:4,1", "z:4", "")
 
     def argv(self):
+        self.non_integer = False
         command = self.pick("algebra", "diagram", "color", "quiver", "bridge", "enhance",
                             "knots", "repro", "junk")
         argv = getattr(self, f"cmd_{command}")()
@@ -181,6 +194,7 @@ def test_every_drawn_argv_keeps_the_exit_code_contract(tmp_path, capsys, seed):
             pytest.fail(f"{argv} raised {e!r}")
         err = capsys.readouterr().err
         assert code in (0, 1, 2), (argv, code)
+        assert not (code == 0 and grammar.non_integer), argv
         if code == 0:
             assert err == "", (argv, err)
         elif err.startswith(("usage error: ", "error: ")):

@@ -848,6 +848,13 @@ def test_lattice_listing_matches_search_and_brute_force():
                 assert got == brute_force_colorings(d, y)
 
 
+def test_listing_over_a_large_dihedral_grows_with_the_output():
+    # T(2,3) has n gcd(3, n) colorings over R_n; 3 does not divide 20000, so all
+    # 20000 are constant, and listing them must cost about that, not n^2
+    got = enumerate_colorings(torus_2n(3), make_dihedral(20000))
+    assert got == [(x,) * 6 for x in range(1, 20001)]
+
+
 def test_lattice_listing_with_free_loops_and_no_semiarcs():
     for y in (make_dihedral(1), make_dihedral(6), biquandle_z(), make_linear_biquandle(8, 5, 0, 1, 4)):
         for d in (SemiarcDiagram(0, (), 0), SemiarcDiagram(0, (), 2),

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import re
 import sys
 
 import pytest
@@ -323,8 +324,9 @@ def test_strand_order_follows_flow():
 
 
 def reference_parse_pd(text):
-    """The line-by-line parser that parse_pd's bulk reading replaced (L counts
-    must be decimal), kept as the oracle for its results and first errors."""
+    """The line-by-line parser that parse_pd's bulk reading replaced, kept as the
+    oracle for its results and first errors. Integers are an optional '-' and
+    ASCII digits, L counts nonnegative ones."""
     crossings = []
     virtuals = []
     free_loops = 0
@@ -338,7 +340,7 @@ def reference_parse_pd(text):
         parts = line.split()
         tag = parts[0]
         if tag == "L":
-            if len(parts) != 2 or not parts[1].isdecimal():
+            if len(parts) != 2 or not re.fullmatch("-?[0-9]+", parts[1]) or int(parts[1]) < 0:
                 raise ParseError("L line takes one nonnegative count", lineno)
             free_loops += int(parts[1])
             continue
@@ -346,10 +348,9 @@ def reference_parse_pd(text):
             raise ParseError(f"unknown record {tag!r}", lineno)
         if len(parts) != 5:
             raise ParseError(f"{tag} line takes four semiarc ids", lineno)
-        try:
-            ids = [int(p) for p in parts[1:]]
-        except ValueError:
+        if not all(re.fullmatch("-?[0-9]+", p) for p in parts[1:]):
             raise ParseError("semiarc ids must be integers", lineno)
+        ids = [int(p) for p in parts[1:]]
         if any(i < 0 for i in ids):
             raise ParseError("semiarc ids must be nonnegative", lineno)
         a_in, b_in, a_out, b_out = ids
@@ -429,7 +430,8 @@ def test_parse_matches_line_parser_on_valid_texts():
     rng = random.Random(17)
     texts = [serialize_pd(d) for d in oracle_diagrams()]
     texts += [varied_text(d, rng) for d in oracle_diagrams() for _ in range(12)]
-    texts += ["", "\n\n", "# only a comment\n", "L 0\n", "L 3\nL 2\n", "X+ +0 01 1_0 00\nX- 10 +2 2 01\n"]
+    texts += ["", "\n\n", "# only a comment\n", "L 0\n", "L 3\nL 2\n", "X+ 00 01 10 00\nX- 10 02 2 01\n",
+              "L -0\n"]
     for text in texts:
         expected = outcome(reference_parse_pd, text)
         assert isinstance(expected, SemiarcDiagram), (text, expected)
@@ -448,12 +450,13 @@ def corruptions(text):
     for i in records:
         parts = lines[i].split("#")[0].split()
         if parts[0] == "L":
-            variants = [["L"], ["L", "1", "2"], ["L", "-1"], ["L", "x"], ["L", "\u00b2"], ["L", "1.0"]]
+            variants = [["L"], ["L", "1", "2"], ["L", "-1"], ["L", "x"], ["L", "\u00b2"], ["L", "1.0"],
+                        ["L", "\u0661"], ["L", "+1"], ["L", "1_0"]]
         else:
             variants = [[tag, *parts[1:]] for tag in ("Y+", "X", "x+", "L", "5")]
             variants += [parts[:-1], parts + ["0"], parts[:1]]
             for k in range(1, 5):
-                for bad in ("a", "1.5", "\u00b2", "-1", "-0", "999"):
+                for bad in ("a", "1.5", "\u00b2", "-1", "-0", "999", "\u0663", "+1", "1_0"):
                     variants.append(parts[:k] + [bad] + parts[k + 1:])
             for k in (1, 2):
                 variants += [parts[:k] + [h] + parts[k + 1:] for h in heads]
