@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .diagram import _decimal, any_int_digits
 
@@ -37,8 +37,7 @@ class GroupOrderCapExceeded(ValueError):
     """Raised when group closure would exceed the exploration cap."""
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     axiom: str
     witness: tuple[int, ...]
 
@@ -51,10 +50,15 @@ def _as_table(rows, n: int, name: str) -> Table:
         raise AxiomError(f"{name} table has {len(rows)} rows, expected {n}")
     out = []
     for i, row in enumerate(rows):
-        row = tuple(int(v) for v in row)
+        try:  # text entries are read by _decimal
+            row = tuple(_decimal(v) if isinstance(v, str) else v for v in row)
+        except ValueError as e:
+            raise AxiomError(f"{name} table row {i + 1}: {e}")
         if len(row) != n:
             raise AxiomError(f"{name} table row {i + 1} has {len(row)} entries, expected {n}")
         for v in row:
+            if type(v) is not int:  # no bool, float or other kind
+                raise AxiomError(f"{name} table entry {v!r} at row {i + 1} is not an integer")
             if not 1 <= v <= n:
                 raise AxiomError(f"{name} table entry {v} at row {i + 1} out of range 1..{n}")
         out.append(row)
@@ -162,9 +166,10 @@ class FiniteBiquandle:
 def validate_axioms(over_table, under_table) -> list[AxiomViolation]:
     """Check the biquandle axioms; return every violation with a witness.
 
-    Shape problems are reported rather than raised. The scan is
-    exhaustive, O(n^3) for the exchange laws; from_tables runs the same
-    scan but stops at its first violation.
+    Shape problems are reported rather than raised; an entry is an int,
+    or text read by _decimal, and a bool, float or other kind is a shape
+    problem. The scan is exhaustive, O(n^3) for the exchange laws;
+    from_tables runs the same scan but stops at its first violation.
     """
     return list(_violations(over_table, under_table))
 

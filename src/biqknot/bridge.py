@@ -14,13 +14,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import SemiarcDiagram, StrandDecomposition, strands
 
 
-@dataclass(frozen=True)
-class SeedReport:
+class SeedReport(NamedTuple):
     seed_set: tuple[int, ...]
     saturated: bool
     sequence: tuple[tuple[int, int], ...]  # (crossing index, newly colored strand)

@@ -16,7 +16,6 @@ across runs; timings are opt-in.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -109,6 +108,7 @@ def endo_set(Y, args) -> list[tuple[int, ...]]:
 
 def emit(args, human_lines, payload) -> None:
     if args.format == "json":
+        import json
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in human_lines:
@@ -244,6 +244,7 @@ def cmd_quiver(args) -> int:
 
 def _load_quiver_dump(path: str) -> quiver.ColoringQuiver:
     """The quiver in a `quiver build --format json` dump, checked before it is used."""
+    import json
     from . import quiver
     try:
         data = json.loads(_read(path, "quiver dump"))
@@ -344,6 +345,7 @@ def cmd_repro(args) -> int:
     names = None if args.item is None else set(args.item)
     items = repro.run_items(names)
     if args.format == "json":
+        import json
         payload = [{"claim": it.claim, "provenance": it.provenance,
                     "expected": it.expected, "computed": it.computed,
                     "passed": it.passed} for it in items]

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .algebra import FiniteBiquandle, _label
 from .diagram import SemiarcDiagram
@@ -188,23 +188,23 @@ def colorings_with_loops(d: SemiarcDiagram, Y: FiniteBiquandle) -> list[Coloring
 # -- linear path: relation matrices and Smith normal form ----------------------
 
 
-@dataclass(frozen=True)
-class RelationMatrix:
+class RelationMatrix(NamedTuple("RelationMatrix", [
+        ("rows", tuple[dict[int, int], ...]), ("modulus", int), ("cols", int)])):
     """Homogeneous linear relations mod n over the unknowns 0..cols-1.
 
     One sparse row {column: coefficient} per relation, coefficients read
     mod modulus; dense() writes the rows out in full for printing."""
 
-    rows: tuple[dict[int, int], ...]
-    modulus: int
-    cols: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        if self.modulus < 1:
+    def __new__(cls, rows: tuple[dict[int, int], ...], modulus: int, cols: int):
+        if modulus < 1:
             raise ValueError("modulus must be >= 1")
-        for row in self.rows:
-            if row and (min(row) < 0 or max(row) >= self.cols):
-                raise ValueError(f"relation row {row} has a column outside 0..{self.cols - 1}")
+        for row in rows:
+            if row and (min(row) < 0 or max(row) >= cols):
+                raise ValueError(f"relation row {row} has a column outside 0..{cols - 1}")
+        return super().__new__(cls, rows, modulus, cols)
 
     def dense(self) -> tuple[tuple[int, ...], ...]:
         """The rows as full tuples of length cols, entries reduced mod modulus."""

@@ -22,7 +22,9 @@ increasing order; SemiarcDiagram alone checks the semiarc rule, on the
 raw records (V read as X+) before virtual crossings are erased; text
 that fails is rescanned by _raise_first_error to name its first bad
 line. A Crossing is a named tuple, equal to its plain 5-tuple
-(sign, u_in, o_in, u_out, o_out).
+(sign, u_in, o_in, u_out, o_out); a SemiarcDiagram is one too,
+(semiarc_count, crossings, free_loops), checked however it is built,
+by its constructor, _make or _replace, with integers alone accepted.
 
 Crossing relation convention used throughout the library: a positive
 crossing imposes u_out = u_in .v o_in and o_out = o_in ." u_in; a
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple, NoReturn
 
 
@@ -60,22 +61,27 @@ class Crossing(NamedTuple):
     o_out: int
 
 
-@dataclass(frozen=True)
-class SemiarcDiagram:
-    semiarc_count: int
-    crossings: tuple[Crossing, ...]
-    free_loops: int = 0
+class SemiarcDiagram(NamedTuple("SemiarcDiagram", [
+        ("semiarc_count", int), ("crossings", tuple[Crossing, ...]), ("free_loops", int)])):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        signs, u_in, o_in, u_out, o_out = zip(*self.crossings) if self.crossings else ((),) * 5
+    def __new__(cls, semiarc_count: int, crossings: tuple[Crossing, ...], free_loops: int = 0):
+        self = super().__new__(cls, semiarc_count, crossings, free_loops)
+        signs, u_in, o_in, u_out, o_out = zip(*crossings) if crossings else ((),) * 5
         if not set(signs) <= {1, -1}:
             bad = next(s for s in signs if s not in (1, -1))
             raise DiagramError(f"crossing sign must be +1 or -1, got {bad}")
-        every = list(range(self.semiarc_count))
-        if sorted(u_in + o_in) != every or sorted(u_out + o_out) != every:
+        ins, outs = u_in + o_in, u_out + o_out
+        if type(sum(outs, sum(ins, semiarc_count + free_loops))) is not int:  # ints sum to an int
+            bad = next(v for v in (semiarc_count, free_loops, *ins, *outs) if not isinstance(v, int))
+            raise DiagramError(f"semiarc count, ids and free loop count must be integers, got {bad!r}")
+        every = list(range(semiarc_count))
+        if sorted(ins) != every or sorted(outs) != every:
             self._raise_semiarc_error()
-        if self.free_loops < 0:
+        if free_loops < 0:
             raise DiagramError("free loop count cannot be negative")
+        return self
 
     def _raise_semiarc_error(self):
         """Name the first semiarc out of range, or not consumed or produced exactly once."""
@@ -534,8 +540,7 @@ def apply_r2(d: SemiarcDiagram, semiarc_a: int, semiarc_b: int,
 # -- strand (maximal overpass) extraction --------------------------------------
 
 
-@dataclass(frozen=True)
-class StrandDecomposition:
+class StrandDecomposition(NamedTuple):
     """Partition of semiarcs into maximal overpasses.
 
     strands[i] lists the semiarcs of strand i in flow order. strand_of

@@ -11,15 +11,14 @@ against coloring counts via Col_{R_n} = n * gcd(det, n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from importlib import resources
+from typing import NamedTuple
 
 from .diagram import ParseError, SemiarcDiagram, _decimal, any_int_digits, parse_pd
 
 
-@dataclass(frozen=True)
-class KnotRecord:
+class KnotRecord(NamedTuple):
     name: str
     diagram: SemiarcDiagram
     determinant: int | None = None

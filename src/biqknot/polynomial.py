@@ -8,18 +8,20 @@ polynomial: elements become exponents, multiplicities coefficients.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ExponentPolynomial:
-    coeffs: dict[int, int] = field(default_factory=dict)
+class ExponentPolynomial(NamedTuple("ExponentPolynomial", [("coeffs", dict[int, int])])):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        cleaned = {int(e): int(c) for e, c in self.coeffs.items() if c}
+    def __new__(cls, coeffs: dict[int, int] = {}):  # never mutated: the record keeps a copy
+        if not {*map(type, coeffs), *map(type, coeffs.values())} <= {int}:
+            raise ValueError("exponents and coefficients must be integers")
+        cleaned = {e: c for e, c in coeffs.items() if c}
         if any(e < 0 for e in cleaned) or any(c < 0 for c in cleaned.values()):
             raise ValueError("exponents and coefficients must be nonnegative")
-        object.__setattr__(self, "coeffs", cleaned)
+        return super().__new__(cls, cleaned)
 
     @classmethod
     def from_multiset(cls, values) -> "ExponentPolynomial":

@@ -33,16 +33,15 @@ Hom-set object.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from operator import add
+from typing import NamedTuple
 
 from .algebra import FiniteBiquandle, is_hom
 from .coloring import Coloring, colorings_with_loops
 from .diagram import SemiarcDiagram
 from .polynomial import ExponentPolynomial
 
-@dataclass(frozen=True)
-class ColoringQuiver:
+class ColoringQuiver(NamedTuple):
     vertices: tuple[Coloring, ...]
     endos: tuple[tuple[int, ...], ...]
     targets: tuple[tuple[int, ...], ...]  # targets[k][v]: the vertex endos[k] sends v to

@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .algebra import (
     biquandle_z,
@@ -60,8 +60,7 @@ T24_Z_COLORINGS = {
 }
 
 
-@dataclass(frozen=True)
-class ReproItem:
+class ReproItem(NamedTuple):
     claim: str
     provenance: str  # "published" | "derived" | "definition"
     expected: str

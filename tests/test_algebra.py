@@ -271,6 +271,29 @@ def test_validate_reports_shape_error():
     assert any(v.axiom.startswith("shape") for v in report)
 
 
+@pytest.mark.parametrize("entry, shape", [
+    ("١", "over table row 1: invalid literal for int() with base 10: '١'"),
+    ("+1", "over table row 1: invalid literal for int() with base 10: '+1'"),
+    (1.9, "over table entry 1.9 at row 1 is not an integer"),
+    (1.0, "over table entry 1.0 at row 1 is not an integer"),
+    (True, "over table entry True at row 1 is not an integer"),
+    (None, "over table entry None at row 1 is not an integer"),
+])
+def test_a_table_entry_is_an_int_or_decimal_text(entry, shape):
+    # int() alone would read each of these as 1
+    assert validate_axioms([[entry]], [[1]]) == [(f"shape: {shape}", ())]
+    with pytest.raises(AxiomError) as caught:
+        from_tables([[entry]], [[1]])
+    assert str(caught.value) == f"not a biquandle: shape: {shape}"
+
+
+def test_text_table_entries_are_read_as_decimals():
+    r3 = make_dihedral(3)
+    text = [[[str(v) for v in row] for row in t] for t in (r3.over_table, r3.under_table)]
+    assert validate_axioms(*text) == []
+    assert from_tables(*text).under_table == r3.under_table
+
+
 def test_homs_r3_match_brute_force():
     r3 = make_dihedral(3)
     expected = [img for img in itertools.product(range(1, 4), repeat=3)

@@ -312,11 +312,26 @@ def test_bare_import_loads_no_submodule():
 ], ids=["color-count", "diagram-gen", "knots-list"])
 def test_a_subcommand_loads_only_the_modules_it_runs(argv, left_out):
     probe = ("import sys; from biqknot.cli import main; code = main(sys.argv[1:]); "
-             "print(code, *sorted(m for m in sys.modules if m.startswith('biqknot.')))")
+             "print(code, *sorted(sys.modules))")
     code, *loaded = _fresh_interpreter(probe, *argv).splitlines()[-1].split()
     assert code == "0"
     assert "biqknot.diagram" in loaded
     assert not {f"biqknot.{m}" for m in left_out} & set(loaded)
+    # nor these standard modules, beyond what the interpreter loads before any code runs
+    bare = _fresh_interpreter("import sys; print(*sys.modules)").split()
+    assert not {"dataclasses", "inspect", "json"} & (set(loaded) - set(bare))
+
+
+@pytest.mark.parametrize("key", ["quiver.build", "quiver.iso", "repro.item"])
+def test_json_commands_run_in_a_fresh_interpreter(tmp_path, key):
+    # each imports json only where it reads or writes it; run cold, as the quick start runs them
+    g = GOLDEN["commands"][key]
+    for name, text in GOLDEN["files"].items():
+        (tmp_path / name).write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(biqknot.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "biqknot.cli", *g["argv"]], cwd=tmp_path,
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (g["code"], g["stdout"], "")
 
 
 # public name -> home module, pinned here so that a name cannot leave the API unnoticed
