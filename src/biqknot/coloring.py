@@ -16,10 +16,13 @@ GF(9)). Each semiarc has r unknowns,
 semiarc s's coordinate i being unknown s*r + i. coloring_matrix hands
 out that system as a RelationMatrix of sparse rows, the form the
 elimination reads; dense() is for printing. One elimination over each
-prime power of n, after a union-find merges the unknowns of each
-equality row x_a = x_b, serves two consumers: the counter multiplies
-the sizes its pivots leave free; the lister keeps the pivots, reads a
-generator per free parameter off them by back-substitution, and lists
+prime power of n serves two consumers. Before it, a union-find merges
+the unknowns of each equality row x_a = x_b without building it, and
+every other row is built once on the merged unknowns, zero and repeated
+rows dropped; rows the elimination empties drop out too. The counter
+multiplies the sizes its pivots leave free; the lister keeps the
+pivots, reads a generator per free parameter off them by
+back-substitution, and lists
 the box of their multiples column by column, building each distinct
 column once (a quandle crossing's o_in and o_out always share one) and
 zipping the columns into rows. Every other algebra is listed, or
@@ -36,7 +39,7 @@ so entries can never overflow.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
+from collections import Counter, defaultdict
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -218,21 +221,23 @@ def _relation_rows(oriented, form) -> list[dict[int, int]]:
     With form = (n, A, B, C, D), w x w matrices, a quad (p, q, r, s)
     gives r - Cp - Dq and s - Aq - Bp, each as w rows, one per coordinate
     i, over the unknowns t*w + i (semiarc t, coordinate i). Zero
-    coefficients are left out.
+    coefficients are left out. For w = 1 the unknown is the diagram's own
+    semiarc int t, so the rows hold no ints of their own.
     """
     _, A, B, C, D = form
     w = len(A)
-    plan = []  # per row of a quad: (quad slot, coordinate, coefficient) terms
+    plan = []  # per row of a quad: (quad slot * w + coordinate, coefficient) terms
     for out, M, x, K, y in ((2, C, 0, D, 1), (3, A, 1, B, 0)):
         for i in range(w):
-            plan.append([(out, i, 1), *((x, j, -v) for j, v in enumerate(M[i]) if v),
-                         *((y, j, -v) for j, v in enumerate(K[i]) if v)])
+            plan.append([(out * w + i, 1), *((x * w + j, -v) for j, v in enumerate(M[i]) if v),
+                         *((y * w + j, -v) for j, v in enumerate(K[i]) if v)])
     rows = []
     for quad in oriented:
+        unknowns = quad if w == 1 else [t * w + i for t in quad for i in range(w)]
         for terms in plan:
             row: dict[int, int] = {}
-            for slot, j, v in terms:
-                c = quad[slot] * w + j
+            for at, v in terms:
+                c = unknowns[at]
                 row[c] = row.get(c, 0) + v
             rows.append(row)
     return rows
@@ -295,12 +300,16 @@ def _pivots(rows, p: int, k: int):
     """Eliminate the sparse rows mod q = p^k in the local Smith form, yielding each pivot.
 
     A pivot is (j, v, inv, rest): its row reads p^v*u*x_j + sum(rest[c]*x_c) = 0
-    with inv = u^-1 mod q, and every entry of rest divisible by p^v.
+    with inv = u^-1 mod q, and every entry of rest divisible by p^v. The
+    rows given are read, never changed.
 
-    First, each row u*x_a - u*x_b, u a unit (half a quandle diagram's rows),
-    merges a and b in a path-halving union-find. Merged columns j come first as
-    pivots x_j - x_root = 0 and the other rows are rewritten onto the roots,
-    so no later pivot uses j; reverse back-substitution fills j last.
+    First, each row given as u*x_a - u*x_b, u a unit (half a quandle
+    diagram's rows, every row of a kink chain), merges a and b in a
+    path-halving union-find and is not built at all. Merged columns j come
+    first as pivots x_j - x_root = 0. Every other row is then built once,
+    on the roots and mod q, so no later pivot uses j and reverse
+    back-substitution fills j last; rows that come out zero, or equal to a
+    row already built, are dropped, since they say nothing new.
 
     Phase v pivots on entries of valuation exactly v; no entry of lower
     valuation is left or can arise, because every remaining entry is
@@ -312,55 +321,64 @@ def _pivots(rows, p: int, k: int):
     pivot is the row's entry whose column has the fewest rows, which
     keeps fill-in low. One pass over the rows suffices per phase: a row
     already passed has every entry divisible by p^(v+1), and eliminating
-    into it keeps that so.
+    into it keeps that so. A row the elimination empties is retired: no
+    column lists it and no later phase walks it.
     """
     q = p**k
     parent: dict[int, int] = {}  # merged column -> a column it equals, nearer its root
-
-    def find(j: int) -> int:
-        while j in parent:
-            parent[j] = parent.get(parent[j], parent[j])  # path halving
-            j = parent[j]
-        return j
-
-    live: dict[int, dict[int, int]] = {}  # row id -> nonzero entries mod q
-    for i, row in enumerate(rows):
-        entries = {j: v % q for j, v in row.items() if v % q}
-        if len(entries) == 2:
-            (a, u), (b, w) = entries.items()
-            if u + w == q and u % p:
-                a, b = find(a), find(b)
+    general = []  # the rows that are no unit equality as given
+    for row in rows:
+        if len(row) == 2:
+            (a, u), (b, w) = row.items()
+            if u % p and not (u + w) % q:
+                while a in parent:  # path halving; parent[a] is stored before a moves
+                    g = parent[a]
+                    parent[a] = a = parent.get(g, g)
+                while b in parent:
+                    g = parent[b]
+                    parent[b] = b = parent.get(g, g)
                 if a != b:
                     parent[b] = a
                 continue
-        live[i] = entries
+        general.append(row)
     for j in reversed(parent):  # j's ancestors were merged after j: map j to its root
         parent[j] = parent.get(parent[j], parent[j])
     yield from ((j, 0, 1, {r: q - 1}) for j, r in parent.items())
-    col_rows: dict[int, set[int]] = {}  # column -> ids of live rows using it
-    for i, row in live.items():
-        if parent:  # rewrite the row onto the roots
-            moved: dict[int, int] = {}
-            for j, a in row.items():
-                j = parent.get(j, j)
-                moved[j] = moved.get(j, 0) + a
-            live[i] = row = {j: a % q for j, a in moved.items() if a % q}
+
+    root = parent.get
+    built: dict[frozenset, dict[int, int]] = {}  # each distinct nonzero row, by its entries
+    for given in general:
+        row: dict[int, int] = {}
+        for j, a in given.items():
+            j = root(j, j)
+            a = (row.pop(j, 0) + a) % q
+            if a:
+                row[j] = a
+        if row:
+            built[frozenset(row.items())] = row
+    rows = list(built.values())
+    col_rows: defaultdict[int, set[int]] = defaultdict(set)  # column -> ids of rows using it
+    for i, row in enumerate(rows):
         for j in row:
-            col_rows.setdefault(j, set()).add(i)
+            col_rows[j].add(i)
+    live = range(len(rows))
     for v in range(k):
         pv, above = p**v, p ** (v + 1)
-        for i in list(live):
-            row = live[i]
+        kept = []  # rows passed over, all their entries divisible by p^(v+1)
+        for i in live:
+            row = rows[i]
+            if not row:  # retired
+                continue
             cands = row if k == 1 else [j for j, a in row.items() if a % above]
             if not cands:
+                kept.append(i)
                 continue
             j = min(cands, key=lambda c: len(col_rows[c]))
-            del live[i]
             for c in row:
                 col_rows[c].discard(i)
             inv = pow(row.pop(j) // pv, -1, q)
             for r in col_rows.pop(j):
-                other = live[r]
+                other = rows[r]
                 f = other.pop(j) // pv * inv % q
                 for c, a in row.items():
                     b = (other.get(c, 0) - f * a) % q
@@ -372,6 +390,7 @@ def _pivots(rows, p: int, k: int):
                         del other[c]
                         col_rows[c].discard(r)
             yield j, v, inv, row
+        live = kept
 
 
 def _list_kernel(rows, cols: int, n: int, width: int = 1) -> list[Coloring]:

@@ -69,13 +69,19 @@ class SemiarcDiagram(NamedTuple("SemiarcDiagram", [
     def __new__(cls, semiarc_count: int, crossings: tuple[Crossing, ...], free_loops: int = 0):
         self = super().__new__(cls, semiarc_count, crossings, free_loops)
         signs, u_in, o_in, u_out, o_out = zip(*crossings) if crossings else ((),) * 5
-        if not set(signs) <= {1, -1}:
-            bad = next(s for s in signs if s not in (1, -1))
-            raise DiagramError(f"crossing sign must be +1 or -1, got {bad}")
+        if not (set(map(type, signs)) <= {int} and set(signs) <= {1, -1}):  # not 1.0, not True
+            bad = next(s for s in signs if type(s) is not int or s not in (1, -1))
+            raise DiagramError(f"crossing sign must be +1 or -1, got {bad!r}")
         ins, outs = u_in + o_in, u_out + o_out
-        if type(sum(outs, sum(ins, semiarc_count + free_loops))) is not int:  # ints sum to an int
+        try:
+            total = sum(outs, sum(ins, semiarc_count + free_loops))
+        except TypeError:  # text, say, added to an int
+            total = None
+        if type(total) is not int:  # ints sum to an int
             bad = next(v for v in (semiarc_count, free_loops, *ins, *outs) if not isinstance(v, int))
             raise DiagramError(f"semiarc count, ids and free loop count must be integers, got {bad!r}")
+        if semiarc_count < 0:
+            raise DiagramError("semiarc count cannot be negative")
         every = list(range(semiarc_count))
         if sorted(ins) != every or sorted(outs) != every:
             self._raise_semiarc_error()

@@ -504,17 +504,29 @@ def test_snf_counts_match_sympy_smith_form():
 
 def equality_system(rng, n, cols):
     """Sparse rows mod n, most of them u*x_a - u*x_b with u a unit or not,
-    some repeated, some closing cycles, a few general rows between them."""
+    some repeated, some multiples of an earlier row (which a merge or a
+    pivot empties), some zero mod n, some equalities only once reduced mod
+    n or rewritten onto merged columns, some closing cycles, a few general
+    rows between them."""
     rows = []
     for _ in range(rng.randrange(0, 2 * cols + 3)):
-        kind = rng.randrange(5)
-        a, b = rng.sample(range(cols), 2)
+        kind = rng.randrange(8)
+        a, b, *rest = rng.sample(range(cols), min(3, cols))
         u = rng.randrange(1, n) + n * rng.randrange(-1, 2)  # unreduced coefficients too
         if kind <= 1:
             rows.append({a: u, b: -u} if kind else {a: -u, b: u})
         elif kind == 2 and rows:
             rows.append(dict(rng.choice(rows)))  # a repeated row
-        elif kind == 3:
+        elif kind == 3 and rows:
+            s = rng.randrange(-1, n + 1)
+            rows.append({j: s * v for j, v in rng.choice(rows).items()})  # a multiple
+        elif kind == 4:
+            rows.append(rng.choice(({}, {a: n * rng.randrange(-2, 3)}, {a: n, b: -2 * n})))
+        elif kind == 5:  # u*x_a - u*x_b once reduced, or once b and c merge
+            t = rng.randrange(n)
+            rows.append(rng.choice(({a: u, b: n - u, **{j: n for j in rest}},
+                                    {a: u, b: t - u, **{j: -t for j in rest}})))
+        elif kind == 6:
             cycle = rng.sample(range(cols), rng.randrange(2, cols + 1))
             rows += [{c: u, d: -u} for c, d in zip(cycle, cycle[1:] + cycle[:1])]
         else:
@@ -575,6 +587,16 @@ def test_equality_rows_merge_only_over_units():
     # a row the merge makes zero drops out; one it makes 2x = 0 mod 4 stays
     assert check_kernel_routes([{0: 1, 1: -1}, {0: 5, 1: -5}, {1: 4, 0: 8}], 2, 12) == 12
     assert check_kernel_routes([{0: 1, 1: -1}, {0: 3, 1: 3}], 3, 12) == 2 * 3 * 12
+    # zero rows, repeated rows and rows a merge or a pivot empties say nothing new
+    assert check_kernel_routes([{}, {0: 9, 1: -18}, {0: 1, 1: 2}, {1: 2, 0: 1}], 2, 9) == 9
+    assert check_kernel_routes([{0: 1, 1: -1}, {0: 3, 1: -3}, {1: 6, 0: -6}], 2, 9) == 9
+    assert check_kernel_routes([{0: 1, 1: 2, 2: 1}, {0: 2, 1: 4, 2: 2}, {0: 1, 1: 1}], 3, 5) == 5
+    assert check_kernel_routes([{0: 3, 1: 6}, {0: 6, 1: 12}, {1: 3, 2: 3}], 3, 9) == 81
+    # equalities only once reduced mod n, or once rewritten onto the roots
+    assert check_kernel_routes([{0: 2, 1: -2, 2: 7}], 3, 7) == 49
+    assert check_kernel_routes([{0: 1, 1: 11, 2: 12}], 3, 12) == 144
+    assert check_kernel_routes([{1: 1, 2: -1}, {0: 3, 1: -1, 2: -2}], 3, 7) == 7
+    assert check_kernel_routes([{1: 1, 2: -1}, {0: 3, 1: -1, 2: -2}], 3, 9) == 27
 
 
 def test_random_equality_systems_match_brute_force():

@@ -114,6 +114,14 @@ def test_validation_rejects_double_head():
     (2, ((1, 0, 1, 1, 1),), 0, "semiarc 0 has no source (must be produced exactly once)"),
     (2, ((1, 0, 1, 0, 0),), 0, "semiarc 0 has multiple sources (must be produced exactly once)"),
     (0, (), -1, "free loop count cannot be negative"),
+    (-1, (), 0, "semiarc count cannot be negative"),
+    (-1, ((1, 0, 0, 0, 0),), 0, "semiarc count cannot be negative"),
+    # a sign is the int 1 or -1 itself: equal floats, bools and text are refused
+    (2, ((1.0, 0, 1, 1, 0),), 0, "crossing sign must be +1 or -1, got 1.0"),
+    (2, ((1, 0, 1, 1, 0), (True, 0, 1, 1, 0)), 0, "crossing sign must be +1 or -1, got True"),
+    (2, ((-1.0, 0, 1, 1, 0),), 0, "crossing sign must be +1 or -1, got -1.0"),
+    (2, (("1", 0, 1, 1, 0),), 0, "crossing sign must be +1 or -1, got '1'"),
+    (2, (([1], 0, 1, 1, 0),), 0, "crossing sign must be +1 or -1, got [1]"),
 ])
 def test_validation_messages(count, crossings, free_loops, message):
     with pytest.raises(DiagramError) as e:

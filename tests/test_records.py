@@ -62,6 +62,7 @@ def test_a_record_builds_by_keyword_and_keeps_its_repr_equality_and_hash(cls, fi
     (KINK, {"semiarc_count": 5}, DiagramError,
      "semiarc 2 has no head (must be consumed exactly once)"),
     (KINK, {"free_loops": -1}, DiagramError, "free loop count cannot be negative"),
+    (KINK, {"semiarc_count": -1}, DiagramError, "semiarc count cannot be negative"),
     (KINK, {"free_loops": 1.0}, DiagramError,
      "semiarc count, ids and free loop count must be integers, got 1.0"),
     (RelationMatrix(({0: 1},), 3, 1), {"modulus": 0}, ValueError, "modulus must be >= 1"),
@@ -71,8 +72,8 @@ def test_a_record_builds_by_keyword_and_keeps_its_repr_equality_and_hash(cls, fi
      "exponents and coefficients must be nonnegative"),
     (ExponentPolynomial({1: 2}), {"coeffs": {1: 0.5}}, ValueError,
      "exponents and coefficients must be integers"),
-], ids=["diagram-count", "diagram-loops", "diagram-float", "matrix-modulus", "matrix-cols",
-        "poly-negative", "poly-float"])
+], ids=["diagram-count", "diagram-loops", "diagram-negative-count", "diagram-float",
+        "matrix-modulus", "matrix-cols", "poly-negative", "poly-float"])
 def test_replace_and_make_run_the_constructor_checks(record, change, error, message):
     with pytest.raises(error) as replaced:
         record._replace(**change)
@@ -95,7 +96,11 @@ def test_replace_and_make_give_the_checked_type():
     ((2, (Crossing(1, 0.0, 1, 1, 0.0),)), "0.0"),
     ((0, (), 1.5), "1.5"),
     ((2.0, (Crossing(1, 0, 1, 1, 0),)), "2.0"),
-], ids=["float-id", "float-loops", "float-count"])
+    ((1, (Crossing(1, 0, 0, 0, "0"),)), "'0'"),
+    (("2", (Crossing(1, 0, 1, 1, 0),)), "'2'"),
+    ((0, (), "1"), "'1'"),
+    ((2, (Crossing(1, 0, [1], 1, 0),)), "[1]"),
+], ids=["float-id", "float-loops", "float-count", "text-id", "text-count", "text-loops", "list-id"])
 def test_a_diagram_takes_integer_counts_and_ids_alone(args, bad):
     with pytest.raises(DiagramError) as caught:
         SemiarcDiagram(*args)
