@@ -238,16 +238,16 @@ def from_tables(over_table, under_table) -> FiniteBiquandle:
 
 def make_dihedral(n: int) -> FiniteBiquandle:
     """The dihedral quandle R_n on {1..n} with x |> y = 2y - x mod n."""
-    if n < 1:
+    if type(n) is int and n < 1:  # make_module_biquandle refuses an n that is no int
         raise ValueError(f"dihedral quandle needs n >= 1, got {n}")
-    return make_linear_biquandle(n, 1, 0, n - 1, 2)
+    return make_linear_biquandle(n, 1, 0, -1, 2)
 
 
 def make_linear_biquandle(n: int, a: int, b: int, c: int, d: int) -> FiniteBiquandle:
     """Biquandle on Z_n with x ." y = ax + by and x .v y = cx + dy, if valid.
 
-    Elements are 1-based labels for the residues 1..n (n standing for 0),
-    as in make_module_biquandle's r = 1 case. Each axiom validate_axioms
+    It is make_module_biquandle's r = 1 case: elements are 1-based labels
+    for the residues 1..n (n standing for 0). Each axiom validate_axioms
     checks is linear in x, y and z, so it holds iff its coefficients agree
     mod n (Nelson-Rische, "On bilinear biquandles", 2008). The columns
     need units a and c, the diagonal a + b = c + d, and the exchange laws
@@ -257,13 +257,7 @@ def make_linear_biquandle(n: int, a: int, b: int, c: int, d: int) -> FiniteBiqua
     use, or at once for a rejected spec, whose AxiomError names
     validate_axioms' first failure.
     """
-    if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {n}")
-    a, b, c, d = (int(v) % n for v in (a, b, c, d))
-    mats = [((v,),) for v in (a, b, c, d)]
-    if math.gcd(a * c, n) == 1 and (a + b - c - d) % n == 0 and b * d % n == 0:
-        return FiniteBiquandle(n, form=(n, *mats))
-    return from_tables(*_module_tables(n, mats))
+    return make_module_biquandle(n, ((a,),), ((b,),), ((c,),), ((d,),))
 
 
 def _label(index: int, n: int, r: int) -> int:
@@ -313,16 +307,22 @@ def _module_tables(n: int, mats) -> tuple[Table, Table]:
 def make_module_biquandle(n: int, A, B, C, D) -> FiniteBiquandle:
     """Biquandle on (Z/n)^r with x ." y = Ax + By and x .v y = Cx + Dy, if valid.
 
-    A, B, C, D are r x r integer matrices, as lists of rows; elements are
+    A, B, C, D are r x r int matrices, as lists of rows; elements are
     labelled as _label says, like linear_form reads them. Raises
     AxiomError with the first failing axiom and witness.
     """
+    for v in (n, *(v for M in (A, B, C, D) for row in M for v in row)):
+        if type(v) is not int:
+            raise ValueError(f"biquandle parameters must be integers, got {v!r}")
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
-    mats = [tuple(tuple(int(v) % n for v in row) for row in M) for M in (A, B, C, D)]
+    mats = [tuple(tuple(v % n for v in row) for row in M) for M in (A, B, C, D)]
     r = len(mats[0])
     if r < 1 or any(len(M) != r or any(len(row) != r for row in M) for M in mats):
         raise ValueError("A, B, C and D must be r x r matrices with r >= 1")
+    a, b, c, d = (M[0][0] for M in mats)  # for r = 1, checked as make_linear_biquandle says
+    if r == 1 and math.gcd(a * c, n) == 1 and (a + b - c - d) % n == 0 and b * d % n == 0:
+        return FiniteBiquandle(n, form=(n, *mats))
     return from_tables(*_module_tables(n, mats))
 
 

@@ -9,24 +9,24 @@ say that a map X -> Y is a homomorphism, so one solver serves both.
 Over a linear biquandle the relations form a sparse system mod n whose
 solutions are a Z/n-module. FiniteBiquandle.linear_form names one shape,
 given by a linear constructor or read off the tables: x ." y = Ax + By
-and x .v y = Cx + Dy with r x r matrices on (Z/n)^r, |Y| = n^r,
-labelled by algebra._label (r = 1 for make_linear_biquandle's algebras
-and the dihedral R_n, r = 2 for Alexander quandles over GF(4) or
-GF(9)). Each semiarc has r unknowns,
-semiarc s's coordinate i being unknown s*r + i. coloring_matrix hands
-out that system as a RelationMatrix of sparse rows, the form the
-elimination reads; dense() is for printing. One elimination over each
-prime power of n serves two consumers. Before it, a union-find merges
-the unknowns of each equality row x_a = x_b without building it, and
-every other row is built once on the merged unknowns, zero and repeated
-rows dropped; rows the elimination empties drop out too. The counter
-multiplies the sizes its pivots leave free; the lister keeps the
-pivots, reads a generator per free parameter off them by
-back-substitution, and lists
-the box of their multiples column by column, building each distinct
-column once (a quandle crossing's o_in and o_out always share one) and
-zipping the columns into rows. Every other algebra is listed, or
-counted leaf by leaf, by a search that branches only when no crossing
+and x .v y = Cx + Dy with r x r matrices on (Z/n)^r, |Y| = n^r, labelled
+by algebra._label (r = 1 for make_linear_biquandle's algebras and the
+dihedral R_n, r = 2 for Alexander quandles over GF(4) or GF(9)). Each
+semiarc has r unknowns, semiarc s's coordinate i being unknown s*r + i.
+coloring_matrix hands out that system as a RelationMatrix of sparse
+rows, the form the elimination reads; dense() is for printing. One
+elimination over each prime power of n serves two consumers. A
+union-find merges the unknowns of each equality row x_a = x_b without
+building it, and every other row is built once on the roots, zero and
+repeated rows dropped; rows the elimination empties drop out too. Merged
+unknowns come back as a map to their roots, the real pivots as a list.
+The counter reads their sizes and the pivots' valuations; the lister
+reads a generator per free parameter off the pivots by
+back-substitution, copies each root to the unknowns merged into it, and
+lists the box of their multiples column by column, building each
+distinct column once (a quandle crossing's o_in and o_out always share
+one) and zipping the columns into rows. Every other algebra is listed,
+or counted leaf by leaf, by a search that branches only when no crossing
 has a propagating pair of known values: any such pair names the whole
 quad of Y at that crossing, looked up in one table per pair. Which
 semiarcs a branch makes known does not depend on its value, so the
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, defaultdict
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -195,18 +196,21 @@ class RelationMatrix(NamedTuple("RelationMatrix", [
         ("rows", tuple[dict[int, int], ...]), ("modulus", int), ("cols", int)])):
     """Homogeneous linear relations mod n over the unknowns 0..cols-1.
 
-    One sparse row {column: coefficient} per relation, coefficients read
-    mod modulus; dense() writes the rows out in full for printing."""
+    One sparse row {column: int coefficient} per relation, read mod an int
+    modulus; dense() writes the rows out in full for printing."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, rows: tuple[dict[int, int], ...], modulus: int, cols: int):
-        if modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        for row in rows:
-            if row and (min(row) < 0 or max(row) >= cols):
-                raise ValueError(f"relation row {row} has a column outside 0..{cols - 1}")
+        if type(modulus) is not int or type(cols) is not int or modulus < 1 or cols < 0:
+            raise ValueError(f"modulus must be >= 1 and cols >= 0, both ints: {modulus!r}, {cols!r}")
+        used = set(chain.from_iterable(rows))  # every column a row names
+        if used and (min(used) < 0 or max(used) >= cols):
+            row = next(row for row in rows if row and (min(row) < 0 or max(row) >= cols))
+            raise ValueError(f"relation row {row} has a column outside 0..{cols - 1}")
+        if set(map(type, chain.from_iterable(map(dict.values, rows)))) - {int}:
+            raise ValueError("relation coefficients must be integers")
         return super().__new__(cls, rows, modulus, cols)
 
     def dense(self) -> tuple[tuple[int, ...], ...]:
@@ -284,45 +288,40 @@ def _count_kernel(rows, cols: int, n: int) -> int:
     """Number of x in (Z/n)^cols with row . x = 0 mod n for every sparse row.
 
     The count is the product of the counts mod each p^k exactly dividing n
-    (Chinese remainder theorem): p^k per column, of which a pivot of
-    valuation v leaves p^v. The pivots are counted as they come, not kept.
+    (Chinese remainder theorem): p^k per column neither merged nor pivoted,
+    and p^v per pivot of valuation v.
     """
     count = 1
     for p, k in _prime_powers(n):
-        exponent = k * cols
-        for _, v, _, _ in _pivots(rows, p, k):
-            exponent -= k - v
-        count *= p**exponent
+        merged, pivots = _eliminate(rows, p, k)
+        count *= p ** (k * (cols - len(merged) - len(pivots)) + sum(v for _, v, _, _ in pivots))
     return count
 
 
-def _pivots(rows, p: int, k: int):
-    """Eliminate the sparse rows mod q = p^k in the local Smith form, yielding each pivot.
-
-    A pivot is (j, v, inv, rest): its row reads p^v*u*x_j + sum(rest[c]*x_c) = 0
-    with inv = u^-1 mod q, and every entry of rest divisible by p^v. The
-    rows given are read, never changed.
+def _eliminate(rows, p: int, k: int):
+    """Eliminate the sparse rows mod q = p^k in the local Smith form: (merged, pivots).
 
     First, each row given as u*x_a - u*x_b, u a unit (half a quandle
     diagram's rows, every row of a kink chain), merges a and b in a
-    path-halving union-find and is not built at all. Merged columns j come
-    first as pivots x_j - x_root = 0. Every other row is then built once,
-    on the roots and mod q, so no later pivot uses j and reverse
-    back-substitution fills j last; rows that come out zero, or equal to a
-    row already built, are dropped, since they say nothing new.
+    path-halving union-find and is not built at all; merged maps each
+    column merged away to its root, which is never merged. Every other row
+    is then built once, on the roots and mod q, so no pivot uses a merged
+    column; rows that come out zero, or equal to a row already built, say
+    nothing new and are dropped. The rows given are read, never changed.
 
-    Phase v pivots on entries of valuation exactly v; no entry of lower
-    valuation is left or can arise, because every remaining entry is
-    divisible by p^v. Clearing the pivot's column with row operations
-    and its row with a unimodular change of variables isolates
-    p^v * x_j = 0, which has p^v solutions, so the pivot's row and column
-    drop out; later pivots' rows never use an earlier pivot's column.
-    Columns never pivoted are free: q choices each. Within a phase the
-    pivot is the row's entry whose column has the fewest rows, which
-    keeps fill-in low. One pass over the rows suffices per phase: a row
-    already passed has every entry divisible by p^(v+1), and eliminating
-    into it keeps that so. A row the elimination empties is retired: no
-    column lists it and no later phase walks it.
+    pivots lists the pivots in order, each (j, v, inv, rest): its row
+    reads p^v*u*x_j + sum(rest[c]*x_c) = 0 with inv = u^-1 mod q, and every
+    entry of rest divisible by p^v. Phase v pivots on entries of valuation
+    exactly v; no entry of lower valuation is left or can arise, because
+    every remaining entry is divisible by p^v. Clearing the pivot's column
+    with row operations and its row with a unimodular change of variables
+    isolates p^v * x_j = 0, which has p^v solutions, so the pivot's row and
+    column drop out; later pivots' rows never use an earlier pivot's
+    column. Within a phase the pivot is the row's entry whose column has
+    the fewest rows, which keeps fill-in low. One pass over the rows
+    suffices per phase: a row already passed has every entry divisible by
+    p^(v+1), and eliminating into it keeps that so. A row the elimination
+    empties is retired: no column lists it and no later phase walks it.
     """
     q = p**k
     parent: dict[int, int] = {}  # merged column -> a column it equals, nearer its root
@@ -343,7 +342,6 @@ def _pivots(rows, p: int, k: int):
         general.append(row)
     for j in reversed(parent):  # j's ancestors were merged after j: map j to its root
         parent[j] = parent.get(parent[j], parent[j])
-    yield from ((j, 0, 1, {r: q - 1}) for j, r in parent.items())
 
     root = parent.get
     built: dict[frozenset, dict[int, int]] = {}  # each distinct nonzero row, by its entries
@@ -361,6 +359,7 @@ def _pivots(rows, p: int, k: int):
     for i, row in enumerate(rows):
         for j in row:
             col_rows[j].add(i)
+    pivots = []
     live = range(len(rows))
     for v in range(k):
         pv, above = p**v, p ** (v + 1)
@@ -389,26 +388,27 @@ def _pivots(rows, p: int, k: int):
                     elif c in other:
                         del other[c]
                         col_rows[c].discard(r)
-            yield j, v, inv, row
+            pivots.append((j, v, inv, row))
         live = kept
+    return parent, pivots
 
 
 def _list_kernel(rows, cols: int, n: int, width: int = 1) -> list[Coloring]:
     """Every x in ((Z/n)^width)^cols with row . x = 0 mod n, as sorted tuples of labels.
 
     The rows are over cols * width unknowns, unknown s*width + i being
-    coordinate i of entry s. Per p^k, each parameter of the elimination
-    gives a generator g: a free unknown of order q = p^k, or a pivot of
-    valuation v > 0 of order p^v stepping x_j by p^(k-v); back-substitution
-    in reverse pivot order fills in the pivot unknowns. Every null vector
-    is sum(t * g) for exactly one 0 <= t < order per generator, so lifting
-    each g to Z/n with the CRT idempotent of p^k makes the null space the
-    box of their multiples. The box is built column by column: an
-    unknown's values depend only on its coefficients across the
-    generators, so entries with equal coefficients (a quandle crossing's
-    o_in and o_out) share one list, grown by t * a mod n per generator:
-    one addition per listed value, so the cost follows the listing, not
-    n^2. Labels are linear_form's, given by algebra._label for r = width.
+    coordinate i of entry s. Per p^k, each parameter of the elimination gives
+    a generator g: a free unknown of order q = p^k, or a pivot of valuation
+    v > 0 of order p^v stepping x_j by p^(k-v); back-substitution in reverse
+    pivot order fills in the pivot unknowns, and each merged unknown copies
+    its root. Every null vector is sum(t * g) for exactly one 0 <= t < order
+    per generator, so lifting each g to Z/n with the CRT idempotent of p^k
+    makes the null space the box of their multiples. The box is built column
+    by column: an unknown's values depend only on its coefficients across the
+    generators, so entries with equal coefficients (a quandle crossing's o_in
+    and o_out) share one list, grown by t * a mod n per generator: one
+    addition per listed value, so the cost follows the listing, not n^2.
+    Labels are linear_form's, given by algebra._label for r = width.
     """
     if cols == 0:
         return [()]
@@ -417,15 +417,15 @@ def _list_kernel(rows, cols: int, n: int, width: int = 1) -> list[Coloring]:
     for p, k in _prime_powers(n):
         q = p**k
         e = n // q * pow(n // q, -1, q)  # 1 mod q, 0 mod n/q
-        pivots = list(_pivots(rows, p, k))
-        pivoted = {j for j, _, _, _ in pivots}
-        params = [(c, q) for c in range(unknowns) if c not in pivoted]
+        merged, pivots = _eliminate(rows, p, k)
+        fixed = {*merged, *(j for j, _, _, _ in pivots)}
+        params = [(c, q) for c in range(unknowns) if c not in fixed]
         for col, order in params + [(j, p**v) for j, v, _, _ in pivots if v]:
             g = [0] * unknowns
             g[col] = q // order
             for j, v, inv, rest in reversed(pivots):
                 g[j] = (g[j] - inv * (sum(a * g[c] for c, a in rest.items()) // p**v)) % q
-            gens.append((order, [x * e % n for x in g]))
+            gens.append((order, [g[merged.get(c, c)] * e % n for c in range(unknowns)]))
 
     def residues(key) -> list[int]:  # an unknown's values over the box
         col = [0]

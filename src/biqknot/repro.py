@@ -1,13 +1,13 @@
 """The reference battery: every headline value this library reproduces.
 
 Each item checks one published or derived claim at its exact expected
-value and reports pass/fail. Items 1 and 9 contain sub-checks that are
-expected to fail: the four-element example tables are printed with
-mismatched diagonals in the source material (no reading of the encoding
-fixes a diagonal), and an in-degree exponent of 3 is unattainable over
-R_9 at 81 vertices (coloring sets are modules, so in-degree exponents
-are kernel sizes 9, 27 or 81). Those checks are kept literal rather
-than weakened; everything else passes.
+value and reports pass/fail. Items 1 and 9 keep two failing sub-checks
+literal rather than weaken them: the printed four-element tables have
+differing diagonals (x."x != x.vx), which validate_axioms rejects,
+though that axiom is no move condition of the library's crossing
+convention (ROADMAP item 1); and an in-degree exponent of 3 is
+unattainable over R_9 at 81 vertices (coloring sets are modules, so
+in-degree exponents are kernel sizes 9, 27 or 81).
 """
 
 from __future__ import annotations

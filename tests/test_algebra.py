@@ -79,6 +79,10 @@ def test_dihedral_r1_trivial():
 def test_dihedral_rejects_zero():
     with pytest.raises(ValueError):
         make_dihedral(0)
+    # no int: True used to build with size True, 3.0 leaked a TypeError
+    for n in (True, 3.0, "3", None):
+        with pytest.raises(ValueError, match=f"^biquandle parameters must be integers, got {n!r}$"):
+            make_dihedral(n)
 
 
 def test_dihedral_tables_are_the_formula():
@@ -394,6 +398,18 @@ def test_module_biquandle_rejects_bad_input():
         make_module_biquandle(2, [], [], [], [])
     with pytest.raises(AxiomError):  # x ." y = 0 is no bijection
         make_module_biquandle(2, ZERO, ZERO, W, ONE_PLUS_W)
+    # parameters that are no int, for r >= 2 and for r = 1 (make_linear_biquandle):
+    # 1.9 used to be read as 1, "1" and "4" around _decimal's rule
+    for make, args, bad in (
+            (make_module_biquandle, (2, IDENTITY, ZERO, W, ((1, 1.0), (1, 0))), 1.0),
+            (make_module_biquandle, (2, IDENTITY, ZERO, W, ((True, 1), (1, 0))), True),
+            (make_module_biquandle, (2.0, IDENTITY, ZERO, W, ONE_PLUS_W), 2.0),
+            (make_linear_biquandle, (3, 1.9, 0, 2, 2), 1.9),
+            (make_linear_biquandle, (5, "1", 0, "4", 2), "1"),
+            (make_linear_biquandle, (True, 1, 0, 1, 0), True),
+            (make_linear_biquandle, (4, 3, 0, 1, False), False)):
+        with pytest.raises(ValueError, match=f"^biquandle parameters must be integers, got {bad!r}$"):
+            make(*args)
 
 
 def test_linear_form_checks_every_entry_of_both_tables():

@@ -26,9 +26,9 @@ from biqknot.algebra import (
 from biqknot.coloring import (
     BRUTE_FORCE_GUARD,
     RelationMatrix,
+    _eliminate,
     _list_kernel,
     _oriented,
-    _pivots,
     _search,
     coloring_matrix,
     colorings_with_loops,
@@ -555,13 +555,8 @@ def check_kernel_routes(rows, cols, n):
 
 
 def merges(rows, p, k):
-    """The leading pivots of the form x_j - x_root = 0 mod p^k, as {j: root}."""
-    out = {}
-    for j, v, inv, rest in _pivots(rows, p, k):
-        if (v, inv, list(rest.values())) != (0, 1, [p**k - 1]):
-            break
-        out[j] = next(iter(rest))
-    return out
+    """The elimination's merged columns mod p^k, as {j: root}."""
+    return _eliminate(rows, p, k)[0]
 
 
 def test_equality_rows_merge_only_over_units():
@@ -597,6 +592,15 @@ def test_equality_rows_merge_only_over_units():
     assert check_kernel_routes([{0: 1, 1: 11, 2: 12}], 3, 12) == 144
     assert check_kernel_routes([{1: 1, 2: -1}, {0: 3, 1: -1, 2: -2}], 3, 7) == 7
     assert check_kernel_routes([{1: 1, 2: -1}, {0: 3, 1: -1, 2: -2}], 3, 9) == 27
+    # a merged column is never pivoted, and a root is never itself merged
+    for rows, p, k in ((cycle + [{2: 3, 3: 3}, {3: 2, 0: 5}], 3, 2),
+                       ([{0: 1, 1: -1}, {0: 3, 1: 3}], 2, 2),
+                       ([{1: 1, 2: -1}, {0: 3, 1: -1, 2: -2}], 7, 1),
+                       ([{0: 1, 1: -1}, {2: 1, 0: -1}, {3: 1, 2: -1}, {1: 2, 3: 2}], 3, 1)):
+        merged, pivots = _eliminate(rows, p, k)
+        assert merged and pivots
+        assert not merged.keys() & {j for j, _, _, _ in pivots}
+        assert not merged.keys() & set(merged.values())
 
 
 def test_random_equality_systems_match_brute_force():
@@ -634,6 +638,14 @@ def test_relation_matrix_rejects_columns_outside_cols():
     for rows in (({2: 1},), ({0: 1}, {-1: 2}), ({0: 1, 1: 1},)):
         with pytest.raises(ValueError):
             RelationMatrix(rows, 5, 1)
+    # a coefficient that is no int used to leak pow()'s TypeError (1.5) or count as 1 (True)
+    for rows in (({0: 1.5},), ({0: True, 1: -1},), ({0: 1}, {1: 2.0}), ({0: "1"},)):
+        with pytest.raises(ValueError, match="^relation coefficients must be integers$"):
+            RelationMatrix(rows, 3, 2)
+    # cols that is no int >= 0 used to count 3^-2 or 3^2.5
+    for cols in (-2, 2.5, True, "2"):
+        with pytest.raises(ValueError, match="cols >= 0, both ints"):
+            RelationMatrix((), 3, cols)
     m = RelationMatrix(({0: 5}, {}), 5, 1)  # unreduced and empty rows fit
     assert count_solutions_snf(m) == count_solutions_bruteforce(m) == 5
     assert RelationMatrix(({0: -1, 2: 7},), 4, 3).dense() == ((3, 0, 3),)
@@ -642,7 +654,7 @@ def test_relation_matrix_rejects_columns_outside_cols():
 def test_relation_matrix_rejects_modulus_below_one():
     # brute force used to count 0 here while the SNF count raised, and dense()
     # divided by zero or printed negative entries
-    for modulus in (0, -3):
+    for modulus in (0, -3, 3.0, True, "3"):
         with pytest.raises(ValueError, match="modulus must be >= 1"):
             RelationMatrix(({0: 1},), modulus, 2)
 

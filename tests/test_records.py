@@ -65,15 +65,23 @@ def test_a_record_builds_by_keyword_and_keeps_its_repr_equality_and_hash(cls, fi
     (KINK, {"semiarc_count": -1}, DiagramError, "semiarc count cannot be negative"),
     (KINK, {"free_loops": 1.0}, DiagramError,
      "semiarc count, ids and free loop count must be integers, got 1.0"),
-    (RelationMatrix(({0: 1},), 3, 1), {"modulus": 0}, ValueError, "modulus must be >= 1"),
+    (RelationMatrix(({0: 1},), 3, 1), {"modulus": 0}, ValueError,
+     "modulus must be >= 1 and cols >= 0, both ints: 0, 1"),
     (RelationMatrix(({0: 1},), 3, 1), {"cols": 0}, ValueError,
      "relation row {0: 1} has a column outside 0..-1"),
+    (RelationMatrix(({0: 1},), 3, 1), {"modulus": 3.0}, ValueError,
+     "modulus must be >= 1 and cols >= 0, both ints: 3.0, 1"),
+    (RelationMatrix(({0: 1},), 3, 1), {"cols": 1.5}, ValueError,
+     "modulus must be >= 1 and cols >= 0, both ints: 3, 1.5"),
+    (RelationMatrix(({0: 1},), 3, 1), {"rows": ({0: True},)}, ValueError,
+     "relation coefficients must be integers"),
     (ExponentPolynomial({1: 2}), {"coeffs": {-1: 1}}, ValueError,
      "exponents and coefficients must be nonnegative"),
     (ExponentPolynomial({1: 2}), {"coeffs": {1: 0.5}}, ValueError,
      "exponents and coefficients must be integers"),
 ], ids=["diagram-count", "diagram-loops", "diagram-negative-count", "diagram-float",
-        "matrix-modulus", "matrix-cols", "poly-negative", "poly-float"])
+        "matrix-modulus", "matrix-cols", "matrix-float-modulus", "matrix-float-cols",
+        "matrix-bool-coefficient", "poly-negative", "poly-float"])
 def test_replace_and_make_run_the_constructor_checks(record, change, error, message):
     with pytest.raises(error) as replaced:
         record._replace(**change)
