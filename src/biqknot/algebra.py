@@ -457,10 +457,12 @@ def subquandle_closure(Q: FiniteBiquandle, S) -> frozenset[int]:
     """
     if not Q.is_quandle():
         raise ValueError("subquandle closure is defined for quandles only")
-    seeds = {int(s) for s in S}
+    seeds = set(S)
     if not seeds:
         raise ValueError("seed set must be nonempty")
     for s in seeds:
+        if type(s) is not int:  # int() would read 1.5 as 1 and True as 1
+            raise ValueError(f"elements must be ints, got {s!r}")
         if not 1 <= s <= Q.size:
             raise ValueError(f"element {s} out of range 1..{Q.size}")
     columns = [s - 1 for s in seeds]

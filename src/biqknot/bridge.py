@@ -16,7 +16,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .diagram import SemiarcDiagram, StrandDecomposition, strands
+from .diagram import SemiarcDiagram, StrandDecomposition, _strand_walk, strands
 
 
 class SeedReport(NamedTuple):
@@ -65,7 +65,11 @@ def wirtinger_saturate(d: SemiarcDiagram, seeds) -> SeedReport:
     """
     dec = strands(d)
     n_strands = len(dec.strands)
-    seed_set = tuple(sorted({int(s) for s in seeds}))
+    given = set(seeds)
+    for s in given:
+        if type(s) is not int:  # int() would read 0.7 as 0 and True as 1
+            raise ValueError(f"strand ids must be ints, got {s!r}")
+    seed_set = tuple(sorted(given))
     if not seed_set and n_strands:
         raise ValueError("seed set must be nonempty")
     for s in seed_set:
@@ -119,15 +123,12 @@ def min_seed_size(d: SemiarcDiagram, k_max: int = 6) -> tuple[int, tuple[int, ..
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    dec = strands(d)
-    n_strands = len(dec.strands)
-    cycles = d.components()
-    component_of = {s: c for c, cycle in enumerate(cycles) for s in cycle}
-    component = [component_of[path[0]] for path in dec.strands]
+    dec, component = _strand_walk(d)
+    n_strands, n_components = len(dec.strands), len(set(component))
     touching = _touching(dec)
-    for k in range(len(cycles), min(k_max - d.free_loops, n_strands) + 1):
+    for k in range(n_components, min(k_max - d.free_loops, n_strands) + 1):
         for combo in itertools.combinations(range(n_strands), k):
-            if len(set(map(component.__getitem__, combo))) < len(cycles):
+            if len(set(map(component.__getitem__, combo))) < n_components:
                 continue
             moves = sum(1 for _ in _moves(dec, touching, combo))
             if k + moves == n_strands:

@@ -342,30 +342,24 @@ def cmd_knots(args) -> int:
 
 def cmd_repro(args) -> int:
     from . import repro
-    names = None if args.item is None else set(args.item)
-    items = repro.run_items(names)
-    if args.format == "json":
-        import json
-        payload = [{"claim": it.claim, "provenance": it.provenance,
-                    "expected": it.expected, "computed": it.computed,
-                    "passed": it.passed} for it in items]
+    items = repro.run_items(None if args.item is None else set(args.item))
+    rows, lines = [], []
+    for it in items:
+        rows.append({"claim": it.claim, "provenance": it.provenance, "expected": it.expected,
+                     "computed": it.computed, "passed": it.passed})
+        timing = ""
         if args.timings:
-            for row, it in zip(payload, items):
-                row["seconds"] = round(it.seconds, 3)
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for it in items:
-            status = "PASS" if it.passed else "FAIL"
-            timing = f" ({it.seconds:.2f}s)" if args.timings else ""
-            print(f"{status} {it.claim} [{it.provenance}]{timing}")
-            if not it.passed:
-                print(f"  expected: {it.expected}")
-                print(f"  computed: {it.computed}")
-                if it.claim in repro.KNOWN_DEFECTS:
-                    print(f"  note: {repro.KNOWN_DEFECTS[it.claim]}")
-        passed = sum(1 for it in items if it.passed)
-        print(f"{passed}/{len(items)} items passed")
-    return 0 if all(it.passed for it in items) else 1
+            rows[-1]["seconds"] = round(it.seconds, 3)
+            timing = f" ({it.seconds:.2f}s)"
+        lines.append(f"{'PASS' if it.passed else 'FAIL'} {it.claim} [{it.provenance}]{timing}")
+        if not it.passed:
+            lines += [f"  expected: {it.expected}", f"  computed: {it.computed}"]
+            if it.claim in repro.KNOWN_DEFECTS:
+                lines.append(f"  note: {repro.KNOWN_DEFECTS[it.claim]}")
+    passed = sum(1 for it in items if it.passed)
+    lines.append(f"{passed}/{len(items)} items passed")
+    emit(args, lines, rows)
+    return 0 if passed == len(items) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

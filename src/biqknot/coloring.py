@@ -206,6 +206,9 @@ class RelationMatrix(NamedTuple("RelationMatrix", [
         if type(modulus) is not int or type(cols) is not int or modulus < 1 or cols < 0:
             raise ValueError(f"modulus must be >= 1 and cols >= 0, both ints: {modulus!r}, {cols!r}")
         used = set(chain.from_iterable(rows))  # every column a row names
+        if set(map(type, used)) - {int}:  # a 1.0 or True named after a 1 reads as column 1
+            bad = next(j for j in used if type(j) is not int)
+            raise ValueError(f"relation columns must be ints, got {bad!r}")
         if used and (min(used) < 0 or max(used) >= cols):
             row = next(row for row in rows if row and (min(row) < 0 or max(row) >= cols))
             raise ValueError(f"relation row {row} has a column outside 0..{cols - 1}")

@@ -24,7 +24,7 @@ that fails is rescanned by _raise_first_error to name its first bad
 line. A Crossing is a named tuple, equal to its plain 5-tuple
 (sign, u_in, o_in, u_out, o_out); a SemiarcDiagram is one too,
 (semiarc_count, crossings, free_loops), checked however it is built,
-by its constructor, _make or _replace, with integers alone accepted.
+by its constructor, _make or _replace, with ints alone accepted (no bool).
 
 Crossing relation convention used throughout the library: a positive
 crossing imposes u_out = u_in .v o_in and o_out = o_in ." u_in; a
@@ -73,12 +73,8 @@ class SemiarcDiagram(NamedTuple("SemiarcDiagram", [
             bad = next(s for s in signs if type(s) is not int or s not in (1, -1))
             raise DiagramError(f"crossing sign must be +1 or -1, got {bad!r}")
         ins, outs = u_in + o_in, u_out + o_out
-        try:
-            total = sum(outs, sum(ins, semiarc_count + free_loops))
-        except TypeError:  # text, say, added to an int
-            total = None
-        if type(total) is not int:  # ints sum to an int
-            bad = next(v for v in (semiarc_count, free_loops, *ins, *outs) if not isinstance(v, int))
+        if {type(semiarc_count), type(free_loops), *map(type, ins), *map(type, outs)} - {int}:
+            bad = next(v for v in (semiarc_count, free_loops, *ins, *outs) if type(v) is not int)
             raise DiagramError(f"semiarc count, ids and free loop count must be integers, got {bad!r}")
         if semiarc_count < 0:
             raise DiagramError("semiarc count cannot be negative")
@@ -547,11 +543,14 @@ def apply_r2(d: SemiarcDiagram, semiarc_a: int, semiarc_b: int,
 
 
 class StrandDecomposition(NamedTuple):
-    """Partition of semiarcs into maximal overpasses.
+    """Partition of semiarcs into strands (maximal overpasses).
 
-    strands[i] lists the semiarcs of strand i in flow order. strand_of
-    maps each semiarc to its strand. crossing_incidence[c] gives, per
-    crossing, the two (adjacent) under-strands and the over-strand.
+    strands(d) cuts each cycle of d.components() after every semiarc
+    that passes under; a cycle that never does stays whole, from its
+    least semiarc. strands[i] lists strand i's semiarcs in flow order,
+    strands numbered by least semiarc; strand_of maps each semiarc to
+    its strand. crossing_incidence[c] gives, per crossing, the two
+    (adjacent) under-strands and the over-strand.
     """
 
     strands: tuple[tuple[int, ...], ...]
@@ -561,32 +560,26 @@ class StrandDecomposition(NamedTuple):
 
 def strands(d: SemiarcDiagram) -> StrandDecomposition:
     """Split every component at its undercrossings."""
-    over_next = {}
-    over_prev = {}
+    return _strand_walk(d)[0]
+
+
+def _strand_walk(d: SemiarcDiagram) -> tuple[StrandDecomposition, tuple[int, ...]]:
+    """strands(d), with the index in d.components() of each strand's component."""
+    goes_under = [False] * d.semiarc_count
     for c in d.crossings:
-        over_next[c.o_in] = c.o_out
-        over_prev[c.o_out] = c.o_in
+        goes_under[c.u_in] = True
+    found = []  # (path, component)
+    for comp, cycle in enumerate(d.components()):
+        ends = [i + 1 for i, s in enumerate(cycle) if goes_under[s]] or [0]  # [0]: never under
+        found += [(cycle[a:b], comp) for a, b in zip(ends, ends[1:])]
+        found.append((cycle[ends[-1]:] + cycle[:ends[0]], comp))  # the strand across the start
+    found.sort(key=lambda strand: min(strand[0]))
 
     strand_of = [-1] * d.semiarc_count
-    paths: list[tuple[int, ...]] = []
-    for s in range(d.semiarc_count):
-        if strand_of[s] != -1:
-            continue
-        # rewind to the start of the overpass; on an all-over cycle stop at s, its
-        # least semiarc, since a cycle's semiarcs are assigned all at once
-        start = s
-        while start in over_prev:
-            start = over_prev[start]
-            if start == s:
-                break
-        path = [start]
-        while over_next.get(path[-1], start) != start:
-            path.append(over_next[path[-1]])
-        idx = len(paths)
-        for p in path:
-            strand_of[p] = idx
-        paths.append(tuple(path))
-
+    for i, (path, _) in enumerate(found):
+        for s in path:
+            strand_of[s] = i
     incidence = tuple((strand_of[c.u_in], strand_of[c.u_out], strand_of[c.o_in])
                       for c in d.crossings)
-    return StrandDecomposition(tuple(paths), tuple(strand_of), incidence)
+    paths, component = zip(*found) if found else ((), ())
+    return StrandDecomposition(paths, tuple(strand_of), incidence), component

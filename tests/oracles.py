@@ -2,7 +2,7 @@
 
 import itertools
 
-from biqknot.algebra import FiniteBiquandle
+from biqknot.algebra import FiniteBiquandle, make_conjugation_quandle
 from biqknot.coloring import BRUTE_FORCE_GUARD, Coloring
 from biqknot.diagram import SemiarcDiagram
 
@@ -26,3 +26,13 @@ def brute_force_colorings(d: SemiarcDiagram, Y: FiniteBiquandle) -> list[Colorin
         else:
             out.append(cand)
     return out
+
+
+def transpositions_quandle():
+    """The 6 transpositions of S_4 under conjugation: connected, order 6, so not linear."""
+    swaps = []
+    for i, j in itertools.combinations(range(4), 2):
+        p = list(range(1, 5))
+        p[i], p[j] = p[j], p[i]
+        swaps.append(tuple(p))
+    return make_conjugation_quandle(swaps)

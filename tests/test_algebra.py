@@ -29,6 +29,8 @@ from biqknot.algebra import (
     validate_axioms,
 )
 
+from oracles import transpositions_quandle
+
 # Four-element tables printed in the literature this library reproduces.
 # As printed they fail the diagonal axiom (see tests below); kept here
 # verbatim so the failure stays pinned down.
@@ -333,16 +335,6 @@ def gf4_alexander_tables():
 W, ONE_PLUS_W, IDENTITY, ZERO = ((0, 1), (1, 1)), ((1, 1), (1, 0)), ((1, 0), (0, 1)), ((0, 0), (0, 0))
 
 
-def transpositions_quandle():
-    """The 6 transpositions of S_4 under conjugation: connected, order 6, so not linear."""
-    swaps = []
-    for i, j in itertools.combinations(range(4), 2):
-        p = list(range(1, 5))
-        p[i], p[j] = p[j], p[i]
-        swaps.append(tuple(p))
-    return make_conjugation_quandle(swaps)
-
-
 def test_homs_match_is_hom_filter():
     gf4 = from_tables(*gf4_alexander_tables())
     assert gf4.linear_form == (2, IDENTITY, ZERO, W, ONE_PLUS_W)  # listed by elimination
@@ -554,6 +546,14 @@ def test_subquandle_closure_r9():
     assert subquandle_closure(r9, {1}) == frozenset({1})
     assert subquandle_closure(r9, {1, 4}) == frozenset({1, 4, 7})
     assert subquandle_closure(r9, {1, 2}) == frozenset(range(1, 10))
+
+
+def test_subquandle_closure_takes_int_elements_alone():
+    # int() used to read 1.5 as element 1
+    r9 = make_dihedral(9)
+    for seeds in ([1.5], [True], [1, 2.0], ["1"], [1, "a"]):
+        with pytest.raises(ValueError, match="^elements must be ints, got "):
+            subquandle_closure(r9, seeds)
 
 
 def test_subquandle_closure_matches_naive_fixpoint():

@@ -30,6 +30,7 @@ from biqknot.diagram import (
     chain,
     parse_pd,
     pretzel,
+    serialize_pd,
     strands,
     torus_2n,
     unknot,
@@ -76,6 +77,13 @@ def test_unknown_strand_rejected():
         wirtinger_saturate(torus_2n(3), (7,))
     with pytest.raises(ValueError):
         wirtinger_saturate(torus_2n(3), ())
+
+
+def test_seed_strands_must_be_ints():
+    # int() used to read 0.7 as strand 0 and True as strand 1
+    for seeds in ([0.7], [True], [0, 1.0], ["1"], [0, "a"]):
+        with pytest.raises(ValueError, match="^strand ids must be ints, got "):
+            wirtinger_saturate(torus_2n(3), seeds)
 
 
 def test_min_seed_sizes():
@@ -137,6 +145,16 @@ def split_sum(*diagrams):
     return SemiarcDiagram(offset, tuple(crossings))
 
 
+# virtual diagrams, their virtual crossings erased on parsing: the virtual trefoil (over,
+# over, under, under along its one component); a knot whose one semiarc passes over and
+# then under the one crossing; a Hopf-like link of two one-semiarc cycles, one all over
+VIRTUAL = [parse_pd("X+ 3 7 4 0\nX+ 5 1 6 2\nV 0 4 1 5\nV 2 6 3 7\n"),
+           parse_pd("X+ 0 1 2 3\nV 2 3 1 0\n"), parse_pd("X- 0 1 2 3\nV 2 3 0 1\n")]
+# with free loops: a purely virtual loop (ids 100, 101) and L records
+LOOPED = [parse_pd(serialize_pd(torus_2n(3)) + "V 100 101 101 100\n"),
+          parse_pd("L 2\n" + serialize_pd(chain(3))), parse_pd("V 9 7 8 6\nL 1\nX+ 6 8 9 7\n")]
+
+
 def exhaustive_min_seed(d, k_max=6):
     """The first saturating subset by size, then lexicographically, by wirtinger_saturate."""
     n = len(strands(d).strands)
@@ -154,7 +172,7 @@ def test_min_seed_size_matches_exhaustive_saturation():
     diagrams += [split_sum(torus_2n(3), unknot(1)), split_sum(chain(3), torus_2n(3)),
                  split_sum(unknot(1), unknot(1), unknot(2)),
                  split_sum(torus_2n(4), pretzel([3, 3, 3]))]
-    diagrams += [rec.diagram for rec in builtin_table().values()]
+    diagrams += [rec.diagram for rec in builtin_table().values()] + VIRTUAL
     for d in diagrams:
         for k_max in range(0, d.component_count() + 2):
             assert min_seed_size(d, k_max) == exhaustive_min_seed(d, k_max)
@@ -300,6 +318,7 @@ def moved(d, rng):
 def oracle_battery(rng):
     base = [torus_2n(p) for p in (1, 2, 3, 4, 5, 8)] + [chain(3), chain(5), unknot(1)]
     base += [pretzel([3, 3, 3]), pretzel([9, 2, 9]), pretzel([3, -2, 5]), ALL_OVER]
+    base += VIRTUAL + LOOPED
     base += [rec.diagram for rec in builtin_table().values()]
     for d in base:
         yield d
@@ -337,10 +356,11 @@ def test_zero_count_error_names_the_true_reason():
         b2_lower([(X, 0)])
 
 
-def naive_log_bound(size, count):
-    b = 0
-    while size**b < count:
-        b += 1
+def exact_log_bound(size, count):
+    """Smallest b with size**b >= count, by walking the powers."""
+    b, power = 0, 1
+    while power < count:
+        b, power = b + 1, power * size
     return b
 
 
@@ -350,18 +370,10 @@ def test_log_bound_matches_the_power_loop():
     cases += [(rng.randint(2, 40), rng.randint(1, 10 ** rng.randint(1, 80))) for _ in range(3000)]
     for size, count in cases:
         if count >= 1:
-            assert _log_bound(size, count) == naive_log_bound(size, count), (size, count)
+            assert _log_bound(size, count) == exact_log_bound(size, count), (size, count)
     # far past where the power loop takes seconds
     assert _log_bound(3, 3**100000) == 100000
     assert _log_bound(3, 3**100000 + 1) == 100001
-
-
-def exact_log_bound(size, count):
-    """Smallest b with size**b >= count, by walking the powers."""
-    b, power = 0, 1
-    while power < count:
-        b, power = b + 1, power * size
-    return b
 
 
 def test_log_bound_is_exact_on_powers_and_their_neighbours():

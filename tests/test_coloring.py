@@ -16,7 +16,6 @@ from biqknot.algebra import (
     biquandle_z,
     enumerate_endos,
     from_tables,
-    make_conjugation_quandle,
     make_dihedral,
     make_linear_biquandle,
     make_module_biquandle,
@@ -51,7 +50,7 @@ from biqknot.diagram import (
 )
 from biqknot.knots import builtin_table
 
-from oracles import brute_force_colorings
+from oracles import brute_force_colorings, transpositions_quandle
 
 # the published null space of the T(2,4) relation matrix over the linear
 # biquandle Z (residues mod 4); my semiarc k corresponds to coordinate
@@ -642,6 +641,13 @@ def test_relation_matrix_rejects_columns_outside_cols():
     for rows in (({0: 1.5},), ({0: True, 1: -1},), ({0: 1}, {1: 2.0}), ({0: "1"},)):
         with pytest.raises(ValueError, match="^relation coefficients must be integers$"):
             RelationMatrix(rows, 3, 2)
+    # a column that is no int: 0.5 used to count 3 by SNF and 9 by brute force
+    for rows in (({0.5: 1},), ({0: 1}, {1.5: 2}), ({"1": 1},), ({True: 1},), ({0: 1, 1.0: 1},)):
+        with pytest.raises(ValueError, match="^relation columns must be ints, got "):
+            RelationMatrix(rows, 3, 2)
+    # the check reads the set of named columns: a 1.0 after a 1 is column 1 to both counters
+    m = RelationMatrix(({1: 1}, {1.0: 2, 0: 1}), 3, 2)
+    assert count_solutions_snf(m) == count_solutions_bruteforce(m) == 1
     # cols that is no int >= 0 used to count 3^-2 or 3^2.5
     for cols in (-2, 2.5, True, "2"):
         with pytest.raises(ValueError, match="cols >= 0, both ints"):
@@ -748,16 +754,6 @@ def gf4_alexander_quandle():
     under = [[(times_w(x) ^ y ^ times_w(y)) + 1 for y in range(4)] for x in range(4)]
     over = [[x + 1] * 4 for x in range(4)]
     return from_tables(over, under)
-
-
-def transpositions_quandle():
-    """The 6 transpositions of S_4 under conjugation: connected, order 6, so not linear."""
-    swaps = []
-    for i, j in itertools.combinations(range(4), 2):
-        p = list(range(1, 5))
-        p[i], p[j] = p[j], p[i]
-        swaps.append(tuple(p))
-    return make_conjugation_quandle(swaps)
 
 
 def test_colorings_with_loops_appends_every_free_loop_value():

@@ -75,13 +75,15 @@ def test_a_record_builds_by_keyword_and_keeps_its_repr_equality_and_hash(cls, fi
      "modulus must be >= 1 and cols >= 0, both ints: 3, 1.5"),
     (RelationMatrix(({0: 1},), 3, 1), {"rows": ({0: True},)}, ValueError,
      "relation coefficients must be integers"),
+    (RelationMatrix(({0: 1},), 3, 1), {"rows": ({0.5: 1},)}, ValueError,
+     "relation columns must be ints, got 0.5"),
     (ExponentPolynomial({1: 2}), {"coeffs": {-1: 1}}, ValueError,
      "exponents and coefficients must be nonnegative"),
     (ExponentPolynomial({1: 2}), {"coeffs": {1: 0.5}}, ValueError,
      "exponents and coefficients must be integers"),
 ], ids=["diagram-count", "diagram-loops", "diagram-negative-count", "diagram-float",
         "matrix-modulus", "matrix-cols", "matrix-float-modulus", "matrix-float-cols",
-        "matrix-bool-coefficient", "poly-negative", "poly-float"])
+        "matrix-bool-coefficient", "matrix-float-column", "poly-negative", "poly-float"])
 def test_replace_and_make_run_the_constructor_checks(record, change, error, message):
     with pytest.raises(error) as replaced:
         record._replace(**change)
@@ -108,7 +110,11 @@ def test_replace_and_make_give_the_checked_type():
     (("2", (Crossing(1, 0, 1, 1, 0),)), "'2'"),
     ((0, (), "1"), "'1'"),
     ((2, (Crossing(1, 0, [1], 1, 0),)), "[1]"),
-], ids=["float-id", "float-loops", "float-count", "text-id", "text-count", "text-loops", "list-id"])
+    ((2, (Crossing(1, 0, True, True, 0),)), "True"),
+    ((2, (Crossing(1, 0, 1, 1, 0),), False), "False"),
+    ((True, (Crossing(1, 0, 0, 0, 0),)), "True"),
+], ids=["float-id", "float-loops", "float-count", "text-id", "text-count", "text-loops", "list-id",
+        "bool-ids", "bool-loops", "bool-count"])
 def test_a_diagram_takes_integer_counts_and_ids_alone(args, bad):
     with pytest.raises(DiagramError) as caught:
         SemiarcDiagram(*args)
