@@ -64,6 +64,15 @@ def wirtinger_saturate(d: SemiarcDiagram, seeds) -> SeedReport:
     colored strands. Only a diagram without strands takes no seeds.
     """
     dec = strands(d)
+    seed_set = _seed_set(dec, seeds)
+    sequence = tuple(_moves(dec, _touching(dec), seed_set))
+    colored = frozenset(seed_set).union(s for _, s in sequence)
+    return SeedReport(seed_set, len(colored) == len(dec.strands), sequence, colored)
+
+
+def _seed_set(dec: StrandDecomposition, seeds) -> tuple[int, ...]:
+    """The seeds sorted, once each; ValueError unless they are ints naming strands of dec,
+    and at least one when dec has strands."""
     n_strands = len(dec.strands)
     given = set(seeds)
     for s in given:
@@ -75,9 +84,7 @@ def wirtinger_saturate(d: SemiarcDiagram, seeds) -> SeedReport:
     for s in seed_set:
         if not 0 <= s < n_strands:
             raise ValueError(f"unknown strand id {s} (diagram has {n_strands})")
-    sequence = tuple(_moves(dec, _touching(dec), seed_set))
-    colored = frozenset(seed_set).union(s for _, s in sequence)
-    return SeedReport(seed_set, len(colored) == n_strands, sequence, colored)
+    return seed_set
 
 
 def saturating_closure(d: SemiarcDiagram, seeds) -> frozenset[int]:
@@ -85,9 +92,10 @@ def saturating_closure(d: SemiarcDiagram, seeds) -> frozenset[int]:
 
     Treats each crossing as a hyperedge {under, over} -> other-under and
     closes under reachability, without tracking tokens or move order.
+    Refuses the seeds wirtinger_saturate refuses, with its messages.
     """
     dec = strands(d)
-    reached = set(seeds)
+    reached = set(_seed_set(dec, seeds))
     changed = True
     while changed:
         changed = False

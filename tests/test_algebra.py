@@ -1,8 +1,10 @@
 """Tests for finite biquandle tables, homomorphisms, and permutation utilities."""
 
+import collections
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -29,7 +31,7 @@ from biqknot.algebra import (
     validate_axioms,
 )
 
-from oracles import transpositions_quandle
+from oracles import naive_violations, transpositions_quandle
 
 # Four-element tables printed in the literature this library reproduces.
 # As printed they fail the diagonal axiom (see tests below); kept here
@@ -300,6 +302,93 @@ def test_text_table_entries_are_read_as_decimals():
     assert from_tables(*text).under_table == r3.under_table
 
 
+def mutations(over, under, rng, count):
+    """count copies of (over, under), each with one to three entries changed to another label."""
+    n = len(over)
+    for _ in range(count):
+        tables = [[list(row) for row in over], [list(row) for row in under]]
+        for _ in range(rng.randint(1, 3)):
+            row = rng.choice(tables)[rng.randrange(n)]
+            j = rng.randrange(n)
+            row[j] = rng.choice([v for v in range(1, n + 1) if v != row[j]] or [row[j]])
+        yield tables
+
+
+def axiom_battery():
+    """Table pairs for the triple-loop reference: valid, invalid and misshapen."""
+    rng = random.Random(33)
+    for _ in range(300):  # random entries, or each column a random permutation
+        n = rng.randint(1, 5)
+        if rng.random() < 0.5:
+            yield [[[rng.randint(1, n) for _ in range(n)] for _ in range(n)] for _ in "ou"]
+        else:
+            columns = [[rng.sample(range(1, n + 1), n) for _ in range(n)] for _ in "ou"]
+            yield [list(map(list, zip(*cols))) for cols in columns]
+    for _ in range(100):  # trivial over table, under columns permutations fixing x |> x = x
+        n = rng.randint(2, 5)
+        under = [[0] * n for _ in range(n)]
+        for y in range(n):
+            rest = [v for v in range(1, n + 1) if v != y + 1]
+            rng.shuffle(rest)
+            for x in range(n):
+                under[x][y] = y + 1 if x == y else rest.pop()
+        yield [[x] * n for x in range(1, n + 1)], under
+    for n in range(1, 8):
+        r = make_dihedral(n)
+        yield r.over_table, r.under_table
+        yield from mutations(r.over_table, r.under_table, rng, 10)
+        for _ in range(10 if n > 3 else 0):  # swap two off-diagonal entries of a column
+            under = [list(row) for row in r.under_table]
+            y, x1, x2 = rng.sample(range(n), 3)
+            under[x1][y], under[x2][y] = under[x2][y], under[x1][y]
+            yield r.over_table, under
+    for _ in range(60):  # linear: specs, valid or not, and mutations of the valid ones
+        n = rng.randint(2, 6)
+        tables = linear_tables(n, *(rng.randrange(n) for _ in range(4)))
+        yield tables
+        if not validate_axioms(*tables):
+            yield from mutations(*tables, rng, 3)
+    for over, under in ((EXAMPLE4_OVER, EXAMPLE4_UNDER), (T_OVER, T_UNDER)):
+        yield over, under
+        yield from mutations(over, under, rng, 20)
+    matrices = [((a, b), (c, d)) for a, b, c, d in itertools.product(range(2), repeat=4)]
+    quads = [(IDENTITY, ZERO, W, ONE_PLUS_W), (IDENTITY, ZERO, IDENTITY, ZERO)]
+    quads += [tuple(rng.choice(matrices) for _ in range(4)) for _ in range(100)]
+    for mats in quads:  # module tables on (Z/2)^2
+        yield algebra._module_tables(2, mats)
+    r3 = make_dihedral(3)
+    o, u = [list(row) for row in r3.over_table], [list(row) for row in r3.under_table]
+    yield o, u[:2]  # too few rows
+    yield o, [*u[:2], u[2] + [1]]  # a row too long
+    yield [[0, *o[0][1:]], *o[1:]], u  # an entry out of range
+    yield o, [*u[:2], [4, 2, 1]]
+    yield [["1", "3", "2"], *o[1:]], u  # text is read as decimals
+    yield [[1.0, 3, 2], *o[1:]], u
+    yield o, [*u[:2], [True, 2, 1]]
+    yield [], []
+
+
+def test_validate_axioms_matches_the_triple_loop():
+    # the full list, witnesses and order, and from_tables' first message or its tables
+    firsts = collections.Counter()
+    for over, under in axiom_battery():
+        want = naive_violations(over, under)
+        assert validate_axioms(over, under) == want, (over, under)
+        firsts[want[0].axiom.split()[0] if want else "valid"] += 1
+        if not over:
+            continue
+        if want:
+            with pytest.raises(AxiomError) as got:
+                from_tables(over, under)
+            assert str(got.value) == f"not a biquandle: {want[0]}"
+        else:
+            y = from_tables(over, under)
+            assert y.over_table == tuple(tuple(map(int, row)) for row in over)
+            assert y.under_table == tuple(tuple(map(int, row)) for row in under)
+    assert firsts == {"diagonal": 427, "valid": 137, "exchange": 97, "over": 46, "under": 30,
+                      "sideways": 10, "shape:": 6}
+
+
 def test_homs_r3_match_brute_force():
     r3 = make_dihedral(3)
     expected = [img for img in itertools.product(range(1, 4), repeat=3)
@@ -488,6 +577,23 @@ def test_column_permutation_r9_reflection():
 def test_column_permutation_out_of_range():
     with pytest.raises(ValueError):
         column_permutation(make_dihedral(3), 4)
+
+
+def test_column_permutation_takes_an_int_element_alone():
+    # True used to read as column 1, and 2.0 to leak a TypeError
+    r5 = make_dihedral(5)
+    for y in (True, False, 2.0, "2", None):
+        with pytest.raises(ValueError, match=f"^elements must be ints, got {re.escape(repr(y))}$"):
+            column_permutation(r5, y)
+
+
+def test_group_order_refuses_non_int_entries():
+    # (1.0, 2.0, 3.0) used to sort as 1, 2, 3 and give order 1
+    for g in ((1.0, 2.0, 3.0), (True, 2, 3), (2, True), ("1", "2")):
+        assert not algebra.is_permutation(g)
+        with pytest.raises(ValueError, match="^not a permutation of "):
+            group_order([g])
+    assert algebra.is_permutation((2, 3, 1)) and algebra.is_permutation(())
 
 
 def test_column_permutation_refuses_a_non_quandle():

@@ -86,6 +86,24 @@ def test_seed_strands_must_be_ints():
             wirtinger_saturate(torus_2n(3), seeds)
 
 
+def test_the_closure_oracle_refuses_what_saturation_refuses():
+    # it used to return {0.7} for [0.7], and {0, 1, 2, 7} for [7, 0, 1] on T(2,3)
+    t23 = torus_2n(3)
+    cases = [([0.7], "^strand ids must be ints, got 0.7$"),
+             ([True], "^strand ids must be ints, got True$"),
+             ([0, 1.0], "^strand ids must be ints, got 1.0$"),
+             (["1"], "^strand ids must be ints, got '1'$"),
+             ([7, 0, 1], r"^unknown strand id 7 \(diagram has 3\)$"),
+             ([-1], r"^unknown strand id -1 \(diagram has 3\)$"),
+             ([], "^seed set must be nonempty$")]
+    for seeds, message in cases:
+        for check in (wirtinger_saturate, saturating_closure):
+            with pytest.raises(ValueError, match=message):
+                check(t23, seeds)
+    assert saturating_closure(unknot(0), []) == wirtinger_saturate(unknot(0), []).colored == frozenset()
+    assert saturating_closure(t23, [2, 0, 2]) == {0, 1, 2}
+
+
 def test_min_seed_sizes():
     assert min_seed_size(unknot(1)) == (1, (0,))
     k, witness = min_seed_size(torus_2n(3))

@@ -376,6 +376,18 @@ def test_lazy_names_are_listed_before_first_use():
     assert _fresh_interpreter(probe).split() == ["True", "False"]
 
 
+def test_dir_lists_every_public_name_before_and_after_a_lazy_import(monkeypatch):
+    for name in biqknot.__all__:  # forget the names earlier imports cached
+        monkeypatch.delitem(vars(biqknot), name, raising=False)
+    before = dir(biqknot)
+    assert "make_dihedral" not in vars(biqknot)
+    assert set(biqknot.__all__) <= set(before) and before == sorted(set(before))
+    assert biqknot.make_dihedral is importlib.import_module("biqknot.algebra").make_dihedral
+    after = dir(biqknot)
+    assert "make_dihedral" in vars(biqknot)
+    assert set(before) <= set(after) and after == sorted(set(after))
+
+
 def test_enhance_colgroup(capsys):
     code, out, _ = run(capsys, "enhance", "colgroup", "knot:6_1", "dihedral:9")
     assert code == 0
