@@ -395,8 +395,9 @@ def enumerate_endos(Y: FiniteBiquandle) -> list[tuple[int, ...]]:
 
 
 def is_hom(X: FiniteBiquandle, Y: FiniteBiquandle, image) -> bool:
-    """Whether the image tuple defines a biquandle homomorphism X -> Y."""
-    if len(image) != X.size or any(not 1 <= v <= Y.size for v in image):
+    """Whether the image tuple defines a biquandle homomorphism X -> Y; ints only (no bool)."""
+    if (len(image) != X.size or {*map(type, image)} - {int}  # not 1.0, not True
+            or any(not 1 <= v <= Y.size for v in image)):
         return False
     f = (0, *image)  # f[x] is the image of x
     for x_over, x_under, fx in zip(X.over_table, X.under_table, image):

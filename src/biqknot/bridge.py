@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from typing import NamedTuple
 
 from .diagram import SemiarcDiagram, StrandDecomposition, _strand_walk, strands
@@ -119,9 +118,9 @@ def min_seed_size(d: SemiarcDiagram, k_max: int = 6) -> tuple[int, tuple[int, ..
     lexicographic order, so the witness is the lexicographically least
     strand set of minimal size; the seed count minus the witness length
     is the number of free loops. Returns None when no seed set within
-    the cap saturates; raises ValueError when k_max < 0. The count is an
-    upper bound certificate for the overpass bridge index of the
-    underlying link on this diagram.
+    the cap saturates; raises ValueError unless k_max is an int >= 0
+    (bool refused). The count is an upper bound certificate for the
+    overpass bridge index of the underlying link on this diagram.
 
     A move colors an under-strand from the other under-strand of the same
     component, so a saturating set meets every component: on every
@@ -129,6 +128,8 @@ def min_seed_size(d: SemiarcDiagram, k_max: int = 6) -> tuple[int, tuple[int, ..
     at most b_1. The search starts at that size and skips subsets that
     miss a component; neither changes the witness.
     """
+    if type(k_max) is not int:  # True would read as a cap of 1
+        raise ValueError(f"k_max must be an int, got {k_max!r}")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     dec, component = _strand_walk(d)
@@ -150,12 +151,11 @@ def _log_bound(size: int, count: int) -> int:
         raise ValueError("counting bounds need |X| >= 2")
     if count <= 0:
         raise ValueError(f"a coloring count of {count} gives no bridge bound")
-    b = int(math.log(count, size))  # a float estimate, corrected by exact powers
-    # Not reached in practice: math.log errs by a few ulps, so the estimate tops the answer
-    # only when log_size(count) is near 2**50, a count of some 10**15 bits. Kept for exactness.
-    while b > 0 and size ** (b - 1) >= count:
-        b -= 1
-    while size**b < count:
+    # size < 2**L for L = size.bit_length(), so size**b <= 2**(b*L) <= count: b tops no answer
+    b = (count.bit_length() - 1) // size.bit_length()
+    power = size**b
+    while power < count:
+        power *= size
         b += 1
     return b
 

@@ -309,12 +309,21 @@ def serialize_pd(d: SemiarcDiagram) -> str:
 # -- family generators ---------------------------------------------------------
 
 
+def _ints(**args) -> None:
+    """DiagramError (a ValueError) naming the first argument that is not an int:
+    True would pass as 1, and 2.0 escape as TypeError."""
+    for name, value in args.items():
+        if type(value) is not int:
+            raise DiagramError(f"{name} must be an int, got {value!r}")
+
+
 def torus_2n(n: int) -> SemiarcDiagram:
     """Closure of the 2-braid with n positive crossings, T(2, n).
 
     Semiarc numbering: crossing i has inputs 2i (under) and 2i+1 (over)
     and outputs (2i+3) mod 2n (under) and (2i+2) mod 2n (over).
     """
+    _ints(n=n)
     if n < 1:
         raise ValueError(f"torus_2n needs n >= 1, got {n}")
     m = 2 * n
@@ -329,6 +338,7 @@ def unknot(kinks: int = 0) -> SemiarcDiagram:
     The chain is torus_2n(1) after kinks - 1 calls of apply_r1(d, 0, +1),
     built in one pass.
     """
+    _ints(kinks=kinks)
     if kinks < 0:
         raise ValueError(f"unknot needs kinks >= 0, got {kinks}")
     if kinks == 0:
@@ -369,6 +379,7 @@ def pretzel(twists) -> SemiarcDiagram:
     twists = list(twists)
     if not twists:
         raise ValueError("pretzel needs at least one band")
+    _ints(**{f"twists[{i}]": t for i, t in enumerate(twists)})
     k = len(twists)
     over, first = [], []  # per crossing: is the NE-SW strand over; per band: its top crossing
     for t in twists:
@@ -451,6 +462,7 @@ def chain(k: int) -> SemiarcDiagram:
     outer strand and over ring r-1 with its inner strand, reproducing
     the outer/inner relation pattern of the chain-link coloring count.
     """
+    _ints(k=k)
     if k < 3 or k % 2 == 0:
         raise ValueError(f"chain is defined for odd k >= 3, got {k}")
     crossings = []
@@ -481,6 +493,7 @@ def connected_sum(d1: SemiarcDiagram, s1: int, d2: SemiarcDiagram, s2: int
     semiarcs. The splice location matters for virtual knots, so both
     semiarcs are explicit arguments.
     """
+    _ints(s1=s1, s2=s2)
     if not 0 <= s1 < d1.semiarc_count:
         raise DiagramError(f"semiarc {s1} not in first diagram")
     if not 0 <= s2 < d2.semiarc_count:
@@ -500,6 +513,7 @@ def connected_sum(d1: SemiarcDiagram, s1: int, d2: SemiarcDiagram, s2: int
 
 def apply_r1(d: SemiarcDiagram, semiarc: int, chirality: int) -> SemiarcDiagram:
     """Insert a kink of the given sign on a semiarc (first passage under)."""
+    _ints(semiarc=semiarc, chirality=chirality)
     if not 0 <= semiarc < d.semiarc_count:
         raise DiagramError(f"semiarc {semiarc} not in diagram")
     if chirality not in (1, -1):
@@ -520,6 +534,7 @@ def apply_r2(d: SemiarcDiagram, semiarc_a: int, semiarc_b: int,
     face in the intended embedding; as Gauss data any pair is accepted
     and coloring counts are invariant either way.
     """
+    _ints(semiarc_a=semiarc_a, semiarc_b=semiarc_b)
     if not 0 <= semiarc_a < d.semiarc_count or not 0 <= semiarc_b < d.semiarc_count:
         raise DiagramError("semiarc not in diagram")
     if semiarc_a == semiarc_b:

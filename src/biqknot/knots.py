@@ -1,21 +1,25 @@
 """Named knot diagrams bundled with the library.
 
-Table files hold one knot per line::
+Each diagram is built by the diagram module:
 
-    name | X+ 0 1 3 2; X+ 2 3 5 4; ... | determinant
+- the torus knots 3_1, 5_1, 7_1 and 9_1 are T(2,p), closures of the
+  2-braid with p positive crossings: torus_2n(p);
+- the twist knots 4_1, 5_2, 6_1, 7_2 and 8_1 are the pretzels P(m,1,1),
+  m = 2..6: pretzel([m, 1, 1]);
+- 9_24 is a 4-plat, which no generator builds yet, so it is kept as
+  wire text and read by parse_pd.
 
-The determinant is optional user-supplied metadata (this library never
-computes it); for the bundled 2-bridge knots the test suite checks it
-against coloring counts via Col_{R_n} = n * gcd(det, n).
+The determinants are metadata (this library never computes one); for
+these 2-bridge knots the test suite checks each against coloring counts
+via Col_{R_n} = n * gcd(det, n).
 """
 
 from __future__ import annotations
 
 from functools import cache
-from importlib import resources
 from typing import NamedTuple
 
-from .diagram import ParseError, SemiarcDiagram, _decimal, any_int_digits, parse_pd
+from .diagram import SemiarcDiagram, parse_pd, pretzel, torus_2n
 
 
 class KnotRecord(NamedTuple):
@@ -24,44 +28,34 @@ class KnotRecord(NamedTuple):
     determinant: int | None = None
 
 
-def parse_knot_table(text: str) -> dict[str, KnotRecord]:
-    """Parse a knot table file into an ordered name -> record map.
-
-    Errors name the table line; a bad crossing record also names its
-    place in the ``;``-separated list, counted from 1.
-    """
-    records: dict[str, KnotRecord] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split("|")]
-        if len(parts) not in (2, 3):
-            raise ValueError(f"line {lineno}: expected 'name | crossings [| determinant]'")
-        name, inline = parts[0], parts[1]
-        if not name:
-            raise ValueError(f"line {lineno}: empty knot name")
-        if name in records:
-            raise ValueError(f"line {lineno}: duplicate knot {name!r}")
-        det = None
-        if len(parts) == 3 and parts[2]:
-            try:
-                with any_int_digits():
-                    det = _decimal(parts[2])
-            except ValueError:
-                raise ValueError(f"line {lineno}: determinant must be an integer") from None
-        try:
-            diagram = parse_pd("\n".join(inline.split(";")))
-        except ParseError as e:
-            raise ValueError(f"line {lineno}: record {e.line}: {e.message}") from None
-        records[name] = KnotRecord(name, diagram, det)
-    return records
+_WIRE_9_24 = """\
+X+ 7 0 8 1
+X+ 1 8 2 9
+X+ 17 2 0 3
+X+ 3 16 4 17
+X+ 9 4 10 5
+X+ 15 10 16 11
+X+ 11 14 12 15
+X+ 5 12 6 13
+X+ 13 6 14 7
+"""
 
 
 @cache
 def _builtin() -> dict[str, KnotRecord]:
-    """The bundled table, read and parsed once per process."""
-    return parse_knot_table(resources.files("biqknot").joinpath("data/knots.txt").read_text())
+    """The bundled table, built once per process."""
+    return {name: KnotRecord(name, diagram, det) for name, diagram, det in (
+        ("3_1", torus_2n(3), 3),
+        ("4_1", pretzel([2, 1, 1]), 5),
+        ("5_1", torus_2n(5), 5),
+        ("5_2", pretzel([3, 1, 1]), 7),
+        ("6_1", pretzel([4, 1, 1]), 9),
+        ("7_1", torus_2n(7), 7),
+        ("7_2", pretzel([5, 1, 1]), 11),
+        ("8_1", pretzel([6, 1, 1]), 13),
+        ("9_1", torus_2n(9), 9),
+        ("9_24", parse_pd(_WIRE_9_24), 45),
+    )}
 
 
 def builtin_table() -> dict[str, KnotRecord]:

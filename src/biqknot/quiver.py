@@ -51,12 +51,14 @@ def build_quiver(d: SemiarcDiagram, Y: FiniteBiquandle, S) -> ColoringQuiver:
     """The coloring quiver of d over Y with edge set S (endomorphisms of Y).
 
     Each f in S is checked to be an endomorphism once per algebra object,
-    on first use: Y.checked_endos keeps the maps already accepted.
+    on first use: Y.checked_endos keeps the maps already accepted. A map
+    with an entry that is not an int is refused before that lookup, since
+    (1.0, 2, 3) equals and hashes like (1, 2, 3).
     """
     endos = tuple(tuple(f) for f in S)
     checked = Y.checked_endos
     for f in endos:
-        if f not in checked:
+        if {*map(type, f)} - {int} or f not in checked:
             if not is_hom(Y, Y, f):
                 raise ValueError(f"{f} is not an endomorphism of the target biquandle")
             checked.add(f)

@@ -447,6 +447,8 @@ def test_is_hom_refuses_images_of_the_wrong_shape():
     assert not is_hom(r3, r3, (1, 2, 3, 1))
     assert not is_hom(r3, r3, (1, 2, 4))
     assert not is_hom(r3, r3, (0, 2, 3))
+    for image in ((True, 2, 3), (1.0, 2, 3), (1, 2.0, 3), ("1", 2, 3)):  # True would read as 1
+        assert not is_hom(r3, r3, image)
 
 
 def test_str_names_quandles_and_biquandles():

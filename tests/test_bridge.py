@@ -204,6 +204,14 @@ def test_min_seed_size_rejects_a_negative_cap():
         min_seed_size(torus_2n(3), -1)
 
 
+@pytest.mark.parametrize("k_max", [True, False, 2.5, 3.0, "3", None])
+def test_min_seed_size_rejects_a_cap_that_is_not_an_int(k_max):
+    # True would read as a cap of 1 seed, and 2.5 escape range() as TypeError
+    with pytest.raises(ValueError) as e:
+        min_seed_size(torus_2n(3), k_max)
+    assert str(e.value) == f"k_max must be an int, got {k_max!r}"
+
+
 def test_b1_lower_examples():
     r3 = make_dihedral(3)
     assert b1_lower([(r3, 9)]) == 2

@@ -524,6 +524,22 @@ def test_parse_checks_virtual_records_before_erasing_them(text, semiarc):
     (lambda: apply_r2(torus_2n(3), 0, 6), "semiarc not in diagram"),
     (lambda: apply_r2(torus_2n(3), -1, 2), "semiarc not in diagram"),
     (lambda: apply_r2(torus_2n(3), 0, 2, "twisted"), "unknown r2 variant 'twisted'"),
+    # not an int: True would build as 1 and 2.0 escape as TypeError
+    (lambda: torus_2n(True), "n must be an int, got True"),
+    (lambda: torus_2n(2.0), "n must be an int, got 2.0"),
+    (lambda: unknot(True), "kinks must be an int, got True"),
+    (lambda: unknot(1.5), "kinks must be an int, got 1.5"),
+    (lambda: chain(3.0), "k must be an int, got 3.0"),
+    (lambda: chain(True), "k must be an int, got True"),
+    (lambda: pretzel([True, 2]), "twists[0] must be an int, got True"),
+    (lambda: pretzel([3, 1.5]), "twists[1] must be an int, got 1.5"),
+    (lambda: apply_r1(torus_2n(3), True, 1), "semiarc must be an int, got True"),
+    (lambda: apply_r1(torus_2n(3), 0, True), "chirality must be an int, got True"),
+    (lambda: apply_r1(torus_2n(3), 0, -1.0), "chirality must be an int, got -1.0"),
+    (lambda: apply_r2(torus_2n(3), 0.0, 2), "semiarc_a must be an int, got 0.0"),
+    (lambda: apply_r2(torus_2n(3), 0, True), "semiarc_b must be an int, got True"),
+    (lambda: connected_sum(torus_2n(3), False, torus_2n(3), 0), "s1 must be an int, got False"),
+    (lambda: connected_sum(torus_2n(3), 0, torus_2n(3), 1.0), "s2 must be an int, got 1.0"),
 ])
 def test_generator_and_surgery_errors(build, message):
     with pytest.raises(ValueError) as e:

@@ -8,7 +8,8 @@ from biqknot import knots
 from biqknot.algebra import make_dihedral
 from biqknot.cli import main
 from biqknot.coloring import count_colorings
-from biqknot.knots import builtin_knot, builtin_table, parse_knot_table
+from biqknot.diagram import parse_pd, serialize_pd
+from biqknot.knots import builtin_knot, builtin_table
 
 # every bundled knot is 2-bridge, so the 2-bridge counting rule applies
 TWO_BRIDGE = ("3_1", "4_1", "5_1", "5_2", "6_1", "7_1", "7_2", "8_1", "9_1", "9_24")
@@ -22,6 +23,36 @@ def test_table_contents():
         assert len(rec.diagram.crossings) == crossings
         assert rec.diagram.component_count() == 1
         assert rec.determinant is not None
+
+
+# the bundled table as text, one 'name | crossings | determinant' line per knot, ';' for a
+# line break of the wire format: each knot's `knots show` bytes and the table order
+TABLE_LINES = """\
+3_1 | X+ 0 1 3 2; X+ 2 3 5 4; X+ 4 5 1 0 | 3
+4_1 | X+ 0 5 1 6; X+ 4 1 5 2; X- 6 3 7 4; X- 2 7 3 0 | 5
+5_1 | X+ 0 1 3 2; X+ 2 3 5 4; X+ 4 5 7 6; X+ 6 7 9 8; X+ 8 9 1 0 | 5
+5_2 | X+ 0 7 1 8; X+ 6 1 7 2; X+ 2 5 3 6; X+ 8 3 9 4; X+ 4 9 5 0 | 7
+6_1 | X+ 0 9 1 10; X+ 8 1 9 2; X+ 2 7 3 8; X+ 6 3 7 4; X- 10 5 11 6; X- 4 11 5 0 | 9
+7_1 | X+ 0 1 3 2; X+ 2 3 5 4; X+ 4 5 7 6; X+ 6 7 9 8; X+ 8 9 11 10; X+ 10 11 13 12; X+ 12 13 1 0 | 7
+7_2 | X+ 0 11 1 12; X+ 10 1 11 2; X+ 2 9 3 10; X+ 8 3 9 4; X+ 4 7 5 8; X+ 12 5 13 6; X+ 6 13 7 0 | 11
+8_1 | X+ 0 13 1 14; X+ 12 1 13 2; X+ 2 11 3 12; X+ 10 3 11 4; X+ 4 9 5 10; X+ 8 5 9 6; X- 14 7 15 8; X- 6 15 7 0 | 13
+9_1 | X+ 0 1 3 2; X+ 2 3 5 4; X+ 4 5 7 6; X+ 6 7 9 8; X+ 8 9 11 10; X+ 10 11 13 12; X+ 12 13 15 14; X+ 14 15 17 16; X+ 16 17 1 0 | 9
+9_24 | X+ 7 0 8 1; X+ 1 8 2 9; X+ 17 2 0 3; X+ 3 16 4 17; X+ 9 4 10 5; X+ 15 10 16 11; X+ 11 14 12 15; X+ 5 12 6 13; X+ 13 6 14 7 | 45
+"""
+
+
+def test_bundled_knots_are_pinned(capsys):
+    # a generator change must not silently change `knots show` or the table order
+    want = [line.split(" | ") for line in TABLE_LINES.splitlines()]
+    table = builtin_table()
+    assert list(table) == [name for name, _, _ in want]
+    for name, crossings, det in want:
+        wire = crossings.replace("; ", "\n") + "\n"
+        rec = table[name]
+        assert (rec.name, serialize_pd(rec.diagram), rec.determinant) == (name, wire, int(det))
+        assert rec.diagram == parse_pd(wire)
+        assert main(["knots", "show", name]) == 0
+        assert capsys.readouterr().out == wire
 
 
 def test_determinants():
@@ -45,39 +76,14 @@ def test_unknown_knot():
         builtin_knot("10_139")
 
 
-def test_parse_knot_table_errors():
-    with pytest.raises(ValueError, match="line 1"):
-        parse_knot_table("just one field\n")
-    with pytest.raises(ValueError, match="duplicate"):
-        parse_knot_table("a | X+ 0 1 1 0 | 1\na | X+ 0 1 1 0 | 1\n")
-
-
-def test_parse_knot_table_names_the_line_of_a_bad_determinant():
-    with pytest.raises(ValueError) as e:
-        parse_knot_table("a | X+ 0 1 1 0 | 1\n\nb | X+ 0 1 1 0 | three\n")
-    assert str(e.value) == "line 3: determinant must be an integer"
-
-
-def test_parse_knot_table_names_the_line_of_a_bad_record():
-    # the bad record is the second of the line's ';' list, on table line 3
-    with pytest.raises(ValueError) as e:
-        parse_knot_table("# table\na | X+ 0 1 1 0 | 1\nb | X+ 0 1 1 0; X+ 2 3 | 3\n")
-    assert str(e.value) == "line 3: record 2: X+ line takes four semiarc ids"
-
-
-def test_table_without_determinant():
-    recs = parse_knot_table("kink | X+ 0 1 1 0\n")
-    assert recs["kink"].determinant is None
-
-
-def test_bundled_table_is_parsed_once_per_process(monkeypatch, capsys):
-    calls = []
+def test_bundled_table_is_built_once_per_process(monkeypatch, capsys):
+    calls = []  # one parse_pd call per build, for 9_24
 
     def counting(text):
         calls.append(1)
-        return parse_knot_table(text)
+        return parse_pd(text)
 
-    monkeypatch.setattr(knots, "parse_knot_table", counting)
+    monkeypatch.setattr(knots, "parse_pd", counting)
     knots._builtin.cache_clear()
     try:
         assert main(["knots", "show", "3_1"]) == 0
@@ -97,9 +103,3 @@ def test_builtin_table_is_a_copy():
     table["extra"] = table["4_1"]
     assert "3_1" in builtin_table() and "extra" not in builtin_table()
     assert builtin_knot("3_1").name == "3_1"
-
-
-def test_parse_knot_table_rejects_an_empty_name():
-    with pytest.raises(ValueError) as e:
-        parse_knot_table("a | X+ 0 1 1 0\n | X+ 0 1 1 0 | 1\n")
-    assert str(e.value) == "line 2: empty knot name"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import sys
 
 import pytest
@@ -75,6 +76,22 @@ def test_quiver_rejects_non_endomorphism():
     with pytest.raises(ValueError, match=message):
         build_quiver(torus_2n(3), r3, [(1, 2, 3), bad])
     assert bad not in r3.checked_endos
+
+
+@pytest.mark.parametrize("bad", [(1.0, 2, 3), (True, 2, 3)])
+def test_quiver_refuses_a_map_with_entries_that_are_not_ints(bad):
+    # (1.0, 2, 3) equals and hashes like the identity (1, 2, 3), so the refusal comes before
+    # the algebra's cache of accepted maps; it holds after the identity is cached too
+    r3 = make_dihedral(3)
+    message = rf"{re.escape(str(bad))} is not an endomorphism of the target biquandle"
+    with pytest.raises(ValueError, match=message):
+        build_quiver(torus_2n(3), r3, [bad])
+    assert build_quiver(torus_2n(3), r3, [(1, 2, 3)]).endos == ((1, 2, 3),)
+    assert bad in r3.checked_endos  # equal to the cached identity
+    with pytest.raises(ValueError, match=message):
+        build_quiver(torus_2n(3), r3, [bad])
+    with pytest.raises(ValueError, match=message):
+        build_quiver(torus_2n(3), r3, [(1, 2, 3), bad])
 
 
 def test_build_quiver_checks_each_endo_once_per_algebra(monkeypatch):
