@@ -15,7 +15,7 @@ import heapq
 import itertools
 from typing import NamedTuple
 
-from .diagram import SemiarcDiagram, StrandDecomposition, _strand_walk, strands
+from .diagram import SemiarcDiagram, StrandDecomposition, strands
 
 
 class SeedReport(NamedTuple):
@@ -25,23 +25,14 @@ class SeedReport(NamedTuple):
     colored: frozenset[int]
 
 
-def _touching(dec: StrandDecomposition) -> list[list[int]]:
-    """For each strand, the indices of the crossings whose incidence names it."""
-    touching: list[list[int]] = [[] for _ in dec.strands]
-    for ci, incidence in enumerate(dec.crossing_incidence):
-        for s in set(incidence):
-            touching[s].append(ci)
-    return touching
-
-
-def _moves(dec: StrandDecomposition, touching, seeds):
+def _moves(dec: StrandDecomposition, seeds):
     """Yield (crossing index, newly colored strand) per move from the seeds, to exhaustion.
 
     The least eligible crossing fires next. A crossing only becomes eligible
     when one of its strands gets colored, so the heap holds every eligible one.
     """
     colored = set(seeds)
-    heap = sorted({ci for s in colored for ci in touching[s]})
+    heap = sorted({ci for s in colored for ci in dec.crossings_of[s]})
     while heap:
         ci = heapq.heappop(heap)
         u_in_s, u_out_s, over_s = dec.crossing_incidence[ci]
@@ -49,7 +40,7 @@ def _moves(dec: StrandDecomposition, touching, seeds):
             new = u_out_s if u_in_s in colored else u_in_s
             colored.add(new)
             yield ci, new
-            for cj in touching[new]:
+            for cj in dec.crossings_of[new]:
                 heapq.heappush(heap, cj)
 
 
@@ -64,7 +55,7 @@ def wirtinger_saturate(d: SemiarcDiagram, seeds) -> SeedReport:
     """
     dec = strands(d)
     seed_set = _seed_set(dec, seeds)
-    sequence = tuple(_moves(dec, _touching(dec), seed_set))
+    sequence = tuple(_moves(dec, seed_set))
     colored = frozenset(seed_set).union(s for _, s in sequence)
     return SeedReport(seed_set, len(colored) == len(dec.strands), sequence, colored)
 
@@ -132,14 +123,14 @@ def min_seed_size(d: SemiarcDiagram, k_max: int = 6) -> tuple[int, tuple[int, ..
         raise ValueError(f"k_max must be an int, got {k_max!r}")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    dec, component = _strand_walk(d)
+    dec = strands(d)
+    component = dec.component_of
     n_strands, n_components = len(dec.strands), len(set(component))
-    touching = _touching(dec)
     for k in range(n_components, min(k_max - d.free_loops, n_strands) + 1):
         for combo in itertools.combinations(range(n_strands), k):
             if len(set(map(component.__getitem__, combo))) < n_components:
                 continue
-            moves = sum(1 for _ in _moves(dec, touching, combo))
+            moves = sum(1 for _ in _moves(dec, combo))
             if k + moves == n_strands:
                 return k + d.free_loops, combo
     return None

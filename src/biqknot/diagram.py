@@ -49,7 +49,6 @@ class DiagramError(ValueError):
 class ParseError(DiagramError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(f"line {line}: {message}" if line is not None else message)
-        self.message = message
         self.line = line
 
 
@@ -273,9 +272,11 @@ def _erase_virtuals(ids, crossings, virtuals) -> tuple[dict[int, int], int, int]
     """(id -> semiarc, semiarc count, free loops) once each virtual crossing joins
     its through-going semiarc pairs.
 
-    The joined classes are numbered in increasing order of their
-    union-find root; classes touching no real crossing are purely virtual
-    components, counted as free loops.
+    The joined classes are numbered in increasing order of the id that a
+    real crossing consumes at their downstream end (each union puts the
+    upstream class under the downstream one, so that id is the root);
+    classes touching no real crossing are purely virtual components,
+    counted as free loops.
     """
     parent = {s: s for s in ids}
 
@@ -565,21 +566,20 @@ class StrandDecomposition(NamedTuple):
     least semiarc. strands[i] lists strand i's semiarcs in flow order,
     strands numbered by least semiarc; strand_of maps each semiarc to
     its strand. crossing_incidence[c] gives, per crossing, the two
-    (adjacent) under-strands and the over-strand.
+    (adjacent) under-strands and the over-strand; crossings_of[i], its
+    inverse, lists those naming strand i, once each and increasing.
+    component_of[i] indexes strand i's cycle in d.components().
     """
 
     strands: tuple[tuple[int, ...], ...]
     strand_of: tuple[int, ...]
     crossing_incidence: tuple[tuple[int, int, int], ...]
+    component_of: tuple[int, ...]
+    crossings_of: tuple[tuple[int, ...], ...]
 
 
 def strands(d: SemiarcDiagram) -> StrandDecomposition:
     """Split every component at its undercrossings."""
-    return _strand_walk(d)[0]
-
-
-def _strand_walk(d: SemiarcDiagram) -> tuple[StrandDecomposition, tuple[int, ...]]:
-    """strands(d), with the index in d.components() of each strand's component."""
     goes_under = [False] * d.semiarc_count
     for c in d.crossings:
         goes_under[c.u_in] = True
@@ -596,5 +596,10 @@ def _strand_walk(d: SemiarcDiagram) -> tuple[StrandDecomposition, tuple[int, ...
             strand_of[s] = i
     incidence = tuple((strand_of[c.u_in], strand_of[c.u_out], strand_of[c.o_in])
                       for c in d.crossings)
-    paths, component = zip(*found) if found else ((), ())
-    return StrandDecomposition(paths, tuple(strand_of), incidence), component
+    crossings_of: list[list[int]] = [[] for _ in found]
+    for ci, named in enumerate(incidence):
+        for s in set(named):
+            crossings_of[s].append(ci)
+    paths, component_of = zip(*found) if found else ((), ())
+    return StrandDecomposition(paths, tuple(strand_of), incidence, component_of,
+                               tuple(map(tuple, crossings_of)))

@@ -7,11 +7,13 @@ Each diagram is built by the diagram module:
 - the twist knots 4_1, 5_2, 6_1, 7_2 and 8_1 are the pretzels P(m,1,1),
   m = 2..6: pretzel([m, 1, 1]);
 - 9_24 is a 4-plat, which no generator builds yet, so it is kept as
-  wire text and read by parse_pd.
+  wire text and read by parse_pd. Knot tables (KnotInfo) give Rolfsen's
+  9_24 bridge index 3, so this 2-bridge diagram is another knot, kept
+  with the name and bytes that repro item 09 and criterion 09 read.
 
-The determinants are metadata (this library never computes one); for
-these 2-bridge knots the test suite checks each against coloring counts
-via Col_{R_n} = n * gcd(det, n).
+All ten are 2-bridge: the tests check that b1_lower over R_3, R_5, R_7,
+R_11 and R_13 and min_seed_size both give 2, and each determinant
+(metadata, never computed here) against Col_{R_n} = n * gcd(det, n).
 """
 
 from __future__ import annotations

@@ -361,6 +361,19 @@ def test_strands_match_the_rotating_walk():
         assert strands(d).strands == rotating_strand_walk(d)
 
 
+def test_strands_name_their_component_and_their_crossings():
+    for d in oracle_battery(random.Random(41)):
+        dec = strands(d)
+        cycles = d.components()
+        assert len(dec.component_of) == len(dec.crossings_of) == len(dec.strands)
+        for path, comp in zip(dec.strands, dec.component_of):
+            assert set(path) <= set(cycles[comp])
+        # the inverse of crossing_incidence: each crossing once, in increasing order
+        assert dec.crossings_of == tuple(
+            tuple(ci for ci, named in enumerate(dec.crossing_incidence) if i in named)
+            for i in range(len(dec.strands)))
+
+
 def test_moves_match_the_restart_loop():
     rng = random.Random(31)
     for d in oracle_battery(random.Random(37)):

@@ -167,6 +167,75 @@ def test_diagram_gen_and_strands(capsys):
     assert len(json.loads(out)["strands"]) == 3
 
 
+# diagram files that the strand pins read: the virtual trefoil (two V records) and T(2,3)
+# with two free loops
+PIN_FILES = {"virtual.pd": "X+ 3 7 4 0\nX+ 5 1 6 2\nV 0 4 1 5\nV 2 6 3 7\n",
+             "looped.pd": "X+ 0 1 3 2\nX+ 2 3 5 4\nX+ 4 5 1 0\nL 2\n"}
+# spec -> (diagram strands, its --format json, bridge seeds, its --format json)
+STRAND_PINS = {
+    "torus2:3": (
+        "strand 0: 5 0\nstrand 1: 1 2\nstrand 2: 3 4\ncrossing 0: under 0 -> 2, over 1\n"
+        "crossing 1: under 1 -> 0, over 2\ncrossing 2: under 2 -> 1, over 0\n",
+        '{"crossing_incidence": [[0, 2, 1], [1, 0, 2], [2, 1, 0]], '
+        '"strands": [[5, 0], [1, 2], [3, 4]]}\n',
+        "min seeds: 2\nwitness strands: 0 1\nmove: crossing 0 colors strand 2\n",
+        '{"found": true, "min_seeds": 2, "sequence": [[0, 2]], "witness": [0, 1]}\n'),
+    "pretzel:2,-3,5": (
+        "strand 0: 19 0\nstrand 1: 1 2\nstrand 2: 3 4\nstrand 3: 5 6\nstrand 4: 7\n"
+        "strand 5: 8 9\nstrand 6: 10\nstrand 7: 11 12 13\nstrand 8: 14 15 16\n"
+        "strand 9: 17 18\ncrossing 0: under 0 -> 1, over 7\ncrossing 1: under 6 -> 7, over 1\n"
+        "crossing 2: under 4 -> 5, over 7\ncrossing 3: under 7 -> 8, over 5\n"
+        "crossing 4: under 5 -> 6, over 8\ncrossing 5: under 3 -> 4, over 0\n"
+        "crossing 6: under 9 -> 0, over 3\ncrossing 7: under 2 -> 3, over 9\n"
+        "crossing 8: under 8 -> 9, over 2\ncrossing 9: under 1 -> 2, over 8\n",
+        '{"crossing_incidence": [[0, 1, 7], [6, 7, 1], [4, 5, 7], [7, 8, 5], [5, 6, 8], '
+        '[3, 4, 0], [9, 0, 3], [2, 3, 9], [8, 9, 2], [1, 2, 8]], "strands": [[19, 0], [1, 2], '
+        '[3, 4], [5, 6], [7], [8, 9], [10], [11, 12, 13], [14, 15, 16], [17, 18]]}\n',
+        "min seeds: 3\nwitness strands: 0 3 5\nmove: crossing 5 colors strand 4\n"
+        "move: crossing 6 colors strand 9\nmove: crossing 7 colors strand 2\n"
+        "move: crossing 8 colors strand 8\nmove: crossing 3 colors strand 7\n"
+        "move: crossing 0 colors strand 1\nmove: crossing 1 colors strand 6\n",
+        '{"found": true, "min_seeds": 3, "sequence": [[5, 4], [6, 9], [7, 2], [8, 8], [3, 7], '
+        '[0, 1], [1, 6]], "witness": [0, 3, 5]}\n'),
+    "chain:3": (
+        "strand 0: 0 1\nstrand 1: 2 3\nstrand 2: 4 5\nstrand 3: 6 7\nstrand 4: 8 9\n"
+        "strand 5: 10 11\ncrossing 0: under 1 -> 0, over 4\ncrossing 1: under 4 -> 5, over 1\n"
+        "crossing 2: under 3 -> 2, over 0\ncrossing 3: under 0 -> 1, over 3\n"
+        "crossing 4: under 5 -> 4, over 2\ncrossing 5: under 2 -> 3, over 5\n",
+        '{"crossing_incidence": [[1, 0, 4], [4, 5, 1], [3, 2, 0], [0, 1, 3], [5, 4, 2], '
+        '[2, 3, 5]], "strands": [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 11]]}\n',
+        "min seeds: 3\nwitness strands: 0 2 4\nmove: crossing 0 colors strand 1\n"
+        "move: crossing 1 colors strand 5\nmove: crossing 2 colors strand 3\n",
+        '{"found": true, "min_seeds": 3, "sequence": [[0, 1], [1, 5], [2, 3]], '
+        '"witness": [0, 2, 4]}\n'),
+    "virtual.pd": (
+        "strand 0: 3 0 1\nstrand 1: 2\ncrossing 0: under 0 -> 1, over 0\n"
+        "crossing 1: under 1 -> 0, over 0\n",
+        '{"crossing_incidence": [[0, 1, 0], [1, 0, 0]], "strands": [[3, 0, 1], [2]]}\n',
+        "min seeds: 1\nwitness strands: 0\nmove: crossing 0 colors strand 1\n",
+        '{"found": true, "min_seeds": 1, "sequence": [[0, 1]], "witness": [0]}\n'),
+    "looped.pd": (
+        "strand 0: 5 0\nstrand 1: 1 2\nstrand 2: 3 4\ncrossing 0: under 0 -> 2, over 1\n"
+        "crossing 1: under 1 -> 0, over 2\ncrossing 2: under 2 -> 1, over 0\n",
+        '{"crossing_incidence": [[0, 2, 1], [1, 0, 2], [2, 1, 0]], '
+        '"strands": [[5, 0], [1, 2], [3, 4]]}\n',
+        "min seeds: 4\nwitness strands: 0 1\nfree loops: 2\nmove: crossing 0 colors strand 2\n",
+        '{"found": true, "min_seeds": 4, "sequence": [[0, 2]], "witness": [0, 1]}\n'),
+}
+
+
+@pytest.mark.parametrize("spec", STRAND_PINS)
+def test_strands_and_seeds_output_is_pinned(spec, tmp_path, capsys):
+    if spec in PIN_FILES:
+        (tmp_path / spec).write_text(PIN_FILES[spec])
+        spec = str(tmp_path / spec)
+    strands_text, strands_json, seeds_text, seeds_json = STRAND_PINS[Path(spec).name]
+    assert run(capsys, "diagram", "strands", spec) == (0, strands_text, "")
+    assert run(capsys, "--format", "json", "diagram", "strands", spec) == (0, strands_json, "")
+    assert run(capsys, "bridge", "seeds", spec) == (0, seeds_text, "")
+    assert run(capsys, "--format", "json", "bridge", "seeds", spec) == (0, seeds_json, "")
+
+
 def test_diagram_validate_error(tmp_path, capsys):
     f = tmp_path / "bad.pd"
     f.write_text("X+ 0 1 2 0\n")

@@ -13,7 +13,6 @@ from biqknot.diagram import (
     DiagramError,
     ParseError,
     SemiarcDiagram,
-    _erase_virtuals,
     any_int_digits,
     apply_r1,
     apply_r2,
@@ -385,8 +384,25 @@ def reference_parse_pd(text):
         raise ParseError("; ".join(msg for _, msg, _ in dangling), dangling[0][2])
 
     if virtuals:
-        relabel, semiarcs, loops = _erase_virtuals(head_line, crossings, virtuals)
-        free_loops += loops
+        # follow each id downstream through the V records to the id a real crossing
+        # consumes, and number those ends in increasing order; an id whose walk comes
+        # back to it lies on a purely virtual loop, named by its least id
+        through = {}
+        for s_in, t_in, s_out, t_out in virtuals:
+            through[s_in], through[t_in] = s_out, t_out
+        end, loops = {}, set()
+        for s in head_line:
+            walk = [s]
+            while walk[-1] in through and through[walk[-1]] != s:
+                walk.append(through[walk[-1]])
+            if walk[-1] in through:
+                loops.add(min(walk))
+            else:
+                end[s] = walk[-1]
+        number = {t: i for i, t in enumerate(sorted(set(end.values())))}
+        relabel = {s: number[t] for s, t in end.items()}
+        semiarcs = len(number)
+        free_loops += len(loops)
     else:
         relabel = {s: i for i, s in enumerate(sorted(head_line))}
         semiarcs = len(relabel)
@@ -444,6 +460,31 @@ def test_parse_matches_line_parser_on_valid_texts():
         expected = outcome(reference_parse_pd, text)
         assert isinstance(expected, SemiarcDiagram), (text, expected)
         assert outcome(parse_pd, text) == expected, text
+
+
+def random_virtual_system(rng):
+    """Wire text of up to 4 real and 6 virtual crossings whose inputs and outputs are
+    random permutations of the same sparse ids: chains of V records between real
+    crossings, and purely virtual loops of any length."""
+    n_real, n_virtual = rng.randint(0, 4), rng.randint(1, 6)
+    ids = rng.sample(range(100), 2 * (n_real + n_virtual))
+    outs = rng.sample(ids, len(ids))
+    lines = [f"{'V' if k >= n_real else rng.choice(('X+', 'X-'))} "
+             f"{ids[2 * k]} {ids[2 * k + 1]} {outs[2 * k]} {outs[2 * k + 1]}"
+             for k in range(n_real + n_virtual)]
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_erases_virtual_chains_as_the_line_parser():
+    rng = random.Random(19)
+    loops = 0
+    for _ in range(3000):
+        text = random_virtual_system(rng)
+        expected = reference_parse_pd(text)
+        assert parse_pd(text) == expected, text
+        loops += expected.free_loops
+    assert loops > 1000
 
 
 def corruptions(text):

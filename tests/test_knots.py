@@ -6,6 +6,7 @@ import pytest
 
 from biqknot import knots
 from biqknot.algebra import make_dihedral
+from biqknot.bridge import b1_lower, min_seed_size
 from biqknot.cli import main
 from biqknot.coloring import count_colorings
 from biqknot.diagram import parse_pd, serialize_pd
@@ -69,6 +70,16 @@ def test_two_bridge_coloring_rule():
         rec = builtin_knot(name)
         for n in range(3, 13):
             assert count_colorings(rec.diagram, make_dihedral(n)) == n * math.gcd(rec.determinant, n), name
+
+
+def test_bundled_knots_have_bridge_index_two():
+    # the dihedral counts bound b_1 from below and the least seed set bounds it from above;
+    # both give 2, so every bundled diagram is a 2-bridge knot, the one named 9_24 included
+    for name in TWO_BRIDGE:
+        d = builtin_knot(name).diagram
+        counts = [(X, count_colorings(d, X)) for X in map(make_dihedral, (3, 5, 7, 11, 13))]
+        assert b1_lower(counts) == min_seed_size(d)[0] == 2, name
+    assert min_seed_size(builtin_knot("9_24").diagram) == (2, (0, 3))
 
 
 def test_unknown_knot():

@@ -21,8 +21,10 @@ RECORDS = [
                   "colored": frozenset({0, 1})},
      "SeedReport(seed_set=(0,), saturated=True, sequence=((0, 1),), colored=frozenset({0, 1}))"),
     (StrandDecomposition, {"strands": ((0, 1),), "strand_of": (0, 0),
-                           "crossing_incidence": ((0, 0, 0),)},
-     "StrandDecomposition(strands=((0, 1),), strand_of=(0, 0), crossing_incidence=((0, 0, 0),))"),
+                           "crossing_incidence": ((0, 0, 0),), "component_of": (0,),
+                           "crossings_of": ((0,),)},
+     "StrandDecomposition(strands=((0, 1),), strand_of=(0, 0), crossing_incidence=((0, 0, 0),), "
+     "component_of=(0,), crossings_of=((0,),))"),
     (KnotRecord, {"name": "0_1", "diagram": SemiarcDiagram(0, (), 1)},
      "KnotRecord(name='0_1', diagram=SemiarcDiagram(semiarc_count=0, crossings=(), free_loops=1), "
      "determinant=None)"),
