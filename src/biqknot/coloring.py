@@ -473,22 +473,37 @@ def count_solutions_bruteforce(M: RelationMatrix) -> int:
     its M x_R: every x is still counted once, in about 2 n^(cols/2) steps
     instead of n^cols. Each half's vectors are built column by column, a
     partial sum extended by t * column for t in range(n), so none is
-    summed from scratch; the last column's are streamed, not stored. It
-    reads only M's rows and shares no code with the elimination.
+    summed from scratch; the last column's are streamed, not stored.
+
+    A residue vector is one int with a b-bit field per row, b =
+    (2n).bit_length() + 1, so extending a sum is one add of the step
+    t * column, packed once per (column, t). Each field then holds less
+    than 2n <= 2^(b-1) and never carries into the next; adding lift
+    (2^(b-1) - n in every field) sets a field's top bit exactly when the
+    field reached n, and that bit, shifted down and times n, is taken
+    back off. It reads only M's rows and shares no code with the
+    elimination.
     """
     n = M.modulus
     if n**M.cols > BRUTE_FORCE_GUARD:
         raise ValueError(f"brute force over {n}^{M.cols} vectors refused")
+    b = (2 * n).bit_length() + 1
+    fields = range(0, b * len(M.rows), b)
+    lift = sum(((1 << (b - 1)) - n) << f for f in fields)
+    top = sum(1 << (b - 1) << f for f in fields)
 
-    def extend(sums, col):
+    def extend(sums, steps):
         for s in sums:
-            for t in range(n):
-                yield tuple((a + t * c) % n for a, c in zip(s, col))
+            for step in steps:
+                x = s + step
+                yield x - (((x + lift) & top) >> (b - 1)) * n
 
-    def residues(columns, sign):  # sign * M x mod n for every x on the columns
-        sums = [(0,) * len(M.rows)]
+    def residues(columns, sign):  # sign * M x mod n for every x on the columns, packed
+        sums = [0]
         for j in columns:
-            sums = extend(list(sums), [sign * row.get(j, 0) for row in M.rows])
+            col = [sign * row.get(j, 0) for row in M.rows]
+            steps = [sum(t * c % n << f for c, f in zip(col, fields)) for t in range(n)]
+            sums = extend(list(sums), steps)
         return sums
 
     half = M.cols // 2

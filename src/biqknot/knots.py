@@ -14,6 +14,12 @@ Each diagram is built by the diagram module:
 All ten are 2-bridge: the tests check that b1_lower over R_3, R_5, R_7,
 R_11 and R_13 and min_seed_size both give 2, and each determinant
 (metadata, never computed here) against Col_{R_n} = n * gcd(det, n).
+That identity is Col_{R_n} = n * |Hom(H, Z/n)|, H being the homology of
+the double branched cover, of order det, read for cyclic H: a 2-bridge
+knot's double branched cover is a lens space, so H = Z/det. It fails
+when H is not cyclic: the Montesinos knot 3,21,21 has H = Z/3 + Z/15
+and 27 colorings over R_3, where n * gcd(det, n) = 9 (ROADMAP item 20).
+So a 3-bridge entry needs a test based on H.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ differing diagonals (x."x != x.vx), which validate_axioms rejects,
 though that axiom is no move condition of the library's crossing
 convention (ROADMAP item 1); and an in-degree exponent of 3 is
 unattainable over R_9 at 81 vertices (coloring sets are modules, so
-in-degree exponents are kernel sizes 9, 27 or 81).
+in-degree exponents are kernel sizes 1, 9, 27 or 81).
 """
 
 from __future__ import annotations

@@ -95,6 +95,7 @@ def test_the_closure_oracle_refuses_what_saturation_refuses():
              (["1"], "^strand ids must be ints, got '1'$"),
              ([7, 0, 1], r"^unknown strand id 7 \(diagram has 3\)$"),
              ([-1], r"^unknown strand id -1 \(diagram has 3\)$"),
+             ([3], r"^unknown strand id 3 \(diagram has 3\)$"),
              ([], "^seed set must be nonempty$")]
     for seeds, message in cases:
         for check in (wirtinger_saturate, saturating_closure):

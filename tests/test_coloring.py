@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from biqknot import algebra, repro
+from biqknot import algebra, coloring, repro
 from biqknot.algebra import (
     AxiomError,
     FiniteBiquandle,
@@ -291,19 +291,45 @@ def literal_null_count(m):
     (RelationMatrix(({0: 5},), 1, 9), 1),
     (RelationMatrix(({0: -1, 1: 7, 2: 12}, {1: -9, 3: 5}), 4, 4), 16),  # negative and >= n
     (RelationMatrix(({0: -3, 1: 9}, {0: 18, 2: -27}), 9, 3), 243),
+    # moduli at and beside powers of two, where a packed field's width steps
+    (RelationMatrix(({0: 1, 1: 1},), 2, 2), 2),
+    (RelationMatrix(({0: 3, 1: -3},), 3, 2), 9),
+    (RelationMatrix(({0: 1, 1: 6}, {0: -7, 1: 14}), 7, 2), 7),
+    (RelationMatrix(({0: 4, 1: 2}, {1: 4}), 8, 2), 16),
+    (RelationMatrix(({0: 5, 1: 17}, {0: 51}), 255, 2), 51),
+    (RelationMatrix(({0: 128, 1: -64}, {0: 255, 1: 257}), 256, 2), 64),
+    (RelationMatrix(({0: 250},), 1000, 1), 250),
+    (RelationMatrix(({0: 998, 1: 1998}, {0: -500}), 1000, 2), 1000),
+    # 30-60 rows: the packed residues run past 64 bits
+    (RelationMatrix(tuple({0: i, 1: 2 * i + 1} for i in range(40)), 9, 2), 1),
+    (RelationMatrix(tuple({0: i, 1: 3 * i - 128} for i in range(60)), 256, 2), 128),
+    (RelationMatrix(tuple({j: (i * j) % 7 - 3 for j in range(4)} for i in range(45)), 5, 4), 1),
+    (RelationMatrix(tuple({0: 2 * i, 2: -6 * i} for i in range(30)), 8, 3), 128),
+    # no columns or one, so the left half is empty; empty and all-zero rows
+    (RelationMatrix(tuple({} for _ in range(30)), 7, 0), 1),
+    (RelationMatrix(({0: 0},), 8, 1), 8),
+    (RelationMatrix(({0: 6}, {0: -4}), 8, 1), 2),
+    (RelationMatrix(({0: 0, 1: 0}, {0: 4, 1: -8}, {}), 4, 2), 16),
 ])
-def test_bruteforce_matches_literal_filter_on_edge_cases(m, want):
+def test_bruteforce_matches_literal_filter_on_edge_cases(m, want, monkeypatch):
     assert literal_null_count(m) == want
+
+    def refuse(*args):
+        raise AssertionError("the brute-force oracle must not use the elimination")
+
+    # the oracle is independent of the elimination behind the SNF count
+    monkeypatch.setattr(coloring, "_eliminate", refuse)
+    monkeypatch.setattr(coloring, "_prime_powers", refuse)
     assert count_solutions_bruteforce(m) == want
 
 
 def test_bruteforce_matches_literal_filter_on_random_matrices():
     rng = random.Random(3)
     for _ in range(150):
-        n = rng.randrange(1, 7)
-        cols = rng.randrange(0, 7 if n < 4 else 5)
-        rows = tuple({j: rng.randrange(-2 * n, 2 * n) for j in range(cols) if rng.random() < 0.6}
-                     for _ in range(rng.randrange(0, 5)))
+        n = rng.choice((rng.randrange(1, 10), rng.choice((15, 16, 17, 31, 32, 33))))
+        cols = rng.randrange(0, 7 if n < 4 else 5 if n < 10 else 3)
+        rows = tuple({j: rng.randrange(-3 * n, 3 * n) for j in range(cols) if rng.random() < 0.6}
+                     for _ in range(rng.randrange(0, 5 if rng.random() < 0.8 else 61)))
         m = RelationMatrix(rows, n, cols)
         assert count_solutions_bruteforce(m) == literal_null_count(m)
 
