@@ -382,11 +382,34 @@ def enumerate_homs(X: FiniteBiquandle, Y: FiniteBiquandle) -> list[tuple[int, ..
     crossing imposes on its semiarcs. A linear Y is listed from the
     kernel lattice of that system, any other Y by the coloring search;
     is_hom over all maps is the reference.
+
+    Between quandles only y in a generating set G of X is needed (Joyce,
+    "A classifying invariant of knots, the knot quandle", JPAA 23 (1982)):
+    the y with f o R_y = R_f(y) o f form a subquandle, as R_(a |> b) =
+    R_b R_a R_b^-1 in X and Y. Other pairs keep all |X|^2 quads, since a
+    non-quandle's over-relations constrain f. G is found greedily, each
+    generator extending one subquandle_closure orbit: |X| |G| reads at most.
     """
     from .coloring import list_solutions  # coloring imports this module
 
+    gens = X.elements()
+    if X.is_quandle() and Y.is_quandle():
+        gens, acted = [], {}  # orbit element -> how many of gens have acted on it
+        for g in X.elements():
+            if g in acted:
+                continue
+            gens.append(g)
+            acted[g] = 0
+            todo = list(acted)
+            while todo:
+                z = todo.pop()
+                for w in (X.under(z, y) for y in gens[acted[z]:]):
+                    if w not in acted:
+                        acted[w] = 0
+                        todo.append(w)
+                acted[z] = len(gens)
     quads = [(x - 1, y - 1, X.under(x, y) - 1, X.over(y, x) - 1)
-             for x in X.elements() for y in X.elements()]
+             for x in X.elements() for y in gens]
     return list_solutions(X.size, quads, Y)
 
 

@@ -31,9 +31,11 @@ has a propagating pair of known values: any such pair names the whole
 quad of Y at that crossing, looked up in one table per pair. Which
 semiarcs a branch makes known does not depend on its value, so the
 search plans its branch order and each level's crossing checks once per
-diagram, then runs the plan. The search and brute force stay as the
-references for both linear routes. Arithmetic is plain Python integers,
-so entries can never overflow.
+diagram, then runs the plan. Each lister also hands over the semiarcs it
+chose freely (owning a generator's unknown, or branched on), whose values
+fix a solution; quivers key their vertices on them. The search and brute
+force stay as the references for both linear routes. Arithmetic is plain
+Python integers, so entries can never overflow.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def _search(m: int, oriented, Y: FiniteBiquandle):
     depends only on which were branched on: the plan (per level, the branch
     semiarc and the crossings it completes) is built once, then run
     depth-first over one assignment and an explicit stack, so no diagram
-    size reaches the recursion limit.
+    size reaches the recursion limit. It returns the plan's branch semiarcs.
     """
     incident: list[list[int]] = [[] for _ in range(m)]
     for ci, quad in enumerate(oriented):
@@ -120,7 +122,7 @@ def _search(m: int, oriented, Y: FiniteBiquandle):
 
     if not plan:
         yield []
-        return
+        return []
     x = [0] * m
     stack = [iter(Y.elements())]  # one value iterator per open level
     while stack:
@@ -140,15 +142,26 @@ def _search(m: int, oriented, Y: FiniteBiquandle):
                 yield x.copy()
         else:
             stack.pop()
+    return [free for free, _ in plan]
 
 
 def list_solutions(m: int, oriented, Y: FiniteBiquandle) -> list[Coloring]:
     """Every x in Y^m satisfying each quad's relations, sorted: from the kernel lattice
     if Y is linear (see FiniteBiquandle.linear_form), else by the search."""
+    return _listing(m, oriented, Y)[0]
+
+
+def _listing(m: int, oriented, Y: FiniteBiquandle) -> tuple[list[Coloring], list[int]]:
+    """list_solutions' listing and, sorted, the coordinates the lister chose freely (the
+    kernel's parameters, see _list_kernel, or the search's branch semiarcs): they fix x."""
     form = Y.linear_form
-    if form is None:
-        return sorted(map(tuple, _search(m, oriented, Y)))
-    return _list_kernel(_relation_rows(oriented, form), m, form[0], len(form[1]))
+    if form is not None:
+        return _list_kernel(_relation_rows(oriented, form), m, form[0], len(form[1]))
+    branches = []
+
+    def run():
+        branches.extend((yield from _search(m, oriented, Y)))
+    return sorted(map(tuple, run())), sorted(branches)
 
 
 def enumerate_colorings(d: SemiarcDiagram, Y: FiniteBiquandle) -> list[Coloring]:
@@ -396,7 +409,7 @@ def _eliminate(rows, p: int, k: int):
     return parent, pivots
 
 
-def _list_kernel(rows, cols: int, n: int, width: int = 1) -> list[Coloring]:
+def _list_kernel(rows, cols: int, n: int, width: int = 1) -> tuple[list[Coloring], list[int]]:
     """Every x in ((Z/n)^width)^cols with row . x = 0 mod n, as sorted tuples of labels.
 
     The rows are over cols * width unknowns, unknown s*width + i being
@@ -412,11 +425,13 @@ def _list_kernel(rows, cols: int, n: int, width: int = 1) -> list[Coloring]:
     and o_out) share one list, grown by t * a mod n per generator: one
     addition per listed value, so the cost follows the listing, not n^2.
     Labels are linear_form's, given by algebra._label for r = width.
+    Also returned, sorted: the entries owning a generator's unknown, which fix x,
+    as a pivot generator is zero on free unknowns and on later pivots.
     """
     if cols == 0:
-        return [()]
+        return [()], []
     unknowns = cols * width
-    gens = []  # (order, coefficient per unknown mod n)
+    gens, free = [], set()  # (order, coefficient per unknown mod n); entries fixing x
     for p, k in _prime_powers(n):
         q = p**k
         e = n // q * pow(n // q, -1, q)  # 1 mod q, 0 mod n/q
@@ -424,6 +439,7 @@ def _list_kernel(rows, cols: int, n: int, width: int = 1) -> list[Coloring]:
         fixed = {*merged, *(j for j, _, _, _ in pivots)}
         params = [(c, q) for c in range(unknowns) if c not in fixed]
         for col, order in params + [(j, p**v) for j, v, _, _ in pivots if v]:
+            free.add(col // width)
             g = [0] * unknowns
             g[col] = q // order
             for j, v, inv, rest in reversed(pivots):
@@ -448,7 +464,7 @@ def _list_kernel(rows, cols: int, n: int, width: int = 1) -> list[Coloring]:
                 index = [a + v * scale for a, v in zip(index, residues(key[i]))]
             built[key] = list(map(labels.__getitem__, index))
         columns.append(built[key])
-    return sorted(zip(*columns))
+    return sorted(zip(*columns)), sorted(free)
 
 
 def count_solutions_snf(M: RelationMatrix) -> int:

@@ -9,10 +9,10 @@ construction; distinct endomorphisms agreeing on a vertex give parallel
 edges. Edge triples (source, target, endo index) are only derived at the
 CLI's dump boundary.
 
-Targets are read off a few generators: one greedy pass picks coordinate
-columns on which the colorings are pairwise distinct (for T(2,9) over
-R_9, 2 of 18), the vertices are indexed by those columns, and each f maps
-only them. This is sound because every f is checked to be an
+Targets are read off a few coordinates: those the lister chose freely
+(the kernel's parameters, or the search's branch semiarcs; for T(2,9)
+over R_9, 2 of 18) fix each coloring, so they index the vertices and
+each f maps only them. This is sound because every f is checked to be an
 endomorphism, once per algebra object on first use, so f o v is always
 a vertex.
 
@@ -33,11 +33,11 @@ Hom-set object.
 from __future__ import annotations
 
 from collections import Counter
-from operator import add
+from operator import itemgetter
 from typing import NamedTuple
 
 from .algebra import FiniteBiquandle, is_hom
-from .coloring import Coloring, colorings_with_loops
+from .coloring import Coloring, _listing, _oriented
 from .diagram import SemiarcDiagram
 from .polynomial import ExponentPolynomial
 
@@ -62,41 +62,16 @@ def build_quiver(d: SemiarcDiagram, Y: FiniteBiquandle, S) -> ColoringQuiver:
             if not is_hom(Y, Y, f):
                 raise ValueError(f"{f} is not an endomorphism of the target biquandle")
             checked.add(f)
-    vertices = tuple(colorings_with_loops(d, Y))
-    columns = _separating_columns(vertices, Y.size)
-    if not columns:  # one vertex (or none): every f fixes it
+    listing, key = _listing(d.semiarc_count + d.free_loops, _oriented(d), Y)
+    vertices = tuple(listing)  # colorings_with_loops(d, Y), keyed by the coordinates in key
+    if not key:  # one vertex (or none): every f fixes it
         return ColoringQuiver(vertices, endos, tuple((0,) * len(vertices) for _ in endos))
-    # f o v is a vertex (f is a hom), so its values on the separating columns name it
-    index = {key: i for i, key in enumerate(zip(*columns))}
+    # f o v is a vertex (f is a hom), so its values on the key coordinates name it
+    columns = [list(map(itemgetter(c), vertices)) for c in key]
+    index = {k: i for i, k in enumerate(zip(*columns))}
     targets = tuple(tuple(map(index.__getitem__, zip(*[map(f.__getitem__, c) for c in columns])))
                     for f in [(0, *f) for f in endos])
     return ColoringQuiver(vertices, endos, targets)
-
-
-def _separating_columns(vertices, size: int) -> list[tuple[int, ...]]:
-    """Coordinate columns on which the vertices are pairwise distinct, chosen greedily.
-
-    Each vertex carries an integer key for its class under the columns taken
-    so far, scaled by size so that adding a label (1..size) keeps distinct
-    (class, label) pairs apart. A new distinct column is taken when it splits
-    some class, and the pass stops once every class is one vertex: each
-    column costs one scan, never a recount of the columns taken so far.
-    """
-    n = len(vertices)
-    keys, classes, taken, seen = [0] * n, 1, [], set()
-    for column in zip(*vertices):
-        if classes == n:
-            break
-        if column in seen:
-            continue
-        seen.add(column)
-        split = list(map(add, keys, column))
-        count = len(set(split))
-        if count > classes:
-            classes = count
-            keys = list(map(size.__mul__, split))
-            taken.append(column)
-    return taken
 
 
 def in_degree_polynomial(q: ColoringQuiver) -> ExponentPolynomial:

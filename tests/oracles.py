@@ -13,6 +13,13 @@ from biqknot.coloring import BRUTE_FORCE_GUARD, Coloring
 from biqknot.diagram import SemiarcDiagram, any_int_digits
 
 
+def targets_by_full_index(q):
+    """The quiver's targets with no key: map every coordinate of every vertex and look
+    the image up whole."""
+    index = {v: i for i, v in enumerate(q.vertices)}
+    return tuple(tuple(index[tuple(f[x - 1] for x in v)] for v in q.vertices) for f in q.endos)
+
+
 def brute_force_colorings(d: SemiarcDiagram, Y: FiniteBiquandle) -> list[Coloring]:
     """Direct filter over all |Y|^semiarcs assignments (test oracle)."""
     if Y.size**d.semiarc_count > BRUTE_FORCE_GUARD:

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from biqknot import algebra
+from biqknot import algebra, coloring
 from biqknot.algebra import (
     AxiomError,
     FiniteBiquandle,
@@ -424,20 +424,45 @@ def gf4_alexander_tables():
 W, ONE_PLUS_W, IDENTITY, ZERO = ((0, 1), (1, 1)), ((1, 1), (1, 0)), ((1, 0), (0, 1)), ((0, 0), (0, 0))
 
 
-def test_homs_match_is_hom_filter():
+def test_homs_match_is_hom_filter(monkeypatch):
     gf4 = from_tables(*gf4_alexander_tables())
     assert gf4.linear_form == (2, IDENTITY, ZERO, W, ONE_PLUS_W)  # listed by elimination
     s4 = transpositions_quandle()
     assert s4.linear_form is None  # listed by the search
+    # trivial quandles x |> y = x, every element a generator
+    trivial = [from_tables(*[[[x] * n for x in range(1, n + 1)]] * 2) for n in (2, 3, 4)]
     algebras = [make_dihedral(1), make_dihedral(2), make_dihedral(3), make_dihedral(4),
-                make_dihedral(6), biquandle_z(), gf4, s4, make_linear_biquandle(8, 5, 0, 1, 4)]
-    for X in algebras:
+                make_dihedral(6), biquandle_z(), gf4, s4, make_linear_biquandle(8, 5, 0, 1, 4),
+                *trivial]
+    for X in algebras:  # every pair, different quandles included
         for Y in algebras:
             if Y.size**X.size > 5000:
                 continue
             want = [img for img in itertools.product(Y.elements(), repeat=X.size)
                     if is_hom(X, Y, img)]
             assert enumerate_homs(X, Y) == want, (X, Y)
+    # between quandles only the generators' quads are solved; a non-quandle keeps them all
+    real, quads = coloring.list_solutions, []
+    monkeypatch.setattr(coloring, "list_solutions",
+                        lambda m, oriented, Y: quads.append(len(oriented)) or real(m, oriented, Y))
+    assert len(enumerate_endos(make_dihedral(27))) == 27 * 27
+    assert enumerate_homs(make_dihedral(1), biquandle_z()) == [(2,), (4,)]
+    r3 = make_dihedral(3)
+    for X, Y in ((r3, biquandle_z()), (biquandle_z(), r3)):
+        assert enumerate_homs(X, Y) == [img for img in itertools.product(Y.elements(), repeat=X.size)
+                                        if is_hom(X, Y, img)]
+    every_map = list(itertools.product(range(1, 5), repeat=4))
+    assert enumerate_homs(trivial[2], trivial[2]) == every_map  # x |> y = x: every map is a hom
+    assert quads == [54, 1, 9, 16, 16]
+
+
+def test_generating_set_costs_at_most_x_times_g_reads(monkeypatch):
+    # R_27 is generated by {1, 2}: 54 entries read to find them, then one per quad
+    r27, reads = make_dihedral(27), []
+    monkeypatch.setattr(r27, "under",
+                        lambda x, y: reads.append((x, y)) or FiniteBiquandle.under(r27, x, y))
+    assert len(enumerate_endos(r27)) == 27 * 27
+    assert len(reads) <= 27 * 2 + 54
 
 
 def test_is_hom_refuses_images_of_the_wrong_shape():

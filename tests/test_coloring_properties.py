@@ -7,7 +7,8 @@ pretzels after random R1/R2 moves. The search alone is compared with
 brute force on random virtual diagrams over algebras that are not
 linear. Random sparse systems with planted
 equality rows u*x_a - u*x_b, which the elimination merges first, are
-counted and listed against brute force.
+counted and listed against brute force. Quivers keyed by the coordinates
+the lister chose freely are compared with the full-tuple index.
 """
 
 import itertools
@@ -15,22 +16,26 @@ import math
 
 import pytest
 
-from biqknot.algebra import (biquandle_z, from_tables, make_conjugation_quandle, make_dihedral,
+from biqknot.algebra import (biquandle_z, enumerate_endos, from_tables, make_conjugation_quandle,
+                             make_dihedral, make_linear_biquandle, make_module_biquandle,
                              parse_biquandle, serialize_biquandle)
 from biqknot.coloring import (
     BRUTE_FORCE_GUARD,
     RelationMatrix,
     _list_kernel,
+    _listing,
     _oriented,
     _search,
     count_colorings,
     count_solutions_bruteforce,
+    colorings_with_loops,
     count_solutions_snf,
     enumerate_colorings,
 )
 from biqknot.diagram import Crossing, SemiarcDiagram, apply_r1, apply_r2, chain, pretzel, torus_2n
+from biqknot.quiver import build_quiver
 
-from oracles import brute_force_colorings
+from oracles import brute_force_colorings, targets_by_full_index
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -87,6 +92,27 @@ NON_LINEAR = [make_conjugation_quandle([p for p in itertools.permutations(range(
               constant_action((2, 3, 1)), constant_action((2, 3, 1, 4))]
 
 
+# every lister route: R_n with composite n, a non-quandle mod 9, Z, (Z/2)^2 and the search
+W, ONE, ZERO = ((0, 1), (1, 1)), ((1, 0), (0, 1)), ((0, 0), (0, 0))
+QUIVER_ALGEBRAS = [(y, enumerate_endos(y)) for y in (
+    *map(make_dihedral, range(1, 13)), make_linear_biquandle(9, 1, 0, 8, 2), biquandle_z(),
+    make_module_biquandle(2, ONE, ZERO, W, ((1, 1), (1, 0))), NON_LINEAR[0])]
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(st.one_of(moved_diagrams(), st.sampled_from((SemiarcDiagram(0, (), 0),
+                                                                SemiarcDiagram(0, (), 2)))),
+                  st.sampled_from(QUIVER_ALGEBRAS), st.data())
+def test_quiver_keys_separate_the_vertices(d, algebra, data):
+    y, endos = algebra
+    vertices, key = _listing(d.semiarc_count + d.free_loops, _oriented(d), y)
+    assert key == sorted(set(key)) and all(0 <= c < d.semiarc_count + d.free_loops for c in key)
+    assert len({tuple(v[c] for c in key) for v in vertices}) == len(vertices)
+    q = build_quiver(d, y, data.draw(st.lists(st.sampled_from(endos), max_size=3)))
+    assert q.vertices == tuple(colorings_with_loops(d, y))
+    assert q.targets == targets_by_full_index(q)
+
+
 @st.composite
 def virtual_diagrams(draw):
     """Abstract Gauss data: 1-5 crossings reading their inputs and their outputs
@@ -134,4 +160,4 @@ def test_planted_equality_rows_count_and_list_like_brute_force(system):
                   if all(sum(a * vec[j] for j, a in row.items()) % n == 0 for row in rows))
     m = RelationMatrix(tuple(rows), n, cols)
     assert count_solutions_snf(m) == count_solutions_bruteforce(m) == len(want)
-    assert _list_kernel(rows, cols, n) == want
+    assert _list_kernel(rows, cols, n)[0] == want

@@ -10,12 +10,14 @@ import pytest
 from biqknot import quiver
 from biqknot.algebra import (biquandle_z, enumerate_endos, make_conjugation_quandle,
                              make_dihedral, make_module_biquandle)
-from biqknot.coloring import colorings_with_loops
+from biqknot.coloring import _listing, _oriented, colorings_with_loops
 from biqknot.diagram import (Crossing, SemiarcDiagram, apply_r1, apply_r2, chain, connected_sum,
                              pretzel, torus_2n, unknot)
 from biqknot.knots import builtin_knot
 from biqknot.polynomial import ExponentPolynomial
 from biqknot.quiver import ColoringQuiver, build_quiver, in_degree_polynomial, quivers_isomorphic
+
+from oracles import targets_by_full_index
 
 
 def doubling(n):
@@ -125,12 +127,6 @@ def test_out_degree_equals_s_size():
     assert sum(c * e for e, c in poly.coeffs.items()) == len(q.vertices) * len(endos)
 
 
-def targets_by_full_index(q):
-    """The former route: map every coordinate of every vertex, look the image up whole."""
-    index = {v: i for i, v in enumerate(q.vertices)}
-    return tuple(tuple(index[tuple(f[x - 1] for x in v)] for v in q.vertices) for f in q.endos)
-
-
 def test_targets_match_the_full_tuple_index():
     swaps = [p for p in itertools.permutations(range(1, 5))
              if sum(p[i] != i + 1 for i in range(4)) == 2]
@@ -161,13 +157,13 @@ def test_targets_match_the_full_tuple_index():
 
 
 def test_targets_map_only_separating_columns():
-    # T(2,9) over R_9: 81 colorings on 18 semiarcs, told apart by 2 of them
-    vertices = colorings_with_loops(torus_2n(9), make_dihedral(9))
-    columns = quiver._separating_columns(vertices, 9)
-    assert len(columns) == 2
-    assert len(set(zip(*columns))) == len(vertices) == 81
-    one = colorings_with_loops(unknot(1), make_dihedral(3))[:1]
-    assert quiver._separating_columns(one, 3) == []  # one vertex needs no column
+    # T(2,9) over R_9: 81 colorings on 18 semiarcs, keyed by the 2 the lister chose freely
+    d = torus_2n(9)
+    vertices, key = _listing(d.semiarc_count, _oriented(d), make_dihedral(9))
+    assert len(key) == 2
+    assert len({tuple(v[c] for c in key) for v in vertices}) == len(vertices) == 81
+    d = unknot(1)
+    assert _listing(d.semiarc_count, _oriented(d), make_dihedral(1)) == ([(1, 1)], [])  # no key
 
 
 def test_separation_torus_sums_vs_chains():
