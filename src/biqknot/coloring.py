@@ -15,17 +15,18 @@ dihedral R_n, r = 2 for Alexander quandles over GF(4) or GF(9)). Each
 semiarc has r unknowns, semiarc s's coordinate i being unknown s*r + i.
 coloring_matrix hands out that system as a RelationMatrix of sparse
 rows, the form the elimination reads; dense() is for printing. One
-elimination over each prime power of n serves two consumers. A
-union-find merges the unknowns of each equality row x_a = x_b without
-building it, and every other row is built once on the roots, zero and
-repeated rows dropped; rows the elimination empties drop out too. Merged
+elimination over each prime power of n serves two consumers, one pass
+per stage: a union-find merges the unknowns of each equality row x_a =
+x_b without building it; every other row is built once on the roots and
+indexed by column in the same loop, zero and repeated rows dropped; each
+pivot is picked in the pass that drops its row from its columns. Merged
 unknowns come back as a map to their roots, the real pivots as a list.
 The counter reads their sizes and the pivots' valuations; the lister
-reads a generator per free parameter off the pivots by
-back-substitution, copies each root to the unknowns merged into it, and
-lists the box of their multiples column by column, building each
-distinct column once (a quandle crossing's o_in and o_out always share
-one) and zipping the columns into rows. Every other algebra is listed,
+back-substitutes a generator per free parameter over the pivots'
+entries, copies each root to the unknowns merged into it, and lists the
+box of their multiples column by column from the generators' transposed
+coefficients, building each distinct column once (a quandle crossing's
+o_in and o_out always share one). Every other algebra is listed,
 or counted leaf by leaf, by a search that branches only when no crossing
 has a propagating pair of known values: any such pair names the whole
 quad of Y at that crossing, looked up in one table per pair. Which
@@ -218,7 +219,7 @@ class RelationMatrix(NamedTuple("RelationMatrix", [
     def __new__(cls, rows: tuple[dict[int, int], ...], modulus: int, cols: int):
         if type(modulus) is not int or type(cols) is not int or modulus < 1 or cols < 0:
             raise ValueError(f"modulus must be >= 1 and cols >= 0, both ints: {modulus!r}, {cols!r}")
-        used = set(chain.from_iterable(rows))  # every column a row names
+        used = set().union(*rows)  # every column a row names
         if set(map(type, used)) - {int}:  # a 1.0 or True named after a 1 reads as column 1
             bad = next(j for j in used if type(j) is not int)
             raise ValueError(f"relation columns must be ints, got {bad!r}")
@@ -241,19 +242,37 @@ def _relation_rows(oriented, form) -> list[dict[int, int]]:
     With form = (n, A, B, C, D), w x w matrices, a quad (p, q, r, s)
     gives r - Cp - Dq and s - Aq - Bp, each as w rows, one per coordinate
     i, over the unknowns t*w + i (semiarc t, coordinate i). Zero
-    coefficients are left out. For w = 1 the unknown is the diagram's own
-    semiarc int t, so the rows hold no ints of their own.
+    coefficients are left out, and a semiarc in two slots (a kink) gets
+    their sum, 0 included. For w = 1 the rows are written straight from
+    the quad's semiarcs, the unknowns, so they hold no ints of their own.
     """
     _, A, B, C, D = form
     w = len(A)
+    rows = []
+    if w == 1:
+        (a,), (b,), (c,), (d,) = A[0], B[0], C[0], D[0]
+        na, nb, nc, nd = -a, -b, -c, -d
+        for p, q, r, s in oriented:
+            row = {r: 1}
+            if c:
+                row[p] = 1 - c if p == r else nc
+            if d:
+                row[q] = row[q] - d if q in row else nd
+            rows.append(row)
+            row = {s: 1}
+            if a:
+                row[q] = 1 - a if q == s else na
+            if b:
+                row[p] = row[p] - b if p in row else nb
+            rows.append(row)
+        return rows
     plan = []  # per row of a quad: (quad slot * w + coordinate, coefficient) terms
     for out, M, x, K, y in ((2, C, 0, D, 1), (3, A, 1, B, 0)):
         for i in range(w):
             plan.append([(out * w + i, 1), *((x * w + j, -v) for j, v in enumerate(M[i]) if v),
                          *((y * w + j, -v) for j, v in enumerate(K[i]) if v)])
-    rows = []
     for quad in oriented:
-        unknowns = quad if w == 1 else [t * w + i for t in quad for i in range(w)]
+        unknowns = [t * w + i for t in quad for i in range(w)]
         for terms in plan:
             row: dict[int, int] = {}
             for at, v in terms:
@@ -322,8 +341,11 @@ def _eliminate(rows, p: int, k: int):
     path-halving union-find and is not built at all; merged maps each
     column merged away to its root, which is never merged. Every other row
     is then built once, on the roots and mod q, so no pivot uses a merged
-    column; rows that come out zero, or equal to a row already built, say
-    nothing new and are dropped. The rows given are read, never changed.
+    column, and indexed by column in the same loop; zero rows and repeats
+    are dropped. A repeat keeps the first copy's place and the last copy's
+    entry order: rows are walked in place order and a pivot tie goes to the
+    first entry in row order, so this fixes the pivots, the lister's
+    parameters and the quiver keys. The rows given are read, never changed.
 
     pivots lists the pivots in order, each (j, v, inv, rest): its row
     reads p^v*u*x_j + sum(rest[c]*x_c) = 0 with inv = u^-1 mod q, and every
@@ -334,33 +356,37 @@ def _eliminate(rows, p: int, k: int):
     isolates p^v * x_j = 0, which has p^v solutions, so the pivot's row and
     column drop out; later pivots' rows never use an earlier pivot's
     column. Within a phase the pivot is the row's entry whose column has
-    the fewest rows, which keeps fill-in low. One pass over the rows
+    the fewest rows (Markowitz: it keeps fill-in low), found in the pass
+    that drops the row from its columns. One pass over the rows
     suffices per phase: a row already passed has every entry divisible by
     p^(v+1), and eliminating into it keeps that so. A row the elimination
     empties is retired: no column lists it and no later phase walks it.
     """
     q = p**k
     parent: dict[int, int] = {}  # merged column -> a column it equals, nearer its root
+    root = parent.get
     general = []  # the rows that are no unit equality as given
     for row in rows:
         if len(row) == 2:
-            (a, u), (b, w) = row.items()
-            if u % p and not (u + w) % q:
+            a, b = row
+            u = row[a]
+            if u % p and not (u + row[b]) % q:
                 while a in parent:  # path halving; parent[a] is stored before a moves
                     g = parent[a]
-                    parent[a] = a = parent.get(g, g)
+                    parent[a] = a = root(g, g)
                 while b in parent:
                     g = parent[b]
-                    parent[b] = b = parent.get(g, g)
+                    parent[b] = b = root(g, g)
                 if a != b:
                     parent[b] = a
                 continue
         general.append(row)
     for j in reversed(parent):  # j's ancestors were merged after j: map j to its root
-        parent[j] = parent.get(parent[j], parent[j])
+        parent[j] = root(parent[j], parent[j])
 
-    root = parent.get
-    built: dict[frozenset, dict[int, int]] = {}  # each distinct nonzero row, by its entries
+    ids: dict[frozenset, int] = {}  # each distinct nonzero row's entries -> its id
+    rows = {}  # id -> row; a repeat keeps the first copy's id and takes its own entry order
+    col_rows: defaultdict[int, set[int]] = defaultdict(set)  # column -> ids of rows using it
     for given in general:
         row: dict[int, int] = {}
         for j, a in given.items():
@@ -369,12 +395,10 @@ def _eliminate(rows, p: int, k: int):
             if a:
                 row[j] = a
         if row:
-            built[frozenset(row.items())] = row
-    rows = list(built.values())
-    col_rows: defaultdict[int, set[int]] = defaultdict(set)  # column -> ids of rows using it
-    for i, row in enumerate(rows):
-        for j in row:
-            col_rows[j].add(i)
+            i = ids.setdefault(frozenset(row.items()), len(ids))
+            rows[i] = row
+            for j in row:
+                col_rows[j].add(i)
     pivots = []
     live = range(len(rows))
     for v in range(k):
@@ -384,13 +408,17 @@ def _eliminate(rows, p: int, k: int):
             row = rows[i]
             if not row:  # retired
                 continue
-            cands = row if k == 1 else [j for j, a in row.items() if a % above]
-            if not cands:
+            j, least = None, len(rows)  # no column has as many other rows
+            for c, a in row.items():
+                users = col_rows[c]
+                users.discard(i)
+                if len(users) < least and a % above:
+                    j, least = c, len(users)
+            if j is None:
+                for c in row:
+                    col_rows[c].add(i)
                 kept.append(i)
                 continue
-            j = min(cands, key=lambda c: len(col_rows[c]))
-            for c in row:
-                col_rows[c].discard(i)
             inv = pow(row.pop(j) // pv, -1, q)
             for r in col_rows.pop(j):
                 other = rows[r]
@@ -438,25 +466,27 @@ def _list_kernel(rows, cols: int, n: int, width: int = 1) -> tuple[list[Coloring
         merged, pivots = _eliminate(rows, p, k)
         fixed = {*merged, *(j for j, _, _, _ in pivots)}
         params = [(c, q) for c in range(unknowns) if c not in fixed]
+        steps = [(j, p**v, inv, tuple(rest.items())) for j, v, inv, rest in reversed(pivots)]
+        roots = [merged.get(c, c) for c in range(unknowns)]
         for col, order in params + [(j, p**v) for j, v, _, _ in pivots if v]:
             free.add(col // width)
             g = [0] * unknowns
             g[col] = q // order
-            for j, v, inv, rest in reversed(pivots):
-                g[j] = (g[j] - inv * (sum(a * g[c] for c, a in rest.items()) // p**v)) % q
-            gens.append((order, [g[merged.get(c, c)] * e % n for c in range(unknowns)]))
+            for j, pv, inv, rest in steps:
+                g[j] = (g[j] - inv * (sum(a * g[c] for c, a in rest) // pv)) % q
+            gens.append((order, [g[c] * e % n for c in roots]))
 
     def residues(key) -> list[int]:  # an unknown's values over the box
         col = [0]
         for (order, _), a in zip(gens, key):
-            col = col * order if not a else [(v + t * a) % n for t in range(order) for v in col]
+            col = col * order if not a else [(v + s) % n for s in range(0, order * a, a) for v in col]
         return col
 
     labels = [_label(i, n, width) for i in range(n**width)]
+    coefs = list(zip(*[g for _, g in gens])) if gens else [()] * unknowns  # per unknown
     built: dict[tuple, list[int]] = {}  # coefficients across gens, per coordinate -> the column
     columns = []
-    for c in range(cols):
-        key = tuple(tuple(g[c * width + i] for _, g in gens) for i in range(width))
+    for key in zip(*[iter(coefs)] * width):  # entry c's width coordinates
         if key not in built:
             index = residues(key[0])
             for i in range(1, width):
