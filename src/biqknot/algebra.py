@@ -350,11 +350,15 @@ def make_conjugation_quandle(perms) -> FiniteBiquandle:
     Raises ValueError unless they are distinct permutations of one degree
     whose conjugates by each other stay among them.
     """
-    elems = [tuple(p) for p in perms]
+    need = "need distinct permutations of one degree, got"
+    try:
+        elems = [tuple(p) for p in perms]
+    except TypeError:  # an entry, or perms itself, that is no sequence
+        raise ValueError(f"{need} {perms!r}") from None
     index = {p: i for i, p in enumerate(elems, start=1)}
     if not elems or len(index) < len(elems) or any(
             len(p) != len(elems[0]) or not is_permutation(p) for p in elems):
-        raise ValueError(f"need distinct permutations of one degree, got {elems}")
+        raise ValueError(f"{need} {elems}")
     under = []
     for x in elems:
         row = []
@@ -387,27 +391,19 @@ def enumerate_homs(X: FiniteBiquandle, Y: FiniteBiquandle) -> list[tuple[int, ..
     "A classifying invariant of knots, the knot quandle", JPAA 23 (1982)):
     the y with f o R_y = R_f(y) o f form a subquandle, as R_(a |> b) =
     R_b R_a R_b^-1 in X and Y. Other pairs keep all |X|^2 quads, since a
-    non-quandle's over-relations constrain f. G is found greedily, each
-    generator extending one subquandle_closure orbit: |X| |G| reads at most.
+    non-quandle's over-relations constrain f. G is found greedily: walking
+    X in order, g joins G when it lies outside subquandle_closure(X, G).
+    That is |G| closures, |X| |G| (|G| + 1) / 2 table reads at most.
     """
     from .coloring import list_solutions  # coloring imports this module
 
     gens = X.elements()
     if X.is_quandle() and Y.is_quandle():
-        gens, acted = [], {}  # orbit element -> how many of gens have acted on it
+        gens, closure = [], frozenset()
         for g in X.elements():
-            if g in acted:
-                continue
-            gens.append(g)
-            acted[g] = 0
-            todo = list(acted)
-            while todo:
-                z = todo.pop()
-                for w in (X.under(z, y) for y in gens[acted[z]:]):
-                    if w not in acted:
-                        acted[w] = 0
-                        todo.append(w)
-                acted[z] = len(gens)
+            if g not in closure:
+                gens.append(g)
+                closure = subquandle_closure(X, gens)
     quads = [(x - 1, y - 1, X.under(x, y) - 1, X.over(y, x) - 1)
              for x in X.elements() for y in gens]
     return list_solutions(X.size, quads, Y)
@@ -496,7 +492,8 @@ def subquandle_closure(Q: FiniteBiquandle, S) -> frozenset[int]:
     closure, and since R_{x |> y} = R_y R_x R_y^-1, the column of every
     orbit element lies in the group the R_s generate, so the orbit is
     closed. On a finite set the forward orbit is already closed under the
-    inverse columns.
+    inverse columns. enhance reads group orders through it, and
+    enumerate_homs grows its generating sets with it.
     """
     if not Q.is_quandle():
         raise ValueError("subquandle closure is defined for quandles only")

@@ -140,6 +140,8 @@ def _log_bound(size: int, count: int) -> int:
     """Smallest b with size^b >= count (exact integer arithmetic)."""
     if size < 2:
         raise ValueError("counting bounds need |X| >= 2")
+    if type(count) is not int:  # True would read as a count of 1
+        raise ValueError(f"coloring counts must be ints, got {count!r}")
     if count <= 0:
         raise ValueError(f"a coloring count of {count} gives no bridge bound")
     # size < 2**L for L = size.bit_length(), so size**b <= 2**(b*L) <= count: b tops no answer

@@ -16,6 +16,8 @@ class ExponentPolynomial(NamedTuple("ExponentPolynomial", [("coeffs", dict[int, 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, coeffs: dict[int, int] = {}):  # never mutated: the record keeps a copy
+        if not isinstance(coeffs, dict):  # a list or text has no .items()
+            raise ValueError(f"coefficients must be a dict, got {coeffs!r}")
         if not {*map(type, coeffs), *map(type, coeffs.values())} <= {int}:
             raise ValueError("exponents and coefficients must be integers")
         cleaned = {e: c for e, c in coeffs.items() if c}

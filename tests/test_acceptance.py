@@ -12,7 +12,7 @@ Two sub-criteria are implemented literally and fail by design:
 * criterion 9 requires a positive u^3 coefficient in an in-degree
   polynomial over R_9 at 81 vertices. Coloring sets over R_9 are
   modules, the endomorphism acts linearly, and nonzero in-degrees all
-  equal the kernel size, which at 81 vertices is 9, 27 or 81. A u^3
+  equal the kernel size, which at 81 vertices is 1, 9, 27 or 81. A u^3
   term is unattainable for every diagram.
 
 Everything else passes exactly. Each criterion must also finish within
@@ -132,7 +132,7 @@ def test_criterion_09_repro_item_column_polynomials():
 def test_criterion_09_u3_distinction():
     # literal reading: the 9_24 in-degree polynomial over f(x) = 3x has a
     # positive u^3 coefficient; unattainable (in-degree exponents over
-    # R_9 at 81 vertices are kernel sizes: 9, 27 or 81), kept faithful
+    # R_9 at 81 vertices are kernel sizes: 1, 9, 27 or 81), kept faithful
     r9 = make_dihedral(9)
     d924 = builtin_table()["9_24"].diagram
     phi = [tuple((3 * x - 1) % 9 + 1 for x in range(1, 10))]
@@ -142,7 +142,7 @@ def test_criterion_09_u3_distinction():
     assert poly.coefficient(3) > 0, (
         f"9_24 in-degree polynomial is {poly}; a u^3 term cannot occur: the "
         "coloring set is a module of size 81 and every nonzero in-degree "
-        "equals the kernel size of the linear action, which is 9, 27 or 81")
+        "equals the kernel size of the linear action, which is 1, 9, 27 or 81")
 
 
 def test_criterion_10_taniguchi_spot_check():

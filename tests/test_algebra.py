@@ -465,6 +465,23 @@ def test_generating_set_costs_at_most_x_times_g_reads(monkeypatch):
     assert len(reads) <= 27 * 2 + 54
 
 
+def test_generating_set_is_grown_by_subquandle_closure(monkeypatch):
+    # one closure per generator taken: G = {1, 2} for R_27, {1} for R_1, every
+    # element of a trivial quandle; none when either side is no quandle
+    calls, real = [], algebra.subquandle_closure
+    monkeypatch.setattr(algebra, "subquandle_closure",
+                        lambda Q, S: calls.append(tuple(S)) or real(Q, S))
+    trivial4 = from_tables(*[[[x] * 4 for x in range(1, 5)]] * 2)
+    for X, Y, want in ((make_dihedral(27), make_dihedral(27), [(1,), (1, 2)]),
+                       (make_dihedral(1), make_dihedral(1), [(1,)]),
+                       (trivial4, trivial4, [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4)]),
+                       (make_dihedral(3), biquandle_z(), []),
+                       (biquandle_z(), make_dihedral(3), [])):
+        calls.clear()
+        enumerate_homs(X, Y)  # outputs: test_homs_match_is_hom_filter
+        assert calls == want, (X, Y)
+
+
 def test_is_hom_refuses_images_of_the_wrong_shape():
     r3 = make_dihedral(3)
     assert is_hom(r3, r3, (1, 2, 3))
@@ -560,6 +577,14 @@ def test_conjugation_quandle():
                 [(2, 1, 3), (1, 3, 2)]):  # the last misses (1 3)
         with pytest.raises(ValueError):
             make_conjugation_quandle(bad)
+
+
+@pytest.mark.parametrize("perms", [[(1, 2, 3), True], [(2, 1), 2.0], [None], None, 3])
+def test_conjugation_quandle_refuses_what_is_no_permutation_list(perms):
+    # tuple(p) used to leak TypeError on an entry, or a perms, that is no sequence
+    with pytest.raises(ValueError, match=re.escape(
+            f"need distinct permutations of one degree, got {perms!r}")):
+        make_conjugation_quandle(perms)
 
 
 def test_dihedral_endomorphism_count():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -224,6 +225,17 @@ def test_b1_lower_examples():
         b1_lower([(z, 16)])  # Z is not a quandle
     with pytest.raises(ValueError):
         b1_lower([(r3, 0)])
+
+
+@pytest.mark.parametrize("count", [True, 2.5, "9", None])
+def test_lower_bounds_take_int_counts_alone(count):
+    # True used to read as a count of 1 and give 0; 2.5, "9" and None leaked
+    # AttributeError or TypeError from the bound's integer arithmetic
+    message = f"^coloring counts must be ints, got {re.escape(repr(count))}$"
+    with pytest.raises(ValueError, match=message):
+        b1_lower([(make_dihedral(3), count)])
+    with pytest.raises(ValueError, match=message):
+        b2_lower([(make_dihedral(3), 9), (biquandle_z(), count)])
 
 
 def test_bound_consistency_on_instances():

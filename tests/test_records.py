@@ -127,3 +127,13 @@ def test_a_diagram_takes_integer_counts_and_ids_alone(args, bad):
 def test_a_polynomial_takes_integer_exponents_and_coefficients_alone(coeffs):
     with pytest.raises(ValueError, match="^exponents and coefficients must be integers$"):
         ExponentPolynomial(coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [[1, 2], True, "2", None, ((1, 2),)])
+def test_a_polynomial_takes_a_dict_alone(coeffs):
+    # a list or text used to leak AttributeError, and True or None TypeError
+    with pytest.raises(ValueError) as caught:
+        ExponentPolynomial(coeffs)
+    assert str(caught.value) == f"coefficients must be a dict, got {coeffs!r}"
+    with pytest.raises(ValueError):
+        ExponentPolynomial({1: 2})._replace(coeffs=coeffs)
