@@ -406,7 +406,7 @@ def enumerate_homs(X: FiniteBiquandle, Y: FiniteBiquandle) -> list[tuple[int, ..
                 closure = subquandle_closure(X, gens)
     quads = [(x - 1, y - 1, X.under(x, y) - 1, X.over(y, x) - 1)
              for x in X.elements() for y in gens]
-    return list_solutions(X.size, quads, Y)
+    return list_solutions(X.size, quads, Y)[0]
 
 
 def enumerate_endos(Y: FiniteBiquandle) -> list[tuple[int, ...]]:
@@ -415,7 +415,8 @@ def enumerate_endos(Y: FiniteBiquandle) -> list[tuple[int, ...]]:
 
 def is_hom(X: FiniteBiquandle, Y: FiniteBiquandle, image) -> bool:
     """Whether the image tuple defines a biquandle homomorphism X -> Y; ints only (no bool)."""
-    if (len(image) != X.size or {*map(type, image)} - {int}  # not 1.0, not True
+    if (not hasattr(image, "__len__")  # None, 5, True or 2.0: no image tuple
+            or len(image) != X.size or {*map(type, image)} - {int}  # not 1.0, not True
             or any(not 1 <= v <= Y.size for v in image)):
         return False
     f = (0, *image)  # f[x] is the image of x
@@ -458,7 +459,10 @@ def group_order(gens) -> int:
     warranted. Each generator is kept as the 1-shifted tuple (0, *g), so
     g o h is one map over h.
     """
-    gens = [tuple(g) for g in gens]
+    try:
+        gens = [tuple(g) for g in gens]
+    except TypeError:  # a generator, or gens itself, that is no sequence
+        raise ValueError(f"need permutations of 1..n, got {gens!r}") from None
     if not gens:
         return 1
     n = len(gens[0])
@@ -497,10 +501,10 @@ def subquandle_closure(Q: FiniteBiquandle, S) -> frozenset[int]:
     """
     if not Q.is_quandle():
         raise ValueError("subquandle closure is defined for quandles only")
-    seeds = set(S)
+    seeds = list(S)
     if not seeds:
         raise ValueError("seed set must be nonempty")
-    for s in seeds:
+    for s in seeds:  # as given: a set would merge True or 1.0 into 1 unchecked
         if type(s) is not int:  # int() would read 1.5 as 1 and True as 1
             raise ValueError(f"elements must be ints, got {s!r}")
         if not 1 <= s <= Q.size:

@@ -64,11 +64,11 @@ def _seed_set(dec: StrandDecomposition, seeds) -> tuple[int, ...]:
     """The seeds sorted, once each; ValueError unless they are ints naming strands of dec,
     and at least one when dec has strands."""
     n_strands = len(dec.strands)
-    given = set(seeds)
-    for s in given:
+    given = list(seeds)
+    for s in given:  # as given: a set would merge False or 0.0 into 0 unchecked
         if type(s) is not int:  # int() would read 0.7 as 0 and True as 1
             raise ValueError(f"strand ids must be ints, got {s!r}")
-    seed_set = tuple(sorted(given))
+    seed_set = tuple(sorted(set(given)))
     if not seed_set and n_strands:
         raise ValueError("seed set must be nonempty")
     for s in seed_set:

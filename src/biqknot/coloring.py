@@ -32,11 +32,12 @@ has a propagating pair of known values: any such pair names the whole
 quad of Y at that crossing, looked up in one table per pair. Which
 semiarcs a branch makes known does not depend on its value, so the
 search plans its branch order and each level's crossing checks once per
-diagram, then runs the plan. Each lister also hands over the semiarcs it
-chose freely (owning a generator's unknown, or branched on), whose values
-fix a solution; quivers key their vertices on them. The search and brute
-force stay as the references for both linear routes. Arithmetic is plain
-Python integers, so entries can never overflow.
+diagram, then runs the plan. list_solutions runs either route and also
+hands over the semiarcs it chose freely (owning a generator's unknown, or
+branched on), whose values fix a solution; build_quiver keys its vertices
+on them. The search and brute force stay as the references for both
+linear routes. Arithmetic is plain Python integers, so entries can never
+overflow.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def _oriented(d: SemiarcDiagram) -> list[tuple[int, int, int, int]]:
 
 
 def _search(m: int, oriented, Y: FiniteBiquandle):
-    """Yield every x in Y^m satisfying each quad's relations, as lists, in search order.
+    """Yield every x in Y^m satisfying each quad's relations, as tuples, in search order.
 
     A quad (p, q, r, s) asks x[r] = x[p] .v x[q] and x[s] = x[q] ." x[p],
     that is, (x[p], x[q], x[r], x[s]) is one of Y's quads (x, y, x .v y,
@@ -122,7 +123,7 @@ def _search(m: int, oriented, Y: FiniteBiquandle):
         plan.append((free, steps))
 
     if not plan:
-        yield []
+        yield ()
         return []
     x = [0] * m
     stack = [iter(Y.elements())]  # one value iterator per open level
@@ -140,21 +141,17 @@ def _search(m: int, oriented, Y: FiniteBiquandle):
                 if len(stack) < len(plan):
                     stack.append(iter(Y.elements()))
                     break
-                yield x.copy()
+                yield tuple(x)
         else:
             stack.pop()
     return [free for free, _ in plan]
 
 
-def list_solutions(m: int, oriented, Y: FiniteBiquandle) -> list[Coloring]:
-    """Every x in Y^m satisfying each quad's relations, sorted: from the kernel lattice
-    if Y is linear (see FiniteBiquandle.linear_form), else by the search."""
-    return _listing(m, oriented, Y)[0]
-
-
-def _listing(m: int, oriented, Y: FiniteBiquandle) -> tuple[list[Coloring], list[int]]:
-    """list_solutions' listing and, sorted, the coordinates the lister chose freely (the
-    kernel's parameters, see _list_kernel, or the search's branch semiarcs): they fix x."""
+def list_solutions(m: int, oriented, Y: FiniteBiquandle) -> tuple[list[Coloring], list[int]]:
+    """(listing, free): every x in Y^m satisfying each quad's relations, sorted, and the
+    coordinates the lister chose freely, sorted, whose values fix x. The kernel lattice
+    lists a linear Y (see FiniteBiquandle.linear_form) and hands over its parameters
+    (see _list_kernel); the search lists any other Y and hands over its branch semiarcs."""
     form = Y.linear_form
     if form is not None:
         return _list_kernel(_relation_rows(oriented, form), m, form[0], len(form[1]))
@@ -162,7 +159,7 @@ def _listing(m: int, oriented, Y: FiniteBiquandle) -> tuple[list[Coloring], list
 
     def run():
         branches.extend((yield from _search(m, oriented, Y)))
-    return sorted(map(tuple, run())), sorted(branches)
+    return sorted(run()), sorted(branches)
 
 
 def enumerate_colorings(d: SemiarcDiagram, Y: FiniteBiquandle) -> list[Coloring]:
@@ -173,7 +170,7 @@ def enumerate_colorings(d: SemiarcDiagram, Y: FiniteBiquandle) -> list[Coloring]
     is the reference. Free loops are not materialized; count_colorings
     folds them in as a factor of |Y| each.
     """
-    return list_solutions(d.semiarc_count, _oriented(d), Y)
+    return list_solutions(d.semiarc_count, _oriented(d), Y)[0]
 
 
 def count_colorings(d: SemiarcDiagram, Y: FiniteBiquandle) -> int:
@@ -200,7 +197,7 @@ def colorings_with_loops(d: SemiarcDiagram, Y: FiniteBiquandle) -> list[Coloring
     the semiarc coordinates in sorted order. No quad touches those
     coordinates, so one listing of the longer vector covers them.
     """
-    return list_solutions(d.semiarc_count + d.free_loops, _oriented(d), Y)
+    return list_solutions(d.semiarc_count + d.free_loops, _oriented(d), Y)[0]
 
 
 # -- linear path: relation matrices and Smith normal form ----------------------

@@ -377,7 +377,10 @@ def pretzel(twists) -> SemiarcDiagram:
       by its first-listed arc, in that arc's direction, starting from the
       outer top arc into band 0.
     """
-    twists = list(twists)
+    try:
+        twists = list(twists)
+    except TypeError:  # an int, float, bool or None: no sequence of twists
+        raise DiagramError(f"pretzel needs a sequence of twist counts, got {twists!r}") from None
     if not twists:
         raise ValueError("pretzel needs at least one band")
     _ints(**{f"twists[{i}]": t for i, t in enumerate(twists)})

@@ -9,7 +9,7 @@ construction; distinct endomorphisms agreeing on a vertex give parallel
 edges. Edge triples (source, target, endo index) are only derived at the
 CLI's dump boundary.
 
-Targets are read off a few coordinates: those the lister chose freely
+Targets are read off a few coordinates: those list_solutions chose freely
 (the kernel's parameters, or the search's branch semiarcs; for T(2,9)
 over R_9, 2 of 18) fix each coloring, so they index the vertices and
 each f maps only them. This is sound because every f is checked to be an
@@ -37,7 +37,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .algebra import FiniteBiquandle, is_hom
-from .coloring import Coloring, _listing, _oriented
+from .coloring import Coloring, _oriented, list_solutions
 from .diagram import SemiarcDiagram
 from .polynomial import ExponentPolynomial
 
@@ -55,14 +55,17 @@ def build_quiver(d: SemiarcDiagram, Y: FiniteBiquandle, S) -> ColoringQuiver:
     with an entry that is not an int is refused before that lookup, since
     (1.0, 2, 3) equals and hashes like (1, 2, 3).
     """
-    endos = tuple(tuple(f) for f in S)
+    try:
+        endos = tuple(tuple(f) for f in S)
+    except TypeError:  # S, or a map in it, that is no sequence
+        raise ValueError(f"{S!r} is not an endomorphism of the target biquandle") from None
     checked = Y.checked_endos
     for f in endos:
         if {*map(type, f)} - {int} or f not in checked:
             if not is_hom(Y, Y, f):
                 raise ValueError(f"{f} is not an endomorphism of the target biquandle")
             checked.add(f)
-    listing, key = _listing(d.semiarc_count + d.free_loops, _oriented(d), Y)
+    listing, key = list_solutions(d.semiarc_count + d.free_loops, _oriented(d), Y)
     vertices = tuple(listing)  # colorings_with_loops(d, Y), keyed by the coordinates in key
     if not key:  # one vertex (or none): every f fixes it
         return ColoringQuiver(vertices, endos, tuple((0,) * len(vertices) for _ in endos))

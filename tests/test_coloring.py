@@ -945,7 +945,7 @@ def test_column_listing_matches_search_tuple_for_tuple():
             else:
                 m, quads = d.semiarc_count + d.free_loops, _oriented(d)
             assert y.linear_form is not None
-            got = list_solutions(m, quads, y)
+            got = list_solutions(m, quads, y)[0]
             assert got == sorted(map(tuple, _search(m, quads, y)))
             assert all(type(c) is tuple and len(c) == m for c in got)
             columns = set(zip(*got))  # equal coefficient vectors give equal columns

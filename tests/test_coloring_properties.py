@@ -23,7 +23,6 @@ from biqknot.coloring import (
     BRUTE_FORCE_GUARD,
     RelationMatrix,
     _list_kernel,
-    _listing,
     _oriented,
     _search,
     count_colorings,
@@ -31,6 +30,7 @@ from biqknot.coloring import (
     colorings_with_loops,
     count_solutions_snf,
     enumerate_colorings,
+    list_solutions,
 )
 from biqknot.diagram import Crossing, SemiarcDiagram, apply_r1, apply_r2, chain, pretzel, torus_2n
 from biqknot.quiver import build_quiver
@@ -105,7 +105,7 @@ QUIVER_ALGEBRAS = [(y, enumerate_endos(y)) for y in (
                   st.sampled_from(QUIVER_ALGEBRAS), st.data())
 def test_quiver_keys_separate_the_vertices(d, algebra, data):
     y, endos = algebra
-    vertices, key = _listing(d.semiarc_count + d.free_loops, _oriented(d), y)
+    vertices, key = list_solutions(d.semiarc_count + d.free_loops, _oriented(d), y)
     assert key == sorted(set(key)) and all(0 <= c < d.semiarc_count + d.free_loops for c in key)
     assert len({tuple(v[c] for c in key) for v in vertices}) == len(vertices)
     q = build_quiver(d, y, data.draw(st.lists(st.sampled_from(endos), max_size=3)))

@@ -2,9 +2,11 @@
 
 True would read as 1, 2.0 as 2 and "2" as a count in some arithmetic, so
 each of them must be refused with ValueError, never accepted as a number
-nor leaked as TypeError or AttributeError. Two documented exceptions:
-from_tables reads a text table entry through _decimal, and
-validate_axioms reports a bad entry as a shape violation.
+nor leaked as TypeError or AttributeError, also where a sequence of ints
+is expected and where one is repeated after an int it equals. Three
+documented exceptions: from_tables reads a text table entry through
+_decimal, validate_axioms reports a bad entry as a shape violation, and
+is_hom answers False.
 """
 
 import pytest
@@ -15,6 +17,7 @@ from biqknot.algebra import (
     column_permutation,
     from_tables,
     group_order,
+    is_hom,
     make_conjugation_quandle,
     make_dihedral,
     make_linear_biquandle,
@@ -22,7 +25,7 @@ from biqknot.algebra import (
     subquandle_closure,
     validate_axioms,
 )
-from biqknot.bridge import b1_lower, b2_lower, min_seed_size, wirtinger_saturate
+from biqknot.bridge import b1_lower, b2_lower, min_seed_size, saturating_closure, wirtinger_saturate
 from biqknot.coloring import RelationMatrix
 from biqknot.diagram import (
     Crossing,
@@ -48,6 +51,7 @@ CALLS = {
     "unknot": lambda v: unknot(v),
     "chain": lambda v: chain(v),
     "pretzel": lambda v: pretzel([3, v]),
+    "pretzel.twists": lambda v: pretzel(v),
     "apply_r1.semiarc": lambda v: apply_r1(torus_2n(3), v, 1),
     "apply_r1.chirality": lambda v: apply_r1(torus_2n(3), 0, v),
     "apply_r2.semiarc_a": lambda v: apply_r2(torus_2n(3), v, 2),
@@ -63,13 +67,18 @@ CALLS = {
     "make_conjugation_quandle.perm": lambda v: make_conjugation_quandle([(2, 1, 3), v]),
     "make_conjugation_quandle.entry": lambda v: make_conjugation_quandle([(v, 1)]),
     "group_order": lambda v: group_order([(v, 1)]),
+    "group_order.generator": lambda v: group_order([v]),
     "column_permutation": lambda v: column_permutation(make_dihedral(5), v),
     "subquandle_closure": lambda v: subquandle_closure(make_dihedral(5), [v]),
+    "subquandle_closure.repeat": lambda v: subquandle_closure(make_dihedral(5), [1, 2, v]),
     "min_seed_size": lambda v: min_seed_size(torus_2n(3), v),
     "wirtinger_saturate": lambda v: wirtinger_saturate(torus_2n(3), [v]),
+    "wirtinger_saturate.repeat": lambda v: wirtinger_saturate(torus_2n(3), [1, 2, v]),
+    "saturating_closure.repeat": lambda v: saturating_closure(torus_2n(3), [1, 2, v]),
     "b1_lower": lambda v: b1_lower([(make_dihedral(3), v)]),
     "b2_lower": lambda v: b2_lower([(biquandle_z(), v)]),
     "build_quiver": lambda v: build_quiver(torus_2n(3), make_dihedral(3), [(v, 2, 3)]),
+    "build_quiver.endo": lambda v: build_quiver(torus_2n(3), make_dihedral(3), [v]),
     "SemiarcDiagram.semiarc_count": lambda v: SemiarcDiagram(v, (Crossing(1, 0, 1, 1, 0),)),
     "SemiarcDiagram.id": lambda v: SemiarcDiagram(2, (Crossing(1, 0, v, 1, 0),)),
     "SemiarcDiagram.free_loops": lambda v: SemiarcDiagram(0, (), v),
@@ -88,6 +97,11 @@ CALLS = {
 def test_an_int_argument_refuses_what_is_no_int(name, bad):
     with pytest.raises(ValueError):
         CALLS[name](bad)
+
+
+@pytest.mark.parametrize("bad", BAD, ids=repr)
+def test_an_image_that_is_no_int_tuple_is_no_hom(bad):
+    assert is_hom(make_dihedral(3), make_dihedral(3), bad) is False
 
 
 @pytest.mark.parametrize("bad", BAD, ids=repr)

@@ -132,3 +132,16 @@ def test_scalar_rows_are_keyed_by_the_diagrams_own_ints():
         assert ordered(rows) == ordered(relation_rows_reference(oriented, y.linear_form))
         for i, quad in enumerate(oriented):
             assert all(any(j is t for t in quad) for row in rows[2 * i:2 * i + 2] for j in row)
+
+
+def test_kernel_timing_script_runs(capsys):
+    # tests/kernel_timing.py: one row per (case, kernel function) a case reaches
+    import kernel_timing
+
+    reached = [(case, name) for case, call in kernel_timing.cases()
+               for name, calls in kernel_timing.recorded(call).items() if calls]
+    assert kernel_timing.main(["--repeat", "1"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["case", "function", "calls", "best", "ms"]
+    assert [tuple(row.rsplit(maxsplit=3)[:2]) for row in rows] == reached
+    assert len(reached) == 12

@@ -10,7 +10,7 @@ import pytest
 from biqknot import quiver
 from biqknot.algebra import (biquandle_z, enumerate_endos, make_conjugation_quandle,
                              make_dihedral, make_module_biquandle)
-from biqknot.coloring import _listing, _oriented, colorings_with_loops
+from biqknot.coloring import _oriented, colorings_with_loops, list_solutions
 from biqknot.diagram import (Crossing, SemiarcDiagram, apply_r1, apply_r2, chain, connected_sum,
                              pretzel, torus_2n, unknot)
 from biqknot.knots import builtin_knot
@@ -159,11 +159,11 @@ def test_targets_match_the_full_tuple_index():
 def test_targets_map_only_separating_columns():
     # T(2,9) over R_9: 81 colorings on 18 semiarcs, keyed by the 2 the lister chose freely
     d = torus_2n(9)
-    vertices, key = _listing(d.semiarc_count, _oriented(d), make_dihedral(9))
+    vertices, key = list_solutions(d.semiarc_count, _oriented(d), make_dihedral(9))
     assert len(key) == 2
     assert len({tuple(v[c] for c in key) for v in vertices}) == len(vertices) == 81
     d = unknot(1)
-    assert _listing(d.semiarc_count, _oriented(d), make_dihedral(1)) == ([(1, 1)], [])  # no key
+    assert list_solutions(d.semiarc_count, _oriented(d), make_dihedral(1)) == ([(1, 1)], [])  # no key
 
 
 def test_separation_torus_sums_vs_chains():
