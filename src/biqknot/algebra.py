@@ -22,11 +22,13 @@ from functools import cached_property
 from operator import add
 from typing import NamedTuple
 
-from .diagram import _decimal, any_int_digits
+from .diagram import _decimal, _ints, any_int_digits
 
 Table = tuple[tuple[int, ...], ...]
 
 DEFAULT_GROUP_CAP = 10**6
+
+_PARAMETERS = "biquandle parameters must be integers, got {!r}"
 
 
 class AxiomError(ValueError):
@@ -254,7 +256,7 @@ def from_tables(over_table, under_table) -> FiniteBiquandle:
 
 def make_dihedral(n: int) -> FiniteBiquandle:
     """The dihedral quandle R_n on {1..n} with x |> y = 2y - x mod n."""
-    if type(n) is int and n < 1:  # make_module_biquandle refuses an n that is no int
+    if _ints([n], _PARAMETERS)[0] < 1:
         raise ValueError(f"dihedral quandle needs n >= 1, got {n}")
     return make_linear_biquandle(n, 1, 0, -1, 2)
 
@@ -327,9 +329,7 @@ def make_module_biquandle(n: int, A, B, C, D) -> FiniteBiquandle:
     labelled as _label says, like linear_form reads them. Raises
     AxiomError with the first failing axiom and witness.
     """
-    for v in (n, *(v for M in (A, B, C, D) for row in M for v in row)):
-        if type(v) is not int:
-            raise ValueError(f"biquandle parameters must be integers, got {v!r}")
+    _ints((n, *(v for M in (A, B, C, D) for row in M for v in row)), _PARAMETERS)
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
     mats = [tuple(tuple(v % n for v in row) for row in M) for M in (A, B, C, D)]
@@ -350,15 +350,11 @@ def make_conjugation_quandle(perms) -> FiniteBiquandle:
     Raises ValueError unless they are distinct permutations of one degree
     whose conjugates by each other stay among them.
     """
-    need = "need distinct permutations of one degree, got"
-    try:
-        elems = [tuple(p) for p in perms]
-    except TypeError:  # an entry, or perms itself, that is no sequence
-        raise ValueError(f"{need} {perms!r}") from None
-    index = {p: i for i, p in enumerate(elems, start=1)}
+    elems = _ints(perms, error=None, rows=True)
+    index = {p: i for i, p in enumerate(elems or (), start=1)}
     if not elems or len(index) < len(elems) or any(
             len(p) != len(elems[0]) or not is_permutation(p) for p in elems):
-        raise ValueError(f"{need} {elems}")
+        raise ValueError(f"need distinct permutations of one degree, got {perms!r}")
     under = []
     for x in elems:
         row = []
@@ -414,10 +410,9 @@ def enumerate_endos(Y: FiniteBiquandle) -> list[tuple[int, ...]]:
 
 
 def is_hom(X: FiniteBiquandle, Y: FiniteBiquandle, image) -> bool:
-    """Whether the image tuple defines a biquandle homomorphism X -> Y; ints only (no bool)."""
-    if (not hasattr(image, "__len__")  # None, 5, True or 2.0: no image tuple
-            or len(image) != X.size or {*map(type, image)} - {int}  # not 1.0, not True
-            or any(not 1 <= v <= Y.size for v in image)):
+    """Whether the image tuple (or list) of ints defines a biquandle homomorphism X -> Y."""
+    if (not isinstance(image, (tuple, list)) or _ints(image, error=None) is None
+            or len(image) != X.size or any(not 1 <= v <= Y.size for v in image)):
         return False
     f = (0, *image)  # f[x] is the image of x
     for x_over, x_under, fx in zip(X.over_table, X.under_table, image):
@@ -438,8 +433,7 @@ def column_permutation(Q: FiniteBiquandle, y: int) -> Permutation:
     """The permutation x -> x |> y given by column y of the quandle table."""
     if not Q.is_quandle():
         raise ValueError("column permutations are defined for quandles only")
-    if type(y) is not int:  # True would read as column 1
-        raise ValueError(f"elements must be ints, got {y!r}")
+    _ints([y], "elements must be ints, got {!r}")  # True would read as column 1
     if not 1 <= y <= Q.size:
         raise ValueError(f"element {y} out of range 1..{Q.size}")
     return tuple(Q.under(x, y) for x in Q.elements())
@@ -447,7 +441,7 @@ def column_permutation(Q: FiniteBiquandle, y: int) -> Permutation:
 
 def is_permutation(p) -> bool:
     """Whether p lists 1..len(p) in some order, as ints: a bool or float entry is no element."""
-    return all(type(v) is int for v in p) and sorted(p) == list(range(1, len(p) + 1))
+    return _ints(p, error=None) is not None and sorted(p) == list(range(1, len(p) + 1))
 
 
 def group_order(gens) -> int:
@@ -459,10 +453,7 @@ def group_order(gens) -> int:
     warranted. Each generator is kept as the 1-shifted tuple (0, *g), so
     g o h is one map over h.
     """
-    try:
-        gens = [tuple(g) for g in gens]
-    except TypeError:  # a generator, or gens itself, that is no sequence
-        raise ValueError(f"need permutations of 1..n, got {gens!r}") from None
+    gens = _ints(gens, "need permutations of 1..n, got {!r}", rows=True)
     if not gens:
         return 1
     n = len(gens[0])
@@ -501,12 +492,10 @@ def subquandle_closure(Q: FiniteBiquandle, S) -> frozenset[int]:
     """
     if not Q.is_quandle():
         raise ValueError("subquandle closure is defined for quandles only")
-    seeds = list(S)
+    seeds = _ints(S, "elements must be ints, got {!r}")  # before a set merges True into 1
     if not seeds:
         raise ValueError("seed set must be nonempty")
-    for s in seeds:  # as given: a set would merge True or 1.0 into 1 unchecked
-        if type(s) is not int:  # int() would read 1.5 as 1 and True as 1
-            raise ValueError(f"elements must be ints, got {s!r}")
+    for s in seeds:
         if not 1 <= s <= Q.size:
             raise ValueError(f"element {s} out of range 1..{Q.size}")
     columns = [s - 1 for s in seeds]

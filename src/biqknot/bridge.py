@@ -15,7 +15,7 @@ import heapq
 import itertools
 from typing import NamedTuple
 
-from .diagram import SemiarcDiagram, StrandDecomposition, strands
+from .diagram import SemiarcDiagram, StrandDecomposition, _ints, strands
 
 
 class SeedReport(NamedTuple):
@@ -64,10 +64,7 @@ def _seed_set(dec: StrandDecomposition, seeds) -> tuple[int, ...]:
     """The seeds sorted, once each; ValueError unless they are ints naming strands of dec,
     and at least one when dec has strands."""
     n_strands = len(dec.strands)
-    given = list(seeds)
-    for s in given:  # as given: a set would merge False or 0.0 into 0 unchecked
-        if type(s) is not int:  # int() would read 0.7 as 0 and True as 1
-            raise ValueError(f"strand ids must be ints, got {s!r}")
+    given = _ints(seeds, "strand ids must be ints, got {!r}")  # before a set merges False into 0
     seed_set = tuple(sorted(set(given)))
     if not seed_set and n_strands:
         raise ValueError("seed set must be nonempty")
@@ -119,8 +116,7 @@ def min_seed_size(d: SemiarcDiagram, k_max: int = 6) -> tuple[int, tuple[int, ..
     at most b_1. The search starts at that size and skips subsets that
     miss a component; neither changes the witness.
     """
-    if type(k_max) is not int:  # True would read as a cap of 1
-        raise ValueError(f"k_max must be an int, got {k_max!r}")
+    _ints([k_max], "k_max must be an int, got {!r}")  # True would read as a cap of 1
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     dec = strands(d)
@@ -140,8 +136,7 @@ def _log_bound(size: int, count: int) -> int:
     """Smallest b with size^b >= count (exact integer arithmetic)."""
     if size < 2:
         raise ValueError("counting bounds need |X| >= 2")
-    if type(count) is not int:  # True would read as a count of 1
-        raise ValueError(f"coloring counts must be ints, got {count!r}")
+    _ints([count], "coloring counts must be ints, got {!r}")  # True would read as a count of 1
     if count <= 0:
         raise ValueError(f"a coloring count of {count} gives no bridge bound")
     # size < 2**L for L = size.bit_length(), so size**b <= 2**(b*L) <= count: b tops no answer

@@ -253,10 +253,10 @@ def _load_quiver_dump(path: str) -> quiver.ColoringQuiver:
 
     def int_lists(key: str) -> tuple[tuple[int, ...], ...]:
         rows = data.get(key) if isinstance(data, dict) else None
-        if not (isinstance(rows, list) and all(
-                isinstance(r, list) and all(type(v) is int for v in r) for r in rows)):
+        if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)
+                and diagram._ints([v for r in rows for v in r], error=None) is not None):
             raise ValueError(f"quiver dump {path!r} needs {key!r}: a list of integer lists")
-        return tuple(tuple(r) for r in rows)
+        return tuple(map(tuple, rows))
 
     vertices, edges, endos = int_lists("vertices"), int_lists("edges"), int_lists("endos")
     n, m = len(vertices), len(endos)

@@ -49,7 +49,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .algebra import FiniteBiquandle, _label
-from .diagram import SemiarcDiagram
+from .diagram import SemiarcDiagram, _ints
 
 Coloring = tuple[int, ...]
 
@@ -214,17 +214,14 @@ class RelationMatrix(NamedTuple("RelationMatrix", [
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, rows: tuple[dict[int, int], ...], modulus: int, cols: int):
-        if type(modulus) is not int or type(cols) is not int or modulus < 1 or cols < 0:
+        if _ints((modulus, cols), error=None) is None or modulus < 1 or cols < 0:
             raise ValueError(f"modulus must be >= 1 and cols >= 0, both ints: {modulus!r}, {cols!r}")
-        used = set().union(*rows)  # every column a row names
-        if set(map(type, used)) - {int}:  # a 1.0 or True named after a 1 reads as column 1
-            bad = next(j for j in used if type(j) is not int)
-            raise ValueError(f"relation columns must be ints, got {bad!r}")
+        used = set().union(*rows)  # every column a row names; a 1.0 or True after a 1 reads as 1
+        _ints(used, "relation columns must be ints, got {!r}")
         if used and (min(used) < 0 or max(used) >= cols):
             row = next(row for row in rows if row and (min(row) < 0 or max(row) >= cols))
             raise ValueError(f"relation row {row} has a column outside 0..{cols - 1}")
-        if set(map(type, chain.from_iterable(map(dict.values, rows)))) - {int}:
-            raise ValueError("relation coefficients must be integers")
+        _ints(chain.from_iterable(map(dict.values, rows)), "relation coefficients must be integers")
         return super().__new__(cls, rows, modulus, cols)
 
     def dense(self) -> tuple[tuple[int, ...], ...]:

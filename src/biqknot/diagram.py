@@ -24,7 +24,8 @@ that fails is rescanned by _raise_first_error to name its first bad
 line. A Crossing is a named tuple, equal to its plain 5-tuple
 (sign, u_in, o_in, u_out, o_out); a SemiarcDiagram is one too,
 (semiarc_count, crossings, free_loops), checked however it is built,
-by its constructor, _make or _replace, with ints alone accepted (no bool).
+by its constructor, _make or _replace. Every int argument of the library is
+checked by _ints, as every integer read from text is by _decimal.
 
 Crossing relation convention used throughout the library: a positive
 crossing imposes u_out = u_in .v o_in and o_out = o_in ." u_in; a
@@ -68,13 +69,13 @@ class SemiarcDiagram(NamedTuple("SemiarcDiagram", [
     def __new__(cls, semiarc_count: int, crossings: tuple[Crossing, ...], free_loops: int = 0):
         self = super().__new__(cls, semiarc_count, crossings, free_loops)
         signs, u_in, o_in, u_out, o_out = zip(*crossings) if crossings else ((),) * 5
-        if not (set(map(type, signs)) <= {int} and set(signs) <= {1, -1}):  # not 1.0, not True
-            bad = next(s for s in signs if type(s) is not int or s not in (1, -1))
-            raise DiagramError(f"crossing sign must be +1 or -1, got {bad!r}")
+        sign = "crossing sign must be +1 or -1, got {!r}"  # not 1.0, not True
+        if not set(_ints(signs, sign, DiagramError)) <= {1, -1}:
+            raise DiagramError(sign.format(next(s for s in signs if s not in (1, -1))))
         ins, outs = u_in + o_in, u_out + o_out
-        if {type(semiarc_count), type(free_loops), *map(type, ins), *map(type, outs)} - {int}:
-            bad = next(v for v in (semiarc_count, free_loops, *ins, *outs) if type(v) is not int)
-            raise DiagramError(f"semiarc count, ids and free loop count must be integers, got {bad!r}")
+        for values in (semiarc_count, free_loops), ins, outs:  # in this order, no copy
+            _ints(values, "semiarc count, ids and free loop count must be integers, got {!r}",
+                  DiagramError)
         if semiarc_count < 0:
             raise DiagramError("semiarc count cannot be negative")
         every = list(range(semiarc_count))
@@ -156,6 +157,27 @@ def _decimal(text: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     return int(text)
+
+
+def _ints(values, what: str = "", error=ValueError, rows: bool = False):
+    """values as a tuple of ints: the rule of every int argument, as _decimal is of every
+    integer read from text. Any iterable is read (a set of seeds too), and a bool, float,
+    text or other entry is refused: True would pass as 1, 1.0 hash as 1, 2.0 escape as
+    TypeError. A refusal raises error(what.format(bad, where)), bad being the first entry
+    that is no int and where its position, or values itself and "" if it is no iterable;
+    error=None returns None instead. The entries' types are read as one set, so no Python
+    loop runs unless one is bad. rows=True reads values as a tuple of tuples, refusing
+    only an entry that is no iterable: the caller checks each row's ints."""
+    try:
+        values = tuple(map(tuple, values)) if rows else tuple(values)
+    except TypeError:  # None, 5 or 2.0, or a row that is one
+        bad, where = values, ""
+    else:
+        if rows or set(map(type, values)) <= {int}:
+            return values
+        bad, where = next((v, i) for i, v in enumerate(values) if type(v) is not int)
+    if error:
+        raise error(what.format(bad, where))
 
 
 def parse_pd(text: str) -> SemiarcDiagram:
@@ -310,21 +332,13 @@ def serialize_pd(d: SemiarcDiagram) -> str:
 # -- family generators ---------------------------------------------------------
 
 
-def _ints(**args) -> None:
-    """DiagramError (a ValueError) naming the first argument that is not an int:
-    True would pass as 1, and 2.0 escape as TypeError."""
-    for name, value in args.items():
-        if type(value) is not int:
-            raise DiagramError(f"{name} must be an int, got {value!r}")
-
-
 def torus_2n(n: int) -> SemiarcDiagram:
     """Closure of the 2-braid with n positive crossings, T(2, n).
 
     Semiarc numbering: crossing i has inputs 2i (under) and 2i+1 (over)
     and outputs (2i+3) mod 2n (under) and (2i+2) mod 2n (over).
     """
-    _ints(n=n)
+    _ints([n], "n must be an int, got {!r}", DiagramError)
     if n < 1:
         raise ValueError(f"torus_2n needs n >= 1, got {n}")
     m = 2 * n
@@ -339,7 +353,7 @@ def unknot(kinks: int = 0) -> SemiarcDiagram:
     The chain is torus_2n(1) after kinks - 1 calls of apply_r1(d, 0, +1),
     built in one pass.
     """
-    _ints(kinks=kinks)
+    _ints([kinks], "kinks must be an int, got {!r}", DiagramError)
     if kinks < 0:
         raise ValueError(f"unknot needs kinks >= 0, got {kinks}")
     if kinks == 0:
@@ -377,13 +391,9 @@ def pretzel(twists) -> SemiarcDiagram:
       by its first-listed arc, in that arc's direction, starting from the
       outer top arc into band 0.
     """
-    try:
-        twists = list(twists)
-    except TypeError:  # an int, float, bool or None: no sequence of twists
-        raise DiagramError(f"pretzel needs a sequence of twist counts, got {twists!r}") from None
+    twists = _ints(twists, "twists[{1}] must be an int, got {0!r}", DiagramError)
     if not twists:
         raise ValueError("pretzel needs at least one band")
-    _ints(**{f"twists[{i}]": t for i, t in enumerate(twists)})
     k = len(twists)
     over, first = [], []  # per crossing: is the NE-SW strand over; per band: its top crossing
     for t in twists:
@@ -466,7 +476,7 @@ def chain(k: int) -> SemiarcDiagram:
     outer strand and over ring r-1 with its inner strand, reproducing
     the outer/inner relation pattern of the chain-link coloring count.
     """
-    _ints(k=k)
+    _ints([k], "k must be an int, got {!r}", DiagramError)
     if k < 3 or k % 2 == 0:
         raise ValueError(f"chain is defined for odd k >= 3, got {k}")
     crossings = []
@@ -497,7 +507,8 @@ def connected_sum(d1: SemiarcDiagram, s1: int, d2: SemiarcDiagram, s2: int
     semiarcs. The splice location matters for virtual knots, so both
     semiarcs are explicit arguments.
     """
-    _ints(s1=s1, s2=s2)
+    _ints([s1], "s1 must be an int, got {!r}", DiagramError)
+    _ints([s2], "s2 must be an int, got {!r}", DiagramError)
     if not 0 <= s1 < d1.semiarc_count:
         raise DiagramError(f"semiarc {s1} not in first diagram")
     if not 0 <= s2 < d2.semiarc_count:
@@ -517,7 +528,8 @@ def connected_sum(d1: SemiarcDiagram, s1: int, d2: SemiarcDiagram, s2: int
 
 def apply_r1(d: SemiarcDiagram, semiarc: int, chirality: int) -> SemiarcDiagram:
     """Insert a kink of the given sign on a semiarc (first passage under)."""
-    _ints(semiarc=semiarc, chirality=chirality)
+    _ints([semiarc], "semiarc must be an int, got {!r}", DiagramError)
+    _ints([chirality], "chirality must be an int, got {!r}", DiagramError)
     if not 0 <= semiarc < d.semiarc_count:
         raise DiagramError(f"semiarc {semiarc} not in diagram")
     if chirality not in (1, -1):
@@ -538,7 +550,8 @@ def apply_r2(d: SemiarcDiagram, semiarc_a: int, semiarc_b: int,
     face in the intended embedding; as Gauss data any pair is accepted
     and coloring counts are invariant either way.
     """
-    _ints(semiarc_a=semiarc_a, semiarc_b=semiarc_b)
+    _ints([semiarc_a], "semiarc_a must be an int, got {!r}", DiagramError)
+    _ints([semiarc_b], "semiarc_b must be an int, got {!r}", DiagramError)
     if not 0 <= semiarc_a < d.semiarc_count or not 0 <= semiarc_b < d.semiarc_count:
         raise DiagramError("semiarc not in diagram")
     if semiarc_a == semiarc_b:

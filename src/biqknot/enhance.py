@@ -31,7 +31,7 @@ from .polynomial import ExponentPolynomial
 
 def column_group_multiset(colorings: Iterable[Coloring], Q: FiniteBiquandle) -> list[int]:
     """One column group order per given coloring by the quandle Q, in their order."""
-    if not Q.is_quandle():
+    if not (isinstance(Q, FiniteBiquandle) and Q.is_quandle()):
         raise ValueError("column group enhancement is defined for quandles only")
     order_of_labels, order_of_subquandle = Q.column_orders
     out = []
@@ -49,6 +49,7 @@ def column_group_multiset(colorings: Iterable[Coloring], Q: FiniteBiquandle) -> 
 
 def column_group_polynomial(d: SemiarcDiagram, Q: FiniteBiquandle) -> ExponentPolynomial:
     """The column group enhancement of d over Q as a polynomial in u."""
-    # a non-quandle is refused by the multiset before anything is listed
-    colorings = colorings_with_loops(d, Q) if Q.is_quandle() else ()
+    # anything but a quandle is refused by the multiset before anything is listed
+    colorings = (colorings_with_loops(d, Q)
+                 if isinstance(Q, FiniteBiquandle) and Q.is_quandle() else ())
     return ExponentPolynomial.from_multiset(column_group_multiset(colorings, Q))

@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
+from .diagram import _ints
+
 
 class ExponentPolynomial(NamedTuple("ExponentPolynomial", [("coeffs", dict[int, int])])):
     __slots__ = ()
@@ -18,8 +20,7 @@ class ExponentPolynomial(NamedTuple("ExponentPolynomial", [("coeffs", dict[int, 
     def __new__(cls, coeffs: dict[int, int] = {}):  # never mutated: the record keeps a copy
         if not isinstance(coeffs, dict):  # a list or text has no .items()
             raise ValueError(f"coefficients must be a dict, got {coeffs!r}")
-        if not {*map(type, coeffs), *map(type, coeffs.values())} <= {int}:
-            raise ValueError("exponents and coefficients must be integers")
+        _ints((*coeffs, *coeffs.values()), "exponents and coefficients must be integers")
         cleaned = {e: c for e, c in coeffs.items() if c}
         if any(e < 0 for e in cleaned) or any(c < 0 for c in cleaned.values()):
             raise ValueError("exponents and coefficients must be nonnegative")
@@ -30,7 +31,7 @@ class ExponentPolynomial(NamedTuple("ExponentPolynomial", [("coeffs", dict[int, 
         return cls(dict(Counter(values)))
 
     def coefficient(self, exponent: int) -> int:
-        return self.coeffs.get(exponent, 0)
+        return self.coeffs.get(*_ints([exponent], "exponents must be ints, got {!r}"), 0)
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .algebra import FiniteBiquandle, is_hom
 from .coloring import Coloring, _oriented, list_solutions
-from .diagram import SemiarcDiagram
+from .diagram import SemiarcDiagram, _ints
 from .polynomial import ExponentPolynomial
 
 class ColoringQuiver(NamedTuple):
@@ -55,13 +55,10 @@ def build_quiver(d: SemiarcDiagram, Y: FiniteBiquandle, S) -> ColoringQuiver:
     with an entry that is not an int is refused before that lookup, since
     (1.0, 2, 3) equals and hashes like (1, 2, 3).
     """
-    try:
-        endos = tuple(tuple(f) for f in S)
-    except TypeError:  # S, or a map in it, that is no sequence
-        raise ValueError(f"{S!r} is not an endomorphism of the target biquandle") from None
+    endos = _ints(S, "{!r} is not an endomorphism of the target biquandle", rows=True)
     checked = Y.checked_endos
     for f in endos:
-        if {*map(type, f)} - {int} or f not in checked:
+        if _ints(f, error=None) is None or f not in checked:  # is_hom refuses what is no int
             if not is_hom(Y, Y, f):
                 raise ValueError(f"{f} is not an endomorphism of the target biquandle")
             checked.add(f)

@@ -2,106 +2,224 @@
 
 True would read as 1, 2.0 as 2 and "2" as a count in some arithmetic, so
 each of them must be refused with ValueError, never accepted as a number
-nor leaked as TypeError or AttributeError, also where a sequence of ints
-is expected and where one is repeated after an int it equals. Three
-documented exceptions: from_tables reads a text table entry through
-_decimal, validate_axioms reports a bad entry as a shape violation, and
-is_hom answers False.
+nor leaked as TypeError or AttributeError. The sweep is generated: each
+name in biqknot.__all__ (and in EXTRA) has a fixture, valid arguments
+and, per parameter of its signature, INT, INTS (a sequence of ints),
+ROWS (a sequence of int sequences) or the reason it is exempt. A
+sequence is swept whole, by an entry and by an entry repeated after the
+valid ones, which an int it equals would otherwise absorb. BY_HAND holds
+the places a signature does not show, such as an id inside a crossing.
+Three documented exceptions: from_tables reads a text table entry
+through _decimal, validate_axioms reports a bad entry as a shape
+violation, and is_hom, a predicate, answers False.
 """
+
+import inspect
 
 import pytest
 
+import biqknot
 from biqknot.algebra import (
     AxiomError,
     biquandle_z,
-    column_permutation,
     from_tables,
-    group_order,
     is_hom,
-    make_conjugation_quandle,
     make_dihedral,
-    make_linear_biquandle,
     make_module_biquandle,
-    subquandle_closure,
     validate_axioms,
 )
-from biqknot.bridge import b1_lower, b2_lower, min_seed_size, saturating_closure, wirtinger_saturate
-from biqknot.coloring import RelationMatrix
-from biqknot.diagram import (
-    Crossing,
-    SemiarcDiagram,
-    apply_r1,
-    apply_r2,
-    chain,
-    connected_sum,
-    pretzel,
-    torus_2n,
-    unknot,
-)
+from biqknot.bridge import b1_lower, b2_lower, saturating_closure
+from biqknot.coloring import RelationMatrix, coloring_matrix
+from biqknot.diagram import Crossing, SemiarcDiagram, torus_2n
+from biqknot.enhance import column_group_polynomial
 from biqknot.polynomial import ExponentPolynomial
 from biqknot.quiver import build_quiver
 
 BAD = [True, 2.0, "2", None]
 
 IDENTITY, ZERO, W, ONE_PLUS_W = ((1, 0), (0, 1)), ((0, 0), (0, 0)), ((0, 1), (1, 1)), ((1, 1), (1, 0))
+T23, R3, R5 = torus_2n(3), make_dihedral(3), make_dihedral(5)
 
-# entry point -> a call with v in place of one of its ints
-CALLS = {
-    "torus_2n": lambda v: torus_2n(v),
-    "unknot": lambda v: unknot(v),
-    "chain": lambda v: chain(v),
-    "pretzel": lambda v: pretzel([3, v]),
-    "pretzel.twists": lambda v: pretzel(v),
-    "apply_r1.semiarc": lambda v: apply_r1(torus_2n(3), v, 1),
-    "apply_r1.chirality": lambda v: apply_r1(torus_2n(3), 0, v),
-    "apply_r2.semiarc_a": lambda v: apply_r2(torus_2n(3), v, 2),
-    "apply_r2.semiarc_b": lambda v: apply_r2(torus_2n(3), 0, v),
-    "connected_sum.s1": lambda v: connected_sum(torus_2n(3), v, torus_2n(3), 0),
-    "connected_sum.s2": lambda v: connected_sum(torus_2n(3), 0, torus_2n(3), v),
-    "make_dihedral": lambda v: make_dihedral(v),
-    "make_linear_biquandle.n": lambda v: make_linear_biquandle(v, 3, 0, 1, 2),
-    "make_linear_biquandle.d": lambda v: make_linear_biquandle(4, 3, 0, 1, v),
-    "make_module_biquandle.n": lambda v: make_module_biquandle(v, IDENTITY, ZERO, W, ONE_PLUS_W),
+INT, INTS, ROWS = "an int", "a sequence of ints", "a sequence of int sequences"
+OBJECT = "no number: the int rule does not cover it, and a wrong kind may leak TypeError or AttributeError"
+RECORD = "a record its builders check: its int fields are swept through them"
+NESTED = "{}: {} swept by hand; a value that is no sequence leaks TypeError"
+
+# public name -> its valid arguments and each parameter's kind, or why the whole name is exempt
+FIXTURES = {
+    "AxiomError": "an exception class",
+    "FiniteBiquandle": "the unchecked record from_tables and the make_ functions build",
+    "biquandle_z": ((), {}),
+    "column_permutation": ((R5, 2), {"Q": OBJECT, "y": INT}),
+    "enumerate_endos": ((R3,), {"Y": OBJECT}),
+    "enumerate_homs": ((R3, R3), {"X": OBJECT, "Y": OBJECT}),
+    "from_tables": "reads a text entry through _decimal (test_table_entries_are_read_or_reported)",
+    "group_order": (([(2, 1, 3)],), {"gens": ROWS}),
+    "make_conjugation_quandle": (([(2, 1, 3), (3, 2, 1), (1, 3, 2)],), {"perms": ROWS}),
+    "make_dihedral": ((5,), {"n": INT}),
+    "make_linear_biquandle": ((4, 3, 0, 1, 2), dict.fromkeys("nabcd", INT)),
+    "make_module_biquandle": ((2, IDENTITY, ZERO, W, ONE_PLUS_W),
+                              {"n": INT, **dict.fromkeys("ABCD", NESTED.format("a matrix", "an entry is"))}),
+    "subquandle_closure": ((R5, [1, 2]), {"Q": OBJECT, "S": INTS}),
+    "validate_axioms": "reports a bad entry as a shape violation (test_table_entries_are_read_or_reported)",
+    "b1_lower": (([(R3, 9)],), {"counts": NESTED.format("(algebra, count) pairs", "a count is")}),
+    "b2_lower": (([(biquandle_z(), 16)],), {"counts": NESTED.format("(algebra, count) pairs", "a count is")}),
+    "min_seed_size": ((T23, 6), {"d": OBJECT, "k_max": INT}),
+    "wirtinger_saturate": ((T23, [1, 2]), {"d": OBJECT, "seeds": INTS}),
+    "coloring_matrix": ((T23, R3), {"d": OBJECT, "Y": OBJECT}),
+    "count_colorings": ((T23, R3), {"d": OBJECT, "Y": OBJECT}),
+    "count_solutions_snf": ((coloring_matrix(T23, R3),), {"M": OBJECT}),
+    "enumerate_colorings": ((T23, R3), {"d": OBJECT, "Y": OBJECT}),
+    "Crossing": RECORD,
+    "DiagramError": "an exception class",
+    "SemiarcDiagram": ((2, (Crossing(1, 0, 1, 1, 0),), 0),
+                       {"semiarc_count": INT, "crossings": NESTED.format("crossing records", "an id is"),
+                        "free_loops": INT}),
+    "apply_r1": ((T23, 0, 1), {"d": OBJECT, "semiarc": INT, "chirality": INT}),
+    "apply_r2": ((T23, 0, 2, "parallel"),
+                 {"d": OBJECT, "semiarc_a": INT, "semiarc_b": INT, "variant": "a text option"}),
+    "chain": ((3,), {"k": INT}),
+    "connected_sum": ((T23, 0, T23, 0), {"d1": OBJECT, "s1": INT, "d2": OBJECT, "s2": INT}),
+    "parse_pd": (("X+ 0 1 1 0\n",), {"text": "wire text, whose integers _decimal reads"}),
+    "pretzel": (([3],), {"twists": INTS}),
+    "serialize_pd": ((T23,), {"d": OBJECT}),
+    "strands": ((T23,), {"d": OBJECT}),
+    "torus_2n": ((3,), {"n": INT}),
+    "unknot": ((2,), {"kinks": INT}),
+    "column_group_polynomial": ((T23, R3), {"d": OBJECT, "Q": "an algebra: a non-quandle is swept by hand"}),
+    "KnotRecord": RECORD,
+    "builtin_knot": (("3_1",), {"name": "a knot table name"}),
+    "builtin_table": ((), {}),
+    "ExponentPolynomial": (({1: 2},), {"coeffs": "a dict: swept whole and by its keys and values by hand"}),
+    "ColoringQuiver": RECORD,
+    "build_quiver": ((T23, R3, [(1, 2, 3)]), {"d": OBJECT, "Y": OBJECT, "S": ROWS}),
+    "in_degree_polynomial": ((build_quiver(T23, R3, [(1, 2, 3)]),), {"q": OBJECT}),
+    "quivers_isomorphic": ((build_quiver(T23, R3, [(1, 2, 3)]),) * 2, {"q1": OBJECT, "q2": OBJECT}),
+    # outside __all__
+    "RelationMatrix": ((({0: 1},), 2, 1),
+                       {"rows": NESTED.format("sparse rows", "a column and a coefficient are"),
+                        "modulus": INT, "cols": INT}),
+    "saturating_closure": ((T23, [1, 2]), {"d": OBJECT, "seeds": INTS}),
+    "is_hom": ((R3, R3, (1, 2, 3)), {"X": OBJECT, "Y": OBJECT, "image": INTS}),
+}
+EXTRA = {f.__name__: f for f in (RelationMatrix, saturating_closure, is_hom)}
+PREDICATES = {"is_hom"}  # these answer False where the others raise ValueError
+
+# the places a signature does not show: case -> a call with v there
+BY_HAND = {
     "make_module_biquandle.entry": lambda v: make_module_biquandle(2, IDENTITY, ZERO, W,
                                                                    ((1, v), (1, 0))),
-    "make_conjugation_quandle.perm": lambda v: make_conjugation_quandle([(2, 1, 3), v]),
-    "make_conjugation_quandle.entry": lambda v: make_conjugation_quandle([(v, 1)]),
-    "group_order": lambda v: group_order([(v, 1)]),
-    "group_order.generator": lambda v: group_order([v]),
-    "column_permutation": lambda v: column_permutation(make_dihedral(5), v),
-    "subquandle_closure": lambda v: subquandle_closure(make_dihedral(5), [v]),
-    "subquandle_closure.repeat": lambda v: subquandle_closure(make_dihedral(5), [1, 2, v]),
-    "min_seed_size": lambda v: min_seed_size(torus_2n(3), v),
-    "wirtinger_saturate": lambda v: wirtinger_saturate(torus_2n(3), [v]),
-    "wirtinger_saturate.repeat": lambda v: wirtinger_saturate(torus_2n(3), [1, 2, v]),
-    "saturating_closure.repeat": lambda v: saturating_closure(torus_2n(3), [1, 2, v]),
-    "b1_lower": lambda v: b1_lower([(make_dihedral(3), v)]),
+    "b1_lower": lambda v: b1_lower([(R3, v)]),
     "b2_lower": lambda v: b2_lower([(biquandle_z(), v)]),
-    "build_quiver": lambda v: build_quiver(torus_2n(3), make_dihedral(3), [(v, 2, 3)]),
-    "build_quiver.endo": lambda v: build_quiver(torus_2n(3), make_dihedral(3), [v]),
-    "SemiarcDiagram.semiarc_count": lambda v: SemiarcDiagram(v, (Crossing(1, 0, 1, 1, 0),)),
     "SemiarcDiagram.id": lambda v: SemiarcDiagram(2, (Crossing(1, 0, v, 1, 0),)),
-    "SemiarcDiagram.free_loops": lambda v: SemiarcDiagram(0, (), v),
-    "RelationMatrix.modulus": lambda v: RelationMatrix(({0: 1},), v, 1),
-    "RelationMatrix.cols": lambda v: RelationMatrix(({0: 1},), 2, v),
     "RelationMatrix.column": lambda v: RelationMatrix(({v: 1},), 2, 3),
     "RelationMatrix.coefficient": lambda v: RelationMatrix(({0: v},), 2, 1),
     "ExponentPolynomial": lambda v: ExponentPolynomial(v),
     "ExponentPolynomial.exponent": lambda v: ExponentPolynomial({v: 1}),
     "ExponentPolynomial.coefficient": lambda v: ExponentPolynomial({1: v}),
+    "ExponentPolynomial.coefficient.exponent": lambda v: ExponentPolynomial({1: 2}).coefficient(v),
+    "column_group_polynomial.Q": lambda v: column_group_polynomial(T23, v),
 }
 
+# the ids these cases had when the sweep was a hand-kept list
+RENAMED = {"group_order.row": "group_order.generator", "build_quiver.row": "build_quiver.endo",
+           "make_conjugation_quandle.row": "make_conjugation_quandle.perm",
+           "make_conjugation_quandle": "make_conjugation_quandle.entry"}
+
+
+def public(name):
+    return EXTRA[name] if name in EXTRA else getattr(biqknot, name)
+
+
+def ways(kind, ok):
+    """How v takes the place of the valid value ok: suffix of the case id -> the value.
+    None marks the sequence swept whole."""
+    if kind == INT:
+        return {"": lambda v: v}
+    if kind == INTS:
+        return {None: lambda v: v, "": lambda v: [v, *ok[1:]], ".repeat": lambda v: [*ok, v]}
+    return {None: lambda v: v, "": lambda v: [(v, *ok[0][1:]), *ok[1:]], ".row": lambda v: [*ok, v]}
+
+
+def replacing(name, param, put):
+    """A call of the named callable on its valid arguments with put(v) as param."""
+    bound = inspect.signature(public(name)).bind(*FIXTURES[name][0])
+    bound.apply_defaults()
+
+    def call(v):
+        bound.arguments[param] = put(v)
+        return public(name)(*bound.args, **bound.kwargs)
+    return call
+
+
+def sweep():
+    """Case id -> (name, call with v), over every swept parameter and then BY_HAND.
+
+    The id is the name if that is its one swept parameter and nothing of it is
+    swept by hand, else name.parameter, and a suffix per way; a sequence swept
+    whole is name.parameter."""
+    cases, by_hand = {}, {case.partition(".")[0] for case in BY_HAND}
+    for name, fixture in FIXTURES.items():
+        if isinstance(fixture, str):
+            continue
+        args, kinds = fixture
+        swept = [p for p, kind in kinds.items() if kind in (INT, INTS, ROWS)]
+        valid = inspect.signature(public(name)).bind(*args).arguments
+        for p in swept:
+            at = name if len(swept) == 1 and name not in by_hand else f"{name}.{p}"
+            for suffix, put in ways(kinds[p], valid[p]).items():
+                case = f"{name}.{p}" if suffix is None else at + suffix
+                case = RENAMED.get(case, case)
+                assert case not in cases, case
+                cases[case] = (name, replacing(name, p, put))
+    for case, call in BY_HAND.items():
+        assert case not in cases, case
+        cases[case] = (case.partition(".")[0], call)
+    return cases
+
+
+CASES = sweep()
+
+
+def test_every_public_parameter_is_swept_or_exempt():
+    # a new public name, or a new parameter, fails here until FIXTURES names it
+    assert set(FIXTURES) == {*biqknot.__all__, *EXTRA}
+    for name, fixture in FIXTURES.items():
+        if not isinstance(fixture, str):
+            assert list(fixture[1]) == list(inspect.signature(public(name)).parameters), name
+
+
+@pytest.mark.parametrize("name", [n for n, f in FIXTURES.items() if not isinstance(f, str)])
+def test_the_fixture_arguments_are_valid(name):
+    # so that each refusal below comes from the value swept in
+    result = public(name)(*FIXTURES[name][0])
+    assert result is True or name not in PREDICATES
+
 
 @pytest.mark.parametrize("bad", BAD, ids=repr)
-@pytest.mark.parametrize("name", CALLS)
+@pytest.mark.parametrize("name", CASES)
 def test_an_int_argument_refuses_what_is_no_int(name, bad):
-    with pytest.raises(ValueError):
-        CALLS[name](bad)
+    owner, call = CASES[name]
+    if owner in PREDICATES:
+        assert call(bad) is False
+    else:
+        with pytest.raises(ValueError):
+            call(bad)
 
 
-@pytest.mark.parametrize("bad", BAD, ids=repr)
+@pytest.mark.parametrize("bad", [*BAD, {1: 0, 2: 0, 3: 0}, {1, 2, 3}], ids=repr)
 def test_an_image_that_is_no_int_tuple_is_no_hom(bad):
-    assert is_hom(make_dihedral(3), make_dihedral(3), bad) is False
+    # a dict's keys or a set's order are no images of 1..3
+    assert is_hom(R3, R3, bad) is False
+
+
+def test_a_coefficient_is_read_at_an_int_exponent():
+    # True and 1.0 used to read the u^1 coefficient
+    p = ExponentPolynomial({1: 2, 0: 5})
+    assert (p.coefficient(1), p.coefficient(0), p.coefficient(7)) == (2, 5, 0)
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match=f"^exponents must be ints, got {bad!r}$"):
+            p.coefficient(bad)
 
 
 @pytest.mark.parametrize("bad", BAD, ids=repr)
