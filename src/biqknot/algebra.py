@@ -102,7 +102,16 @@ class FiniteBiquandle:
         return hash((self.size, self.over_table, self.under_table))
 
     def over(self, x: int, y: int) -> int:
+        """x ." y; the library's own loops read over_table and skip the check."""
+        self._check(x, y)
         return self.over_table[x - 1][y - 1]
+
+    def _check(self, *elements) -> None:
+        """Refuse an element that is no int in 1..size: True would read row 1, 0 row size.
+        over, under, column_permutation and subquandle_closure check their elements here."""
+        for v in _ints(elements, "elements must be ints, got {!r}"):
+            if not 0 < v <= self.size:
+                raise ValueError(f"element {v} out of range 1..{self.size}")
 
     @cached_property
     def linear_form(self) -> tuple | None:
@@ -121,16 +130,19 @@ class FiniteBiquandle:
             n = round(size ** (1 / r))
             if n**r != size:
                 continue
-            zero, units = _label(0, n, r), [_label(n**j, n, r) for j in range(r)]
+            zero, units = _label(0, n, r) - 1, [_label(n**j, n, r) - 1 for j in range(r)]
             # A's column j is e_j ." 0 and B's is 0 ." e_j; C and D the same off .v
-            columns = ([self.over(u, zero) for u in units], [self.over(zero, u) for u in units],
-                       [self.under(u, zero) for u in units], [self.under(zero, u) for u in units])
+            over, under = self.over_table, self.under_table
+            columns = ([over[u][zero] for u in units], [over[zero][u] for u in units],
+                       [under[u][zero] for u in units], [under[zero][u] for u in units])
             mats = [tuple(zip(*(_vector(v, n, r) for v in col))) for col in columns]
-            if _module_tables(n, mats) == (self.over_table, self.under_table):
+            if _module_tables(n, mats) == (over, under):
                 return (n, *mats)
         return None
 
     def under(self, x: int, y: int) -> int:
+        """x .v y, checked as over is."""
+        self._check(x, y)
         return self.under_table[x - 1][y - 1]
 
     def elements(self) -> range:
@@ -329,10 +341,11 @@ def make_module_biquandle(n: int, A, B, C, D) -> FiniteBiquandle:
     labelled as _label says, like linear_form reads them. Raises
     AxiomError with the first failing axiom and witness.
     """
-    _ints((n, *(v for M in (A, B, C, D) for row in M for v in row)), _PARAMETERS)
+    mats = [_ints(M, _PARAMETERS, rows=True) for M in (A, B, C, D)]  # None is no matrix
+    _ints((n, *(v for M in mats for row in M for v in row)), _PARAMETERS)
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
-    mats = [tuple(tuple(v % n for v in row) for row in M) for M in (A, B, C, D)]
+    mats = [tuple(tuple(v % n for v in row) for row in M) for M in mats]
     r = len(mats[0])
     if r < 1 or any(len(M) != r or any(len(row) != r for row in M) for M in mats):
         raise ValueError("A, B, C and D must be r x r matrices with r >= 1")
@@ -400,7 +413,8 @@ def enumerate_homs(X: FiniteBiquandle, Y: FiniteBiquandle) -> list[tuple[int, ..
             if g not in closure:
                 gens.append(g)
                 closure = subquandle_closure(X, gens)
-    quads = [(x - 1, y - 1, X.under(x, y) - 1, X.over(y, x) - 1)
+    over, under = X.over_table, X.under_table
+    quads = [(x - 1, y - 1, under[x - 1][y - 1] - 1, over[y - 1][x - 1] - 1)
              for x in X.elements() for y in gens]
     return list_solutions(X.size, quads, Y)[0]
 
@@ -433,10 +447,8 @@ def column_permutation(Q: FiniteBiquandle, y: int) -> Permutation:
     """The permutation x -> x |> y given by column y of the quandle table."""
     if not Q.is_quandle():
         raise ValueError("column permutations are defined for quandles only")
-    _ints([y], "elements must be ints, got {!r}")  # True would read as column 1
-    if not 1 <= y <= Q.size:
-        raise ValueError(f"element {y} out of range 1..{Q.size}")
-    return tuple(Q.under(x, y) for x in Q.elements())
+    Q._check(y)  # True would read as column 1
+    return tuple(row[y - 1] for row in Q.under_table)
 
 
 def is_permutation(p) -> bool:
@@ -495,9 +507,7 @@ def subquandle_closure(Q: FiniteBiquandle, S) -> frozenset[int]:
     seeds = _ints(S, "elements must be ints, got {!r}")  # before a set merges True into 1
     if not seeds:
         raise ValueError("seed set must be nonempty")
-    for s in seeds:
-        if not 1 <= s <= Q.size:
-            raise ValueError(f"element {s} out of range 1..{Q.size}")
+    Q._check(*seeds)
     columns = [s - 1 for s in seeds]
     orbit, todo = set(seeds), list(seeds)
     while todo:

@@ -148,6 +148,9 @@ def _log_bound(size: int, count: int) -> int:
     return b
 
 
+_PAIRS = "counts must be a sequence of (algebra, count) pairs, got {!r}"
+
+
 def b1_lower(counts) -> int:
     """Bridge index lower bound from quandle counting invariants.
 
@@ -156,7 +159,7 @@ def b1_lower(counts) -> int:
     overpass index b1; the same computation on general biquandles
     (b2_lower) bounds the height-function index b2.
     """
-    counts = list(counts)
+    counts = _ints(counts, _PAIRS, rows=True)
     if not all(X.is_quandle() for X, _ in counts):
         raise ValueError("b1 bounds need quandle counting invariants")
     return b2_lower(counts)
@@ -169,7 +172,7 @@ def b2_lower(counts) -> int:
     the library's crossing convention: every quandle, but not every table
     validate_axioms accepts (see the diagram module).
     """
-    counts = list(counts)
+    counts = _ints(counts, _PAIRS, rows=True)
     if not counts:
         raise ValueError("need at least one (algebra, count) pair")
     return max(_log_bound(X.size, col) for X, col in counts)

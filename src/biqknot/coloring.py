@@ -26,7 +26,9 @@ back-substitutes a generator per free parameter over the pivots'
 entries, copies each root to the unknowns merged into it, and lists the
 box of their multiples column by column from the generators' transposed
 coefficients, building each distinct column once (a quandle crossing's
-o_in and o_out always share one). Every other algebra is listed,
+o_in and o_out always share one). When every label fits a byte (n^r <=
+255) a column is bytes, shifted and relabelled by bytes.translate;
+from 256 elements on it is a list of ints. Every other algebra is listed,
 or counted leaf by leaf, by a search that branches only when no crossing
 has a propagating pair of known values: any such pair names the whole
 quad of Y at that crossing, looked up in one table per pair. Which
@@ -81,7 +83,9 @@ def _search(m: int, oriented, Y: FiniteBiquandle):
 
     # propagating slot pairs within the oriented quad (p, q, r, s); by the
     # axioms each pair's values name exactly one quad of Y, its table[a][b]
-    y_quads = [(x, y, Y.under(x, y), Y.over(y, x)) for x in Y.elements() for y in Y.elements()]
+    over, under = Y.over_table, Y.under_table
+    y_quads = [(x, y, under[x - 1][y - 1], over[y - 1][x - 1])
+               for x in Y.elements() for y in Y.elements()]
     lookups = []
     for i, j in ((0, 1), (0, 3), (1, 2), (2, 3)):
         table = [[None] * (Y.size + 1) for _ in range(Y.size + 1)]
@@ -216,6 +220,8 @@ class RelationMatrix(NamedTuple("RelationMatrix", [
     def __new__(cls, rows: tuple[dict[int, int], ...], modulus: int, cols: int):
         if _ints((modulus, cols), error=None) is None or modulus < 1 or cols < 0:
             raise ValueError(f"modulus must be >= 1 and cols >= 0, both ints: {modulus!r}, {cols!r}")
+        if not isinstance(rows, (tuple, list)) or not set(map(type, rows)) <= {dict}:
+            raise ValueError(f"relation rows must be a sequence of dicts, got {rows!r}")
         used = set().union(*rows)  # every column a row names; a 1.0 or True after a 1 reads as 1
         _ints(used, "relation columns must be ints, got {!r}")
         if used and (min(used) < 0 or max(used) >= cols):
@@ -444,9 +450,12 @@ def _list_kernel(rows, cols: int, n: int, width: int = 1) -> tuple[list[Coloring
     makes the null space the box of their multiples. The box is built column
     by column: an unknown's values depend only on its coefficients across the
     generators, so entries with equal coefficients (a quandle crossing's o_in
-    and o_out) share one list, grown by t * a mod n per generator: one
+    and o_out) share one column, grown by t * a mod n per generator: one
     addition per listed value, so the cost follows the listing, not n^2.
     Labels are linear_form's, given by algebra._label for r = width.
+    While every label fits a byte (n^width <= 255, as translate's tables
+    have 256 entries), a column is bytes: each block of a shift is one
+    bytes.translate, and so is the relabelling; else it is a list of ints.
     Also returned, sorted: the entries owning a generator's unknown, which fix x,
     as a pivot generator is zero on free unknowns and on later pivots.
     """
@@ -470,15 +479,25 @@ def _list_kernel(rows, cols: int, n: int, width: int = 1) -> tuple[list[Coloring
                 g[j] = (g[j] - inv * (sum(a * g[c] for c, a in rest) // pv)) % q
             gens.append((order, [g[c] * e % n for c in roots]))
 
-    def residues(key) -> list[int]:  # an unknown's values over the box
-        col = [0]
+    labels = [_label(i, n, width) for i in range(n**width)]
+    small = len(labels) < 256  # every label fits a byte: columns are bytes, mapped by translate
+    if small:
+        shifts = [(bytes(range(n)) * 2)[s:s + n].ljust(256) for s in range(n)]  # v -> v + s mod n
+        relabel = bytes(labels).ljust(256)
+
+    def residues(key):  # an unknown's values over the box
+        col = b"\0" if small else [0]
         for (order, _), a in zip(gens, key):
-            col = col * order if not a else [(v + s) % n for s in range(0, order * a, a) for v in col]
+            if not a:
+                col = col * order
+            elif small:
+                col = b"".join([col.translate(shifts[s % n]) for s in range(0, order * a, a)])
+            else:
+                col = [(v + s) % n for s in range(0, order * a, a) for v in col]
         return col
 
-    labels = [_label(i, n, width) for i in range(n**width)]
     coefs = list(zip(*[g for _, g in gens])) if gens else [()] * unknowns  # per unknown
-    built: dict[tuple, list[int]] = {}  # coefficients across gens, per coordinate -> the column
+    built: dict[tuple, bytes | list[int]] = {}  # coefficients across gens, per coordinate -> column
     columns = []
     for key in zip(*[iter(coefs)] * width):  # entry c's width coordinates
         if key not in built:
@@ -486,7 +505,8 @@ def _list_kernel(rows, cols: int, n: int, width: int = 1) -> tuple[list[Coloring
             for i in range(1, width):
                 scale = n**i
                 index = [a + v * scale for a, v in zip(index, residues(key[i]))]
-            built[key] = list(map(labels.__getitem__, index))
+            built[key] = (bytes(index).translate(relabel) if small
+                          else list(map(labels.__getitem__, index)))
         columns.append(built[key])
     return sorted(zip(*columns)), sorted(free)
 

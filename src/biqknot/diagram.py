@@ -68,7 +68,10 @@ class SemiarcDiagram(NamedTuple("SemiarcDiagram", [
 
     def __new__(cls, semiarc_count: int, crossings: tuple[Crossing, ...], free_loops: int = 0):
         self = super().__new__(cls, semiarc_count, crossings, free_loops)
-        signs, u_in, o_in, u_out, o_out = zip(*crossings) if crossings else ((),) * 5
+        try:  # None or 5, or an entry that is no 5-field record, is no crossing list
+            signs, u_in, o_in, u_out, o_out = zip(*crossings) if len(crossings) else ((),) * 5
+        except (TypeError, ValueError):
+            raise DiagramError(f"crossings must be crossing records, got {crossings!r}") from None
         sign = "crossing sign must be +1 or -1, got {!r}"  # not 1.0, not True
         if not set(_ints(signs, sign, DiagramError)) <= {1, -1}:
             raise DiagramError(sign.format(next(s for s in signs if s not in (1, -1))))

@@ -12,9 +12,10 @@ CLI's dump boundary.
 Targets are read off a few coordinates: those list_solutions chose freely
 (the kernel's parameters, or the search's branch semiarcs; for T(2,9)
 over R_9, 2 of 18) fix each coloring, so they index the vertices and
-each f maps only them. This is sound because every f is checked to be an
-endomorphism, once per algebra object on first use, so f o v is always
-a vertex.
+each f maps only them: while every label fits a byte (|Y| <= 255), a key
+column is bytes and f maps it in one bytes.translate, else entry by
+entry. This is sound because every f is checked to be an endomorphism,
+once per algebra object on first use, so f o v is always a vertex.
 
 Isomorphism has one contract at every size: differing vertex or edge
 counts answer no; with one endomorphism on both sides each quiver is a
@@ -64,14 +65,21 @@ def build_quiver(d: SemiarcDiagram, Y: FiniteBiquandle, S) -> ColoringQuiver:
             checked.add(f)
     listing, key = list_solutions(d.semiarc_count + d.free_loops, _oriented(d), Y)
     vertices = tuple(listing)  # colorings_with_loops(d, Y), keyed by the coordinates in key
+    return ColoringQuiver(vertices, endos, _targets(vertices, key, endos, Y.size))
+
+
+def _targets(vertices, key, endos, size: int) -> tuple[tuple[int, ...], ...]:
+    """targets[k][v], the index of endos[k] o vertices[v]: f o v is a vertex (f is a hom), so
+    its values on the key coordinates name it. When every label fits a byte (size < 256), a
+    key column is bytes and f maps it in one bytes.translate, else entry by entry."""
     if not key:  # one vertex (or none): every f fixes it
-        return ColoringQuiver(vertices, endos, tuple((0,) * len(vertices) for _ in endos))
-    # f o v is a vertex (f is a hom), so its values on the key coordinates name it
-    columns = [list(map(itemgetter(c), vertices)) for c in key]
+        return tuple((0,) * len(vertices) for _ in endos)
+    small = size < 256
+    columns = [(bytes if small else list)(map(itemgetter(c), vertices)) for c in key]
     index = {k: i for i, k in enumerate(zip(*columns))}
-    targets = tuple(tuple(map(index.__getitem__, zip(*[map(f.__getitem__, c) for c in columns])))
-                    for f in [(0, *f) for f in endos])
-    return ColoringQuiver(vertices, endos, targets)
+    image = bytes.translate if small else lambda c, f: map(f.__getitem__, c)
+    fs = [bytes(f).ljust(256) if small else f for f in [(0, *f) for f in endos]]  # f[x] = f(x)
+    return tuple(tuple(map(index.__getitem__, zip(*[image(c, f) for c in columns]))) for f in fs)
 
 
 def in_degree_polynomial(q: ColoringQuiver) -> ExponentPolynomial:

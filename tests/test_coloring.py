@@ -28,6 +28,7 @@ from biqknot.coloring import (
     _eliminate,
     _list_kernel,
     _oriented,
+    _relation_rows,
     _search,
     coloring_matrix,
     colorings_with_loops,
@@ -50,7 +51,7 @@ from biqknot.diagram import (
 )
 from biqknot.knots import builtin_table
 
-from oracles import brute_force_colorings, transpositions_quandle
+from oracles import brute_force_colorings, list_kernel_reference, transpositions_quandle
 
 # the published null space of the T(2,4) relation matrix over the linear
 # biquandle Z (residues mod 4); my semiarc k corresponds to coordinate
@@ -953,6 +954,55 @@ def test_column_listing_matches_search_tuple_for_tuple():
                 assert len(columns) < m
             elif group == "distinct":
                 assert len(columns) == m
+
+
+def test_byte_and_list_columns_agree_at_the_byte_boundary():
+    # up to |Y| = n^r = 255 every label fits a byte and the lister's columns are bytes;
+    # from 256 they are lists: both sides list what the search and brute force do
+    i3, z3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 0, 0),) * 3
+    gf8 = make_module_biquandle(2, i3, z3, ((0, 0, 1), (1, 0, 1), (0, 1, 0)),  # t^3 = t + 1
+                                ((1, 0, 1), (1, 1, 1), (0, 1, 1)))  # 1 - t
+    gf9 = make_module_biquandle(3, ((1, 0), (0, 1)), ((0, 0), (0, 0)), ((1, 2), (1, 1)),
+                                ((0, 1), (2, 0)))
+    r255, r256 = make_dihedral(255), make_dihedral(256)
+    t22, t23, c3 = torus_2n(2), torus_2n(3), chain(3)
+    hopf_loop = SemiarcDiagram(t22.semiarc_count, t22.crossings, 1)
+    cases = [(d, y) for y in (r255, r256) for d in (t23, c3, SemiarcDiagram(0, (), 1),
+                                                   SemiarcDiagram(0, (), 0))]
+    cases += [(d, y) for y in (gf4_alexander_quandle(), gf8, gf9) for d in (t23, c3, hopf_loop)]
+    for d, y in cases:
+        m, quads = d.semiarc_count + d.free_loops, _oriented(d)
+        n, w = y.linear_form[0], len(y.linear_form[1])
+        rows = _relation_rows(quads, y.linear_form)
+        got = list_solutions(m, quads, y)
+        assert got == _list_kernel(rows, m, n, w) == list_kernel_reference(rows, m, n, w)
+        listing = got[0]
+        assert len(listing) == count_colorings(d, y)
+        assert all(type(v) is int for c in listing[:3] for v in c)
+        if d is not c3 or y.size < 255:  # the search branches for seconds on chain(3) there
+            assert listing == sorted(map(tuple, _search(m, quads, y)))
+        if y.size**m <= 20000 and not d.free_loops:
+            assert listing == brute_force_colorings(d, y)
+        elif n ** (m * w) <= BRUTE_FORCE_GUARD:
+            assert count_solutions_bruteforce(coloring_matrix(d, y)) == len(listing)
+    assert list_solutions(0, [], r255) == list_solutions(0, [], r256) == ([()], [])
+    assert colorings_with_loops(SemiarcDiagram(0, (), 1), r256) == [(x,) for x in range(1, 257)]
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_hand_rows_list_on_either_side_of_the_byte_boundary(n):
+    # width 2: n^2 = 225 labels fit a byte, 256 do not; brute force over (Z/n)^4
+    rng = random.Random(n)
+    for _ in range(3):
+        rows = [{j: rng.randrange(1, n) for j in rng.sample(range(4), rng.randrange(1, 4))}
+                for _ in range(rng.randrange(1, 3))]
+        want = sorted((x[0] + n * x[1] + 1, x[2] + n * x[3] + 1)
+                      for x in itertools.product(range(n), repeat=4)
+                      if all(sum(a * x[j] for j, a in row.items()) % n == 0 for row in rows))
+        got = _list_kernel(rows, 2, n, 2)
+        assert got[0] == want
+        assert got == list_kernel_reference(rows, 2, n, 2)
+    assert _list_kernel([], 0, n, 2) == ([()], [])
 
 
 # -- braid closures: an R3 oracle on whole diagrams ----------------------------

@@ -5,10 +5,13 @@ each of them must be refused with ValueError, never accepted as a number
 nor leaked as TypeError or AttributeError. The sweep is generated: each
 name in biqknot.__all__ (and in EXTRA) has a fixture, valid arguments
 and, per parameter of its signature, INT, INTS (a sequence of ints),
-ROWS (a sequence of int sequences) or the reason it is exempt. A
-sequence is swept whole, by an entry and by an entry repeated after the
-valid ones, which an int it equals would otherwise absorb. BY_HAND holds
-the places a signature does not show, such as an id inside a crossing.
+ROWS (a sequence of int sequences), RECORDS (a sequence of records or
+matrix rows, swept whole) or the reason it is exempt. A sequence of ints
+is swept whole, by an entry and by an entry repeated after the valid
+ones, which an int it equals would otherwise absorb. BY_HAND holds the
+places a signature does not show, such as an id inside a crossing.
+FiniteBiquandle's over and under, methods outside the sweep, refuse an
+element that is no int in range as well.
 Three documented exceptions: from_tables reads a text table entry
 through _decimal, validate_axioms reports a bad entry as a shape
 violation, and is_hom, a predicate, answers False.
@@ -41,9 +44,9 @@ IDENTITY, ZERO, W, ONE_PLUS_W = ((1, 0), (0, 1)), ((0, 0), (0, 0)), ((0, 1), (1,
 T23, R3, R5 = torus_2n(3), make_dihedral(3), make_dihedral(5)
 
 INT, INTS, ROWS = "an int", "a sequence of ints", "a sequence of int sequences"
+RECORDS = "a sequence of records or rows, swept whole: the ints inside are swept by hand"
 OBJECT = "no number: the int rule does not cover it, and a wrong kind may leak TypeError or AttributeError"
 RECORD = "a record its builders check: its int fields are swept through them"
-NESTED = "{}: {} swept by hand; a value that is no sequence leaks TypeError"
 
 # public name -> its valid arguments and each parameter's kind, or why the whole name is exempt
 FIXTURES = {
@@ -59,11 +62,11 @@ FIXTURES = {
     "make_dihedral": ((5,), {"n": INT}),
     "make_linear_biquandle": ((4, 3, 0, 1, 2), dict.fromkeys("nabcd", INT)),
     "make_module_biquandle": ((2, IDENTITY, ZERO, W, ONE_PLUS_W),
-                              {"n": INT, **dict.fromkeys("ABCD", NESTED.format("a matrix", "an entry is"))}),
+                              {"n": INT, **dict.fromkeys("ABCD", RECORDS)}),
     "subquandle_closure": ((R5, [1, 2]), {"Q": OBJECT, "S": INTS}),
     "validate_axioms": "reports a bad entry as a shape violation (test_table_entries_are_read_or_reported)",
-    "b1_lower": (([(R3, 9)],), {"counts": NESTED.format("(algebra, count) pairs", "a count is")}),
-    "b2_lower": (([(biquandle_z(), 16)],), {"counts": NESTED.format("(algebra, count) pairs", "a count is")}),
+    "b1_lower": (([(R3, 9)],), {"counts": RECORDS}),
+    "b2_lower": (([(biquandle_z(), 16)],), {"counts": RECORDS}),
     "min_seed_size": ((T23, 6), {"d": OBJECT, "k_max": INT}),
     "wirtinger_saturate": ((T23, [1, 2]), {"d": OBJECT, "seeds": INTS}),
     "coloring_matrix": ((T23, R3), {"d": OBJECT, "Y": OBJECT}),
@@ -73,8 +76,7 @@ FIXTURES = {
     "Crossing": RECORD,
     "DiagramError": "an exception class",
     "SemiarcDiagram": ((2, (Crossing(1, 0, 1, 1, 0),), 0),
-                       {"semiarc_count": INT, "crossings": NESTED.format("crossing records", "an id is"),
-                        "free_loops": INT}),
+                       {"semiarc_count": INT, "crossings": RECORDS, "free_loops": INT}),
     "apply_r1": ((T23, 0, 1), {"d": OBJECT, "semiarc": INT, "chirality": INT}),
     "apply_r2": ((T23, 0, 2, "parallel"),
                  {"d": OBJECT, "semiarc_a": INT, "semiarc_b": INT, "variant": "a text option"}),
@@ -97,8 +99,7 @@ FIXTURES = {
     "quivers_isomorphic": ((build_quiver(T23, R3, [(1, 2, 3)]),) * 2, {"q1": OBJECT, "q2": OBJECT}),
     # outside __all__
     "RelationMatrix": ((({0: 1},), 2, 1),
-                       {"rows": NESTED.format("sparse rows", "a column and a coefficient are"),
-                        "modulus": INT, "cols": INT}),
+                       {"rows": RECORDS, "modulus": INT, "cols": INT}),
     "saturating_closure": ((T23, [1, 2]), {"d": OBJECT, "seeds": INTS}),
     "is_hom": ((R3, R3, (1, 2, 3)), {"X": OBJECT, "Y": OBJECT, "image": INTS}),
 }
@@ -109,6 +110,7 @@ PREDICATES = {"is_hom"}  # these answer False where the others raise ValueError
 BY_HAND = {
     "make_module_biquandle.entry": lambda v: make_module_biquandle(2, IDENTITY, ZERO, W,
                                                                    ((1, v), (1, 0))),
+    "make_module_biquandle.row": lambda v: make_module_biquandle(2, IDENTITY, ZERO, W, ((1, 1), v)),
     "b1_lower": lambda v: b1_lower([(R3, v)]),
     "b2_lower": lambda v: b2_lower([(biquandle_z(), v)]),
     "SemiarcDiagram.id": lambda v: SemiarcDiagram(2, (Crossing(1, 0, v, 1, 0),)),
@@ -136,6 +138,8 @@ def ways(kind, ok):
     None marks the sequence swept whole."""
     if kind == INT:
         return {"": lambda v: v}
+    if kind == RECORDS:
+        return {None: lambda v: v}
     if kind == INTS:
         return {None: lambda v: v, "": lambda v: [v, *ok[1:]], ".repeat": lambda v: [*ok, v]}
     return {None: lambda v: v, "": lambda v: [(v, *ok[0][1:]), *ok[1:]], ".row": lambda v: [*ok, v]}
@@ -163,7 +167,7 @@ def sweep():
         if isinstance(fixture, str):
             continue
         args, kinds = fixture
-        swept = [p for p, kind in kinds.items() if kind in (INT, INTS, ROWS)]
+        swept = [p for p, kind in kinds.items() if kind in (INT, INTS, ROWS, RECORDS)]
         valid = inspect.signature(public(name)).bind(*args).arguments
         for p in swept:
             at = name if len(swept) == 1 and name not in by_hand else f"{name}.{p}"
@@ -205,6 +209,15 @@ def test_an_int_argument_refuses_what_is_no_int(name, bad):
     else:
         with pytest.raises(ValueError):
             call(bad)
+
+
+@pytest.mark.parametrize("x, y", [(True, 2), (0, 2), (6, 1), (2, 2.0)], ids=repr)
+@pytest.mark.parametrize("op", ["over", "under"])
+def test_an_element_is_an_int_in_range(op, x, y):
+    # under(True, 2) read row 1 and under(0, 2) row 5, through index -1
+    assert (R5.over(1, 2), R5.under(1, 2)) == (1, 3)
+    with pytest.raises(ValueError, match="^element"):
+        getattr(R5, op)(x, y)
 
 
 @pytest.mark.parametrize("bad", [*BAD, {1: 0, 2: 0, 3: 0}, {1, 2, 3}], ids=repr)

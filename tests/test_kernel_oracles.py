@@ -144,4 +144,5 @@ def test_kernel_timing_script_runs(capsys):
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["case", "function", "calls", "best", "ms"]
     assert [tuple(row.rsplit(maxsplit=3)[:2]) for row in rows] == reached
-    assert len(reached) == 12
+    assert len(reached) == 22
+    assert {name for _, name in reached} == set(kernel_timing.KERNEL)  # the quiver map too

@@ -146,6 +146,10 @@ def test_targets_match_the_full_tuple_index():
         endos = enumerate_endos(y)
         for d in (torus_2n(4), chain(3), builtin_knot("5_2").diagram, loops):
             cases += [(d, y, endos), (d, y, endos[-1:])]
+    for n in (255, 256):  # either side of the byte columns: every label fits a byte up to 255
+        affine = [tuple((a * x + b - 1) % n + 1 for x in range(1, n + 1))
+                  for a, b in ((2, 0), (3, 7), (-1, 1), (n - 2, 5))]
+        cases += [(d, make_dihedral(n), affine) for d in (torus_2n(3), chain(3))]
     cases += [(loops, make_dihedral(3), [tripling(3)]),
               (SemiarcDiagram(0, (), 0), make_dihedral(5), enumerate_endos(make_dihedral(5))),
               (unknot(1), make_dihedral(1), [(1,)])]  # one vertex, with and without coordinates
