@@ -15,7 +15,10 @@ import heapq
 import itertools
 from typing import NamedTuple
 
+from .algebra import FiniteBiquandle
 from .diagram import SemiarcDiagram, StrandDecomposition, _ints, strands
+
+SEED_CAP = 6  # min_seed_size's default k_max, the CLI's --kmax too
 
 
 class SeedReport(NamedTuple):
@@ -98,7 +101,7 @@ def saturating_closure(d: SemiarcDiagram, seeds) -> frozenset[int]:
     return frozenset(reached)
 
 
-def min_seed_size(d: SemiarcDiagram, k_max: int = 6) -> tuple[int, tuple[int, ...]] | None:
+def min_seed_size(d: SemiarcDiagram, k_max: int = SEED_CAP) -> tuple[int, tuple[int, ...]] | None:
     """Smallest saturating seed count of at most k_max, with its witness strands.
 
     Each free loop costs one seed, and the strands are searched
@@ -148,7 +151,14 @@ def _log_bound(size: int, count: int) -> int:
     return b
 
 
-_PAIRS = "counts must be a sequence of (algebra, count) pairs, got {!r}"
+def _pairs(counts) -> tuple[tuple[FiniteBiquandle, int], ...]:
+    """counts as (algebra, count) pairs, refusing any other entry; _log_bound checks the counts."""
+    what = "counts must be a sequence of (algebra, count) pairs, got {!r}"
+    pairs = _ints(counts, what, rows=True)
+    for pair in pairs:
+        if len(pair) != 2 or not isinstance(pair[0], FiniteBiquandle):
+            raise ValueError(what.format(pair))
+    return pairs
 
 
 def b1_lower(counts) -> int:
@@ -159,7 +169,7 @@ def b1_lower(counts) -> int:
     overpass index b1; the same computation on general biquandles
     (b2_lower) bounds the height-function index b2.
     """
-    counts = _ints(counts, _PAIRS, rows=True)
+    counts = _pairs(counts)
     if not all(X.is_quandle() for X, _ in counts):
         raise ValueError("b1 bounds need quandle counting invariants")
     return b2_lower(counts)
@@ -172,7 +182,7 @@ def b2_lower(counts) -> int:
     the library's crossing convention: every quandle, but not every table
     validate_axioms accepts (see the diagram module).
     """
-    counts = _ints(counts, _PAIRS, rows=True)
+    counts = _pairs(counts)
     if not counts:
         raise ValueError("need at least one (algebra, count) pair")
     return max(_log_bound(X.size, col) for X, col in counts)

@@ -279,7 +279,7 @@ def cmd_bridge(args) -> int:
     if args.action == "seeds":
         if args.alg or args.mode:
             raise UsageError("bridge seeds takes no --alg or --mode; they apply to bridge lower")
-        k_max = 6 if args.kmax is None else _int(args.kmax)
+        k_max = bridge.SEED_CAP if args.kmax is None else _int(args.kmax)
         if k_max < 0:
             raise UsageError(f"--kmax must be >= 0, got {k_max}")
         found = bridge.min_seed_size(d, k_max)
@@ -362,6 +362,12 @@ def cmd_repro(args) -> int:
     return 0 if passed == len(items) else 1
 
 
+class _SeedCapHelp(argparse.HelpFormatter):
+    def _get_help_string(self, action):  # imports bridge only when help is printed
+        from .bridge import SEED_CAP
+        return action.help.replace("{SEED_CAP}", str(SEED_CAP))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biqknot",
@@ -400,10 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-endos", action="store_true")
     p.set_defaults(fn=cmd_quiver)
 
-    p = sub.add_parser("bridge", help="Wirtinger seeds and counting bounds")
+    p = sub.add_parser("bridge", help="Wirtinger seeds and counting bounds",
+                       formatter_class=_SeedCapHelp)
     p.add_argument("action", choices=("seeds", "lower"))
     p.add_argument("pd")
-    p.add_argument("--kmax", help="seeds: largest seed set tried (default 6)")
+    p.add_argument("--kmax", help="seeds: largest seed set tried (default {SEED_CAP})")
     p.add_argument("--alg", action="append", default=[])
     p.add_argument("--mode", choices=("b1", "b2"), help="lower: bound to report (default b1)")
     p.set_defaults(fn=cmd_bridge)

@@ -18,8 +18,8 @@ rows, the form the elimination reads; dense() is for printing. One
 elimination over each prime power of n serves two consumers, one pass
 per stage: a union-find merges the unknowns of each equality row x_a =
 x_b without building it; every other row is built once on the roots and
-indexed by column in the same loop, zero and repeated rows dropped; each
-pivot is picked in the pass that drops its row from its columns. Merged
+indexed by column in the same loop; each pivot is picked in the pass that
+drops its row from its columns, which retires any row it finds empty. Merged
 unknowns come back as a map to their roots, the real pivots as a list.
 The counter reads their sizes and the pivots' valuations; the lister
 back-substitutes a generator per free parameter over the pivots'
@@ -341,11 +341,10 @@ def _eliminate(rows, p: int, k: int):
     path-halving union-find and is not built at all; merged maps each
     column merged away to its root, which is never merged. Every other row
     is then built once, on the roots and mod q, so no pivot uses a merged
-    column, and indexed by column in the same loop; zero rows and repeats
-    are dropped. A repeat keeps the first copy's place and the last copy's
-    entry order: rows are walked in place order and a pivot tie goes to the
-    first entry in row order, so this fixes the pivots, the lister's
-    parameters and the quiver keys. The rows given are read, never changed.
+    column, and indexed by column in the same loop. Rows are walked in
+    place order and a pivot tie goes to the first entry in row order, which
+    fixes the pivots, the lister's parameters and the quiver keys. The rows
+    given are read, never changed.
 
     pivots lists the pivots in order, each (j, v, inv, rest): its row
     reads p^v*u*x_j + sum(rest[c]*x_c) = 0 with inv = u^-1 mod q, and every
@@ -359,8 +358,9 @@ def _eliminate(rows, p: int, k: int):
     the fewest rows (Markowitz: it keeps fill-in low), found in the pass
     that drops the row from its columns. One pass over the rows
     suffices per phase: a row already passed has every entry divisible by
-    p^(v+1), and eliminating into it keeps that so. A row the elimination
-    empties is retired: no column lists it and no later phase walks it.
+    p^(v+1), and eliminating into it keeps that so. One rule retires a row,
+    zero mod q as built, a repeat (its first copy's pivot empties it) or
+    dependent: once it is empty, no column lists it and the phase loop skips it.
     """
     q = p**k
     parent: dict[int, int] = {}  # merged column -> a column it equals, nearer its root
@@ -384,9 +384,8 @@ def _eliminate(rows, p: int, k: int):
     for j in reversed(parent):  # j's ancestors were merged after j: map j to its root
         parent[j] = root(parent[j], parent[j])
 
-    ids: dict[frozenset, int] = {}  # each distinct nonzero row's entries -> its id
-    rows = {}  # id -> row; a repeat keeps the first copy's id and takes its own entry order
-    col_rows: defaultdict[int, set[int]] = defaultdict(set)  # column -> ids of rows using it
+    rows = []  # the built rows, in place order
+    col_rows: defaultdict[int, set[int]] = defaultdict(set)  # column -> indices of rows using it
     for given in general:
         row: dict[int, int] = {}
         for j, a in given.items():
@@ -394,11 +393,9 @@ def _eliminate(rows, p: int, k: int):
             a = (row.pop(j, 0) + a) % q
             if a:
                 row[j] = a
-        if row:
-            i = ids.setdefault(frozenset(row.items()), len(ids))
-            rows[i] = row
-            for j in row:
-                col_rows[j].add(i)
+        for j in row:
+            col_rows[j].add(len(rows))
+        rows.append(row)
     pivots = []
     live = range(len(rows))
     for v in range(k):
@@ -406,7 +403,7 @@ def _eliminate(rows, p: int, k: int):
         kept = []  # rows passed over, all their entries divisible by p^(v+1)
         for i in live:
             row = rows[i]
-            if not row:  # retired
+            if not row:  # zero, a repeat or dependent: retired
                 continue
             j, least = None, len(rows)  # no column has as many other rows
             for c, a in row.items():

@@ -11,8 +11,13 @@ with coloring._relation_rows, _count_kernel and _list_kernel and
 quiver._targets wrapped to record their arguments; then each of them is
 timed alone on what it was given, so parse, search and isomorphism time
 stay out. A line gives the calls per case and the best of --repeat runs
-of all of them, in ms. The script imports the biqknot of the checkout it
-lives in; pytest does not collect it (its name does not start with test_).
+of all of them, in ms. The _count_kernel and _list_kernel lines also give
+the elimination's traffic, summed over the calls and their prime powers
+and computed outside the timed runs: the relation rows given, the unit
+equalities the union-find merged, the pivots, and the rows retired
+without a pivot (zero, repeated or dependent). The script imports the
+biqknot of the checkout it lives in; pytest does not collect it (its
+name does not start with test_).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from biqknot.diagram import chain, torus_2n, unknot  # noqa: E402
 
 KERNEL = {"_relation_rows": coloring, "_count_kernel": coloring, "_list_kernel": coloring,
           "_targets": quiver}  # name -> the module it is looked up in
+ELIMINATING = {"_count_kernel", "_list_kernel"}  # each eliminates its (rows, cols, n, ...)
 
 
 def cases():
@@ -73,6 +79,17 @@ def recorded(call) -> dict[str, list[tuple]]:
     return seen
 
 
+def traffic(calls) -> tuple[int, int, int, int]:
+    """(rows given, equalities merged, pivots, rows retired) over the calls' eliminations:
+    every row given merges, pivots or is retired."""
+    given = merged = pivots = 0
+    for rows, _, n, *_ in calls:
+        for p, k in coloring._prime_powers(n):
+            parent, found = coloring._eliminate(rows, p, k)
+            given, merged, pivots = given + len(rows), merged + len(parent), pivots + len(found)
+    return given, merged, pivots, given - merged - pivots
+
+
 def best_ms(fn, calls, repeat: int) -> float:
     """Best of repeat runs of fn over every recorded call, in ms per run."""
     timer = timeit.Timer(lambda: [fn(*args) for args in calls])
@@ -84,12 +101,15 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--repeat", type=int, default=7, help="runs per timing; the best is printed")
     args = ap.parse_args(argv)
-    print(f"{'case':32} {'function':15} {'calls':>5} {'best ms':>9}")
+    print(f"{'case':32} {'function':15} {'calls':>5} {'best ms':>9}"
+          f" {'rows':>6} {'merged':>6} {'pivots':>6} {'retired':>7}")
     for case, call in cases():
         for name, calls in recorded(call).items():
             if calls:
                 ms = best_ms(getattr(KERNEL[name], name), calls, args.repeat)
-                print(f"{case:32} {name:15} {len(calls):5} {ms:9.3f}")
+                rows, merged, pivots, retired = traffic(calls) if name in ELIMINATING else ("-",) * 4
+                print(f"{case:32} {name:15} {len(calls):5} {ms:9.3f}"
+                      f" {rows:>6} {merged:>6} {pivots:>6} {retired:>7}")
     return 0
 
 

@@ -140,7 +140,7 @@ def eliminate_reference(rows, p: int, k: int):
         parent[j] = parent.get(parent[j], parent[j])
 
     root = parent.get
-    built: dict[frozenset, dict[int, int]] = {}  # each distinct nonzero row, by its entries
+    rows = []  # every built row in place order, zero ones too
     for given in general:
         row: dict[int, int] = {}
         for j, a in given.items():
@@ -148,10 +148,8 @@ def eliminate_reference(rows, p: int, k: int):
             a = (row.pop(j, 0) + a) % q
             if a:
                 row[j] = a
-        if row:
-            built[frozenset(row.items())] = row
-    rows = list(built.values())
-    col_rows: defaultdict[int, set[int]] = defaultdict(set)  # column -> ids of rows using it
+        rows.append(row)
+    col_rows: defaultdict[int, set[int]] = defaultdict(set)  # column -> indices of rows using it
     for i, row in enumerate(rows):
         for j in row:
             col_rows[j].add(i)
@@ -162,7 +160,7 @@ def eliminate_reference(rows, p: int, k: int):
         kept = []  # rows passed over, all their entries divisible by p^(v+1)
         for i in live:
             row = rows[i]
-            if not row:  # retired
+            if not row:  # zero, a repeat or dependent: retired
                 continue
             cands = row if k == 1 else [j for j, a in row.items() if a % above]
             if not cands:

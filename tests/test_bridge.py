@@ -445,3 +445,12 @@ def test_bounds_need_a_pair_and_two_elements():
     with pytest.raises(ValueError) as e:
         b1_lower([(make_dihedral(1), 1)])
     assert str(e.value) == "counting bounds need |X| >= 2"
+
+
+@pytest.mark.parametrize("counts", [[(make_dihedral(3),)], "2", [(make_dihedral(3), 9, 1)], [("x", 9)]],
+                         ids=["one item", "text", "three items", "no algebra"])
+@pytest.mark.parametrize("bound", [b1_lower, b2_lower])
+def test_an_entry_that_is_no_pair_is_refused(bound, counts):
+    # refused before any entry is unpacked or read as an algebra
+    with pytest.raises(ValueError, match=r"^counts must be a sequence of \(algebra, count\) pairs, got "):
+        bound(counts)

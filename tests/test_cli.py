@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import biqknot
-from biqknot import cli, enhance
+from biqknot import bridge, cli, enhance
 from biqknot.algebra import (
     AxiomError,
     GroupOrderCapExceeded,
@@ -748,6 +749,15 @@ def test_bridge_seeds_reports_no_set_within_kmax(capsys):
         0, "no saturating seed set of size <= 6\n", "")
     code, out, _ = run(capsys, "--format", "json", "bridge", "seeds", "chain:7")
     assert (code, json.loads(out)) == (0, {"found": False, "k_max": 6})
+
+
+def test_the_seed_cap_is_read_from_its_one_home(capsys, monkeypatch):
+    assert inspect.signature(bridge.min_seed_size).parameters["k_max"].default is bridge.SEED_CAP
+    monkeypatch.setattr(bridge, "SEED_CAP", 2)
+    assert run(capsys, "bridge", "seeds", "chain:7") == (
+        0, "no saturating seed set of size <= 2\n", "")
+    code, out, _ = run(capsys, "bridge", "--help")
+    assert code == 0 and "largest seed set tried (default 2)" in " ".join(out.split())
 
 
 def test_repro_timings(capsys):

@@ -638,6 +638,33 @@ def test_random_equality_systems_match_brute_force():
             check_kernel_routes(equality_system(rng, n, cols), cols, n)
 
 
+@pytest.mark.parametrize("n", [9, 12, 27])
+def test_heavily_repeated_rows_count_and_list_as_the_distinct_ones(n):
+    # each distinct row, general or a unit equality, comes 50-200 times in shuffled
+    # order, its keys permuted and its coefficients shifted by multiples of n
+    rng = random.Random(n)
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    for cols in (3, 4, 5, 6):
+        distinct = [{j: rng.randrange(1, n) for j in rng.sample(range(cols), rng.randrange(1, 4))}
+                    for _ in range(rng.randrange(1, 4))]
+        for _ in range(rng.randrange(1, 3)):
+            a, b = rng.sample(range(cols), 2)
+            u = rng.choice(units)
+            distinct.append({a: u, b: -u})
+        rows = [{j: row[j] + n * rng.randrange(-2, 3) for j in rng.sample(list(row), len(row))}
+                for row in distinct for _ in range(rng.randrange(50, 201))]
+        rng.shuffle(rows)
+        m = RelationMatrix(tuple(rows), n, cols)
+        count = count_solutions_snf(RelationMatrix(tuple(distinct), n, cols))
+        assert count_solutions_snf(m) == count
+        if n**cols <= BRUTE_FORCE_GUARD:
+            assert count_solutions_bruteforce(m) == count
+        if count <= 20000:  # keeps the listing small
+            listing = _list_kernel(rows, cols, n)
+            assert listing == list_kernel_reference(rows, cols, n)
+            assert listing[0] == _list_kernel(distinct, cols, n)[0]
+
+
 def test_equality_chain_with_deep_union_find_tree_counts_q():
     # x_i = x_(i-1), each union linking the newest column's set to the previous
     # one's, builds a 5000-deep union-find tree; the rows x_0 = x_j then walk it

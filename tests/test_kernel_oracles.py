@@ -70,10 +70,10 @@ def test_elimination_and_listing_match_the_references_in_order(system):
         assert _list_kernel(rows, cols, n) == list_kernel_reference(rows, cols, n)
 
 
-def test_a_repeat_keeps_the_first_place_and_the_last_entry_order():
-    # the repeat {1: 1, 0: 1} of {0: 1, 1: 1} is pivoted first, on its first entry (a tie)
+def test_a_repeat_is_emptied_by_its_first_copy_and_retired():
+    # the first copy pivots on its first entry (a tie), which empties the repeat {1: 1, 0: 1}
     rows = [{0: 1, 1: 1}, {2: 1, 3: 1}, {1: 1, 0: 1}]
-    assert _eliminate(rows, 5, 1) == ({}, [(1, 0, 1, {0: 1}), (2, 0, 1, {3: 1})])
+    assert _eliminate(rows, 5, 1) == ({}, [(0, 0, 1, {1: 1}), (2, 0, 1, {3: 1})])
     check_eliminate(rows, 5)
     check_eliminate([{0: 3, 1: 6, 2: 1}, {2: 1, 1: 15, 0: 12}, {1: 3}, {}], 9)
 
@@ -142,7 +142,8 @@ def test_kernel_timing_script_runs(capsys):
                for name, calls in kernel_timing.recorded(call).items() if calls]
     assert kernel_timing.main(["--repeat", "1"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["case", "function", "calls", "best", "ms"]
-    assert [tuple(row.rsplit(maxsplit=3)[:2]) for row in rows] == reached
+    assert header.split() == ["case", "function", "calls", "best", "ms",
+                              "rows", "merged", "pivots", "retired"]
+    assert [tuple(row.rsplit(maxsplit=7)[:2]) for row in rows] == reached
     assert len(reached) == 22
     assert {name for _, name in reached} == set(kernel_timing.KERNEL)  # the quiver map too
