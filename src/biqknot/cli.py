@@ -300,13 +300,12 @@ def cmd_bridge(args) -> int:
         raise UsageError("bridge lower takes no --kmax; it applies to bridge seeds")
     if not args.alg:
         raise UsageError("bridge lower needs at least one --alg")
-    mode = args.mode or "b1"
+    mode = args.mode or BRIDGE_MODES[0]
     pairs = []
     for spec in args.alg:
         Y = load_biquandle(spec)
         pairs.append((Y, coloring.count_colorings(d, Y)))
-    fn = bridge.b1_lower if mode == "b1" else bridge.b2_lower
-    bound = fn(pairs)
+    bound = getattr(bridge, f"{mode}_lower")(pairs)  # b1_lower or b2_lower
     lines = [f"{mode} >= {bound}"]
     lines += [f"  |X| = {Y.size}: Col = {col}" for Y, col in pairs]
     emit(args, lines, {"mode": mode, "bound": bound,
@@ -362,6 +361,9 @@ def cmd_repro(args) -> int:
     return 0 if passed == len(items) else 1
 
 
+BRIDGE_MODES = ("b1", "b2")  # bridge lower's --mode choices; the first is its default
+
+
 class _SeedCapHelp(argparse.HelpFormatter):
     def _get_help_string(self, action):  # imports bridge only when help is printed
         from .bridge import SEED_CAP
@@ -412,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pd")
     p.add_argument("--kmax", help="seeds: largest seed set tried (default {SEED_CAP})")
     p.add_argument("--alg", action="append", default=[])
-    p.add_argument("--mode", choices=("b1", "b2"), help="lower: bound to report (default b1)")
+    p.add_argument("--mode", choices=BRIDGE_MODES,
+                   help=f"lower: bound to report (default {BRIDGE_MODES[0]})")
     p.set_defaults(fn=cmd_bridge)
 
     p = sub.add_parser("enhance", help="column group enhancement")

@@ -227,7 +227,8 @@ class RelationMatrix(NamedTuple("RelationMatrix", [
         if used and (min(used) < 0 or max(used) >= cols):
             row = next(row for row in rows if row and (min(row) < 0 or max(row) >= cols))
             raise ValueError(f"relation row {row} has a column outside 0..{cols - 1}")
-        _ints(chain.from_iterable(map(dict.values, rows)), "relation coefficients must be integers")
+        if not set(map(type, chain.from_iterable(map(dict.values, rows)))) <= {int}:  # no copy
+            raise ValueError("relation coefficients must be integers")
         return super().__new__(cls, rows, modulus, cols)
 
     def dense(self) -> tuple[tuple[int, ...], ...]:

@@ -17,15 +17,15 @@ by _decimal; every id must occur exactly once as an input (u_in/o_in)
 and once as an output (u_out/o_out), so semiarcs chain into oriented
 closed components. A ``#`` starts a comment.
 
-parse_pd reads the records in bulk and renumbers the ids 0..m-1 in
-increasing order; SemiarcDiagram alone checks the semiarc rule, on the
-raw records (V read as X+) before virtual crossings are erased; text
-that fails is rescanned by _raise_first_error to name its first bad
-line. A Crossing is a named tuple, equal to its plain 5-tuple
-(sign, u_in, o_in, u_out, o_out); a SemiarcDiagram is one too,
-(semiarc_count, crossings, free_loops), checked however it is built,
-by its constructor, _make or _replace. Every int argument of the library is
-checked by _ints, as every integer read from text is by _decimal.
+A Crossing is a named tuple, equal to its plain 5-tuple (sign, u_in,
+o_in, u_out, o_out); a SemiarcDiagram is one too, (semiarc_count,
+crossings, free_loops), checked however it is built by one column check,
+SemiarcDiagram._check: its constructor, _make and _replace hand it their
+records' columns, and parse_pd, which reads the records in bulk and
+renumbers the ids 0..m-1 in increasing order, hands it the columns it
+read (V as X+) before virtual crossings are erased; text that fails is
+rescanned by _raise_first_error to name its first bad line. Every int
+argument is checked by _ints, as every integer read from text by _decimal.
 
 Crossing relation convention used throughout the library: a positive
 crossing imposes u_out = u_in .v o_in and o_out = o_in ." u_in; a
@@ -72,34 +72,34 @@ class SemiarcDiagram(NamedTuple("SemiarcDiagram", [
             signs, u_in, o_in, u_out, o_out = zip(*crossings) if len(crossings) else ((),) * 5
         except (TypeError, ValueError):
             raise DiagramError(f"crossings must be crossing records, got {crossings!r}") from None
-        sign = "crossing sign must be +1 or -1, got {!r}"  # not 1.0, not True
-        if not set(_ints(signs, sign, DiagramError)) <= {1, -1}:
-            raise DiagramError(sign.format(next(s for s in signs if s not in (1, -1))))
-        ins, outs = u_in + o_in, u_out + o_out
-        for values in (semiarc_count, free_loops), ins, outs:  # in this order, no copy
-            _ints(values, "semiarc count, ids and free loop count must be integers, got {!r}",
-                  DiagramError)
-        if semiarc_count < 0:
+        return self._check(signs, u_in, o_in, u_out, o_out)
+
+    def _check(self, signs, *ids):
+        """self, once its record columns (signs, u_in, o_in, u_out, o_out) pass, read uncopied."""
+        if not (set(map(type, signs)) <= {int} and set(signs) <= {1, -1}):  # not 1.0, not True
+            bad = [s for s in signs if type(s) is not int] or [s for s in signs if s not in (1, -1)]
+            raise DiagramError(f"crossing sign must be +1 or -1, got {bad[0]!r}")
+        m, loops = self.semiarc_count, self.free_loops
+        if not set(map(type, itertools.chain((m, loops), *ids))) <= {int}:  # count, ins, outs
+            _ints(itertools.chain((m, loops), *ids),
+                  "semiarc count, ids and free loop count must be integers, got {!r}", DiagramError)
+        if m < 0:
             raise DiagramError("semiarc count cannot be negative")
-        every = list(range(semiarc_count))
-        if sorted(ins) != every or sorted(outs) != every:
+        ins, outs = {*ids[0], *ids[1]}, {*ids[2], *ids[3]}  # the rule: sorted(side) == range(m)
+        if not (2 * len(signs) == len(ins) == m and ins == outs == set(range(m))):
             self._raise_semiarc_error()
-        if free_loops < 0:
+        if loops < 0:
             raise DiagramError("free loop count cannot be negative")
         return self
 
     def _raise_semiarc_error(self):
         """Name the first semiarc out of range, or not consumed or produced exactly once."""
-        heads = [0] * self.semiarc_count
-        tails = [0] * self.semiarc_count
+        heads, tails = [0] * self.semiarc_count, [0] * self.semiarc_count
         for c in self.crossings:
-            for s in c[1:]:
+            for ends, s in zip((heads, heads, tails, tails), c[1:]):
                 if not 0 <= s < self.semiarc_count:
                     raise DiagramError(f"semiarc {s} out of range 0..{self.semiarc_count - 1}")
-            heads[c.u_in] += 1
-            heads[c.o_in] += 1
-            tails[c.u_out] += 1
-            tails[c.o_out] += 1
+                ends[s] += 1
         for s in range(self.semiarc_count):
             for count, end, verb in ((heads[s], "head", "consumed"), (tails[s], "source", "produced")):
                 if count != 1:
@@ -184,7 +184,7 @@ def _ints(values, what: str = "", error=ValueError, rows: bool = False):
 
 
 def parse_pd(text: str) -> SemiarcDiagram:
-    """Parse the wire format; validates and canonically renumbers semiarcs."""
+    """Parse the wire format, renumbering semiarcs canonically; the columns read are checked."""
     with any_int_digits():
         d = _parse_valid(text)
         if d is None:
@@ -231,10 +231,11 @@ def _parse_valid(text: str) -> SemiarcDiagram | None:
         ids = list(map(relabel.__getitem__, ids))
 
     virtual = 0 in signs
-    checked = [sign or 1 for sign in signs] if virtual else signs  # V reads as X+ here
-    try:
-        d = SemiarcDiagram(m, tuple(map(Crossing._make, zip(
-            checked, ids[0::4], ids[1::4], ids[2::4], ids[3::4]))), free_loops)
+    columns = ([sign or 1 for sign in signs] if virtual else signs,  # V reads as X+ here
+               ids[0::4], ids[1::4], ids[2::4], ids[3::4])
+    records = tuple(map(tuple.__new__, itertools.repeat(Crossing), zip(*columns)))  # in C
+    try:  # the constructor's own check, on the columns in hand
+        d = tuple.__new__(SemiarcDiagram, (m, records, free_loops))._check(*columns)
     except DiagramError:
         return None
     if virtual:
@@ -523,10 +524,8 @@ def connected_sum(d1: SemiarcDiagram, s1: int, d2: SemiarcDiagram, s2: int
     # cut both semiarcs and cross-join: s1 now ends where s2 ended and vice versa
     left = _replace_head(d1.crossings, s1, s2 + off)
     right = _replace_head(shifted, s2 + off, s1)
-    return (SemiarcDiagram(d1.semiarc_count + d2.semiarc_count,
-                           tuple(left) + tuple(right),
-                           d1.free_loops + d2.free_loops),
-            relabel)
+    return SemiarcDiagram(off + d2.semiarc_count, tuple(left + right),
+                          d1.free_loops + d2.free_loops), relabel
 
 
 def apply_r1(d: SemiarcDiagram, semiarc: int, chirality: int) -> SemiarcDiagram:

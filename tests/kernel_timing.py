@@ -1,4 +1,4 @@
-"""Time the linear kernel of coloring.py and the quiver map layer by layer.
+"""Time the wire reader, the linear kernel of coloring.py and the quiver map layer by layer.
 
 Usage, from the checkout root:
 
@@ -7,15 +7,18 @@ Usage, from the checkout root:
 Each case is one public call on inputs from the benchmark's slots, or at
 the lister's byte boundary: labels fit a byte for |Y| <= 255, where the
 columns are bytes, and not for R_256, where they are lists. It runs once
-with coloring._relation_rows, _count_kernel and _list_kernel and
-quiver._targets wrapped to record their arguments; then each of them is
-timed alone on what it was given, so parse, search and isomorphism time
-stay out. A line gives the calls per case and the best of --repeat runs
-of all of them, in ms. The _count_kernel and _list_kernel lines also give
-the elimination's traffic, summed over the calls and their prime powers
-and computed outside the timed runs: the relation rows given, the unit
-equalities the union-find merged, the pivots, and the rows retired
-without a pivot (zero, repeated or dependent). The script imports the
+with diagram.parse_pd, coloring._relation_rows, _count_kernel and
+_list_kernel and quiver._targets wrapped to record their arguments; then
+each of them is timed alone on what it was given, so search and
+isomorphism time stay out. The two parse cases read, then count, the
+wire text of the count workload's two largest diagrams, unknot(2000)
+and T(2,200); their parse_pd lines time the wire reader. A line gives
+the calls per case and the best of --repeat runs of all of them, in ms.
+The _count_kernel and _list_kernel lines also give the elimination's
+traffic, summed over the calls and their prime powers and computed
+outside the timed runs: the relation rows given, the unit equalities the
+union-find merged, the pivots, and the rows retired without a pivot
+(zero, repeated or dependent). The script imports the
 biqknot of the checkout it lives in; pytest does not collect it (its
 name does not start with test_).
 """
@@ -29,12 +32,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from biqknot import coloring, quiver  # noqa: E402
+from biqknot import coloring, diagram, quiver  # noqa: E402
 from biqknot.algebra import enumerate_endos, make_dihedral, make_linear_biquandle  # noqa: E402
-from biqknot.diagram import chain, torus_2n, unknot  # noqa: E402
+from biqknot.diagram import chain, serialize_pd, torus_2n, unknot  # noqa: E402
 
-KERNEL = {"_relation_rows": coloring, "_count_kernel": coloring, "_list_kernel": coloring,
-          "_targets": quiver}  # name -> the module it is looked up in
+KERNEL = {"parse_pd": diagram, "_relation_rows": coloring, "_count_kernel": coloring,
+          "_list_kernel": coloring, "_targets": quiver}  # name -> the module it is looked up in
 ELIMINATING = {"_count_kernel", "_list_kernel"}  # each eliminates its (rows, cols, n, ...)
 
 
@@ -49,6 +52,10 @@ def cases():
         ("T(2,200) / linear:9,1,0,8,2", lambda d=torus_2n(200): count(d, L9)),
         ("T(2,120) / linear:27,1,0,26,2", lambda d=torus_2n(120): count(d, L27)),
         ("unknot(2000) / R_3", lambda d=unknot(2000): count(d, make_dihedral(3))),
+        ("parse, count unknot(2000) / R_3",
+         lambda t=serialize_pd(unknot(2000)): count(diagram.parse_pd(t), make_dihedral(3))),
+        ("parse, count T(2,200) / L_9",
+         lambda t=serialize_pd(torus_2n(200)): count(diagram.parse_pd(t), L9)),
         ("list chain(9) / R_4", lambda d=chain(9): listing(d, R4)),
         ("End(R_27)", lambda: enumerate_endos(make_dihedral(27))),
         ("quiver T(2,9) / End(R_9)", lambda d=torus_2n(9), S=enumerate_endos(R9): build(d, R9, S)),

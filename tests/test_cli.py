@@ -760,6 +760,15 @@ def test_the_seed_cap_is_read_from_its_one_home(capsys, monkeypatch):
     assert code == 0 and "largest seed set tried (default 2)" in " ".join(out.split())
 
 
+def test_the_default_bridge_mode_is_read_from_its_one_home(capsys, monkeypatch):
+    assert run(capsys, "bridge", "lower", "torus2:3", "--alg", "dihedral:3")[1].startswith("b1 >= ")
+    monkeypatch.setattr(cli, "BRIDGE_MODES", ("b2", "b1"))
+    assert run(capsys, "bridge", "lower", "torus2:3", "--alg", "dihedral:3") == (
+        0, "b2 >= 2\n  |X| = 3: Col = 9\n", "")
+    code, out, _ = run(capsys, "bridge", "--help")
+    assert code == 0 and "--mode {b2,b1} lower: bound to report (default b2)" in " ".join(out.split())
+
+
 def test_repro_timings(capsys):
     code, out, _ = run(capsys, "--format", "json", "repro", "--item", "11-bridge-machinery",
                        "--timings")

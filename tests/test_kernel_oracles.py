@@ -145,5 +145,5 @@ def test_kernel_timing_script_runs(capsys):
     assert header.split() == ["case", "function", "calls", "best", "ms",
                               "rows", "merged", "pivots", "retired"]
     assert [tuple(row.rsplit(maxsplit=7)[:2]) for row in rows] == reached
-    assert len(reached) == 22
+    assert len(reached) == 28
     assert {name for _, name in reached} == set(kernel_timing.KERNEL)  # the quiver map too
